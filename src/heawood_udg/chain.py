@@ -241,10 +241,6 @@ class EquationEntry:
     kind: str
     flags: tuple
 
-    @property
-    def is_flag_constraint(self) -> bool:
-        return bool(self.flags)
-
 
 def _flag(p: str, ln: str) -> tuple:
     return (VertexLabel.parse(p), VertexLabel.parse(ln))
@@ -322,14 +318,15 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     )
 
 
-def dump_candidates(candidates, fp=None) -> str:
+def dump_candidates(candidates) -> str:
     """Serialize candidates to canonical JSON (stable across runs)."""
     payload = [candidate_to_json_dict(c) for c in candidates]
-    text = json.dumps(payload, indent=2) + "\n"
-    if fp is not None:
-        fp.write(text)
-    return text
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def load_candidates(text: str) -> list:
-    return [candidate_from_json_dict(d) for d in json.loads(text)]
+    """Parse :func:`dump_candidates` output; ValueError if malformed."""
+    try:
+        return [candidate_from_json_dict(d) for d in json.loads(text)]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed embeddings file: {exc!r}") from exc

@@ -4,9 +4,11 @@ The zero-dimensional constraint system behind the construction chain induces
 a univariate characteristic polynomial for each coordinate: its roots are the
 values that coordinate takes over all complex solutions.  The degree-79
 polynomial for the x-coordinate of l4 is hard-coded in the table below;
-Sturm sequences over exact rational arithmetic isolate and count its
+one Sturm chain over exact rational arithmetic counts and isolates its
 real roots, which certifies the solver's embeddings independently of the
-floating-point path that found them.
+floating-point path that found them.  Counting and isolation require a
+squarefree polynomial, as this one is, and raise :class:`NotSquarefree`
+otherwise.
 
 Coefficients are stored as decimal strings in one table and parsed at load
 time; a checksum plus digit-count guard protects the transcription, which is
@@ -166,9 +168,6 @@ class IsolatingInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
 
 def charpoly_xl4() -> BigPoly:
@@ -286,55 +285,27 @@ def _variations_at_infinity(chain: Sequence[BigPoly], positive: bool) -> int:
     return _variations(signs)
 
 
-def gcd_with_derivative(p: BigPoly) -> BigPoly:
-    """Primitive gcd(p, p') up to sign (last element of the Sturm chain)."""
-    return sturm_chain(p)[-1]
-
-
 def is_squarefree(p: BigPoly) -> bool:
-    return gcd_with_derivative(p).degree == 0
+    return sturm_chain(p)[-1].degree == 0
 
 
-def squarefree_part(p: BigPoly) -> BigPoly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    g = gcd_with_derivative(p)
-    if g.degree == 0:
-        return p
-    # exact polynomial division over the rationals, renormalized to ZZ
-    num = [Fraction(c) for c in p.coefficients]
-    den = g.coefficients
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        q = num[k + len(den) - 1] / den[-1]
-        out[k] = q
-        for j, cg in enumerate(den):
-            num[k + j] -= q * cg
-    if any(num):
-        raise AssertionError("gcd does not divide the polynomial exactly")
-    common = 1
-    for f in out:
-        common = common * f.denominator // gcd(common, f.denominator)
-    ints = [int(f * common) for f in out]
-    return BigPoly(_primitive(ints))
-
-
-def count_real_roots(p: BigPoly, lo=None, hi=None, on_multiple: str = "raise") -> int:
-    """Number of distinct real roots of ``p`` in (lo, hi]; bounds of None
-    mean the corresponding infinity.
-
-    Requires ``p`` squarefree; with ``on_multiple="reduce"`` multiple roots
-    are tolerated and counted once (via the squarefree part).
-    """
+def _squarefree_chain(p: BigPoly) -> tuple:
+    """Sturm chain of ``p``, which must be nonzero and squarefree."""
     if p.is_zero():
-        raise ValueError("zero polynomial has no root count")
-    if not is_squarefree(p):
-        if on_multiple != "reduce":
-            raise NotSquarefree(
-                f"gcd(p, p') has degree {gcd_with_derivative(p).degree}; "
-                "pass on_multiple='reduce' to count distinct roots"
-            )
-        p = squarefree_part(p)
+        raise ValueError("zero polynomial has no real-root count")
     chain = sturm_chain(p)
+    if chain[-1].degree > 0:
+        raise NotSquarefree(f"gcd(p, p') has degree {chain[-1].degree}")
+    return chain
+
+
+def count_real_roots(p: BigPoly, lo=None, hi=None) -> int:
+    """Number of real roots of ``p`` in (lo, hi]; bounds of None mean the
+    corresponding infinity.
+
+    Requires ``p`` squarefree and raises :class:`NotSquarefree` otherwise.
+    """
+    chain = _squarefree_chain(p)
     if lo is not None:
         lo = Fraction(lo)
         if sign_at(p, lo) == 0:
@@ -359,21 +330,19 @@ def root_bound(p: BigPoly) -> int:
 
 
 def isolate_real_roots(p: BigPoly) -> list:
-    """Disjoint rational isolating intervals, one per distinct real root,
-    sorted ascending.  Bisection on exact Sturm counts."""
-    if p.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if not is_squarefree(p):
-        p = squarefree_part(p)
-    chain = sturm_chain(p)
+    """Disjoint rational isolating intervals, one per real root, sorted
+    ascending; requires ``p`` squarefree.  Bisection on exact Sturm counts:
+    intervals carry their end-point counts, so each split evaluates the
+    chain once."""
+    chain = _squarefree_chain(p)
     bound = root_bound(p)
     lo, hi = Fraction(-bound), Fraction(bound)
     # Cauchy bound endpoints are never roots
-    total = _variations_at(chain, lo) - _variations_at(chain, hi)
     result: list = []
-    stack = [(lo, hi, total)]
+    stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
     while stack:
-        a, b, count = stack.pop()
+        a, b, v_a, v_b = stack.pop()
+        count = v_a - v_b
         if count == 0:
             continue
         if count == 1:
@@ -387,10 +356,8 @@ def isolate_real_roots(p: BigPoly) -> list:
             mid = a + (b - a) * ratio
             ratio = (ratio + Fraction(1, 2)) / 2
         v_mid = _variations_at(chain, mid)
-        v_a = _variations_at(chain, a)
-        v_b = _variations_at(chain, b)
-        stack.append((a, mid, v_a - v_mid))
-        stack.append((mid, b, v_mid - v_b))
+        stack.append((a, mid, v_a, v_mid))
+        stack.append((mid, b, v_mid, v_b))
     result.sort(key=lambda iv: iv.lo)
     return result
 

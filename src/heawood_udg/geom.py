@@ -113,10 +113,6 @@ def distance_squared(p: Point2, q: Point2):
     return dx * dx + dy * dy
 
 
-def distance(ctx: RealContext, p: Point2, q: Point2):
-    return ctx.sqrt(distance_squared(p, q))
-
-
 def circle_circle_intersect(
     ctx: RealContext,
     c1: Point2,

@@ -31,9 +31,12 @@ def reference_tables(path: str | Path | None = None) -> tuple:
             resources.files("heawood_udg").joinpath("data/tables.json").read_text()
         )
     tables = []
-    for row in raw["tables"]:
-        missing = [v for v in TABLE_VERTICES if v not in row]
-        if missing:
-            raise ValueError(f"reference table is missing vertices: {missing}")
-        tables.append({v: (row[v][0], row[v][1]) for v in TABLE_VERTICES})
+    try:
+        for row in raw["tables"]:
+            missing = [v for v in TABLE_VERTICES if v not in row]
+            if missing:
+                raise ValueError(f"reference table is missing vertices: {missing}")
+            tables.append({v: (row[v][0], row[v][1]) for v in TABLE_VERTICES})
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f'malformed reference tables file (needs a "tables" list): {exc!r}') from exc
     return tuple(tables)

@@ -44,6 +44,8 @@ from .geom import Point2, RealContext, distance_squared
 from .incidence import ALL_VERTICES, VertexLabel
 
 TWO_PI = 2 * math.pi
+DEDUPE_TOL = "1e-20"
+NEWTON_MAX_ITER = 100
 
 
 class SolverError(Exception):
@@ -82,8 +84,6 @@ class Bracket:
 class SolveConfig:
     grid_points: int = 20000
     precision_stages: tuple = (30, 60)
-    dedupe_tol: str = "1e-20"
-    newton_max_iter: int = 100
     min_vertex_separation: float = 1e-6
 
     def __post_init__(self):
@@ -317,7 +317,7 @@ def _condition_estimate(ctx: RealContext, J) -> Any:
 def newton_polish(
     candidate: EmbeddingCandidate,
     digits: int,
-    max_iter: int = 100,
+    max_iter: int = NEWTON_MAX_ITER,
     trace: list | None = None,
 ) -> EmbeddingCandidate:
     """Newton's method at ``digits`` precision on the 16-equation system.
@@ -416,7 +416,7 @@ def solve_all(config: SolveConfig | None = None) -> list:
     config = config or SolveConfig()
     stage0 = config.precision_stages[0]
     final_ctx = RealContext(config.final_precision)
-    tol = final_ctx.mpf(config.dedupe_tol)
+    tol = final_ctx.mpf(DEDUPE_TOL)
 
     polished = []
     for bracket in sweep(config):
@@ -427,7 +427,7 @@ def solve_all(config: SolveConfig | None = None) -> list:
         if min_vertex_separation(cand) < config.min_vertex_separation:
             continue  # coincident vertices: a degenerate zero, not an embedding
         for digits in config.precision_stages:
-            cand = newton_polish(cand, digits, max_iter=config.newton_max_iter)
+            cand = newton_polish(cand, digits)
         polished.append(cand)
 
     unique = dedupe_candidates(polished, tol)

@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .chain import EmbeddingCandidate, candidate_from_coords
+from .chain import EmbeddingCandidate
 from .charpoly import BigPoly, sign_at
 from .geom import Point2, RealContext, distance_squared
 from .incidence import IncidenceStructure, VertexLabel, build_heawood_incidence
@@ -26,17 +26,7 @@ _L4 = VertexLabel.parse("l4")
 _L5 = VertexLabel.parse("l5")
 _P4 = VertexLabel.parse("P4")
 
-# Reflection across the horizontal midline of the pinned rectangle maps the
-# pinned positions onto themselves under this relabeling, which extends to
-# a collineation of the incidence structure.
-MIRROR_RELABEL = {
-    "P5": "P2", "P2": "P5",
-    "l5": "l7", "l7": "l5",
-    "P4": "P6", "P6": "P4",
-    "l2": "l6", "l6": "l2",
-    "P7": "P7", "P3": "P3", "P1": "P1",
-    "l1": "l1", "l3": "l3", "l4": "l4",
-}
+MATCH_TOL = "1e-13"  # reference rows are accurate to their 15 printed digits
 
 
 @dataclass(frozen=True)
@@ -135,28 +125,6 @@ def regularity_check(candidate: EmbeddingCandidate, inc: IncidenceStructure | No
     return margin
 
 
-def mirror_image(candidate: EmbeddingCandidate) -> EmbeddingCandidate:
-    """Reflect across the rectangle midline y = 1 and relabel so the pinned
-    configuration is restored.
-
-    The image satisfies the pinned positions and all 21 flag constraints
-    (reflection is an isometry and the relabeling is a collineation).  It
-    is generally NOT in the solution set of the full system, because the
-    collinearity restriction on (l4, P4, l5) maps to a condition on
-    (l4, P6, l7) that the system does not impose.
-    """
-    ctx = candidate.context()
-    coords = {}
-    for name, target in MIRROR_RELABEL.items():
-        src = candidate.coords[VertexLabel.parse(name)]
-        coords[VertexLabel.parse(target)] = Point2(src.x, 2 - src.y)
-    dependent = {
-        label: pt for label, pt in coords.items()
-        if str(label) not in ("P5", "P2", "l5", "l7", "P7", "l3")
-    }
-    return candidate_from_coords(dependent, candidate.precision)
-
-
 def _mpf_to_fraction(ctx: RealContext, x) -> Fraction:
     return Fraction(Decimal(ctx.nstr(x)))
 
@@ -195,18 +163,16 @@ def certify(
     poly: BigPoly,
     inc: IncidenceStructure | None = None,
     tables: Sequence[dict] | None = None,
-    match_tol: Any = "1e-13",
 ) -> Certificate:
     """Assemble the full certificate for a candidate.
 
     Failing checks yield a non-passing certificate rather than an error.
-    The default table-matching tolerance 1e-13 assumes reference rows
-    accurate to their printed 15 digits, which the bundled rows are; see
-    :mod:`heawood_udg.refdata` for the corrected row 9.
+    Tables are matched at :data:`MATCH_TOL`; see :mod:`heawood_udg.refdata`
+    for the corrected row 9.
     """
     inc = inc or build_heawood_incidence()
     _, _, bracket_ok = charpoly_bracket(candidate, poly)
-    matched = match_table(candidate, tables, match_tol) if tables is not None else None
+    matched = match_table(candidate, tables, MATCH_TOL) if tables is not None else None
     return Certificate(
         max_flag_residual=max_flag_residual(candidate, inc),
         collinearity_residual=collinearity_residual(candidate),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from heawood_udg import charpoly
 from heawood_udg.charpoly import (
     BigPoly,
     IsolatingInterval,
@@ -12,13 +13,11 @@ from heawood_udg.charpoly import (
     charpoly_xl4,
     count_real_roots,
     eval_exact,
-    gcd_with_derivative,
     is_squarefree,
     isolate_real_roots,
     refine_root,
     root_bound,
     sign_at,
-    squarefree_part,
     sturm_chain,
 )
 
@@ -127,15 +126,15 @@ def test_count_in_subinterval_matches_reference_rows(poly, tables):
 
 def test_squarefree(poly):
     assert is_squarefree(poly)
-    assert gcd_with_derivative(poly).degree == 0
 
 
-def test_not_squarefree_raises_and_reduces():
+def test_not_squarefree_raises():
     p = BigPoly((4, 0, -4, 0, 1))  # (T^2 - 2)^2
+    assert not is_squarefree(p)
     with pytest.raises(NotSquarefree):
         count_real_roots(p)
-    assert count_real_roots(p, on_multiple="reduce") == 2
-    assert squarefree_part(p) == BigPoly((-2, 0, 1))
+    with pytest.raises(NotSquarefree):
+        isolate_real_roots(p)
 
 
 def test_root_bound_contains_all_roots(poly):
@@ -154,6 +153,21 @@ def test_isolates_eleven_disjoint_intervals(poly):
         assert a.hi <= b.lo
     for iv in intervals:
         assert count_real_roots(poly, iv.lo, iv.hi) == 1
+
+
+def test_isolation_never_reevaluates_a_point(poly, monkeypatch):
+    # each interval carries the Sturm counts at its end points, so the chain
+    # is evaluated once per split point and never again at an end point
+    points = []
+    variations_at = charpoly._variations_at
+
+    def recording(chain, t):
+        points.append(t)
+        return variations_at(chain, t)
+
+    monkeypatch.setattr(charpoly, "_variations_at", recording)
+    assert len(isolate_real_roots(poly)) == 11
+    assert len(points) == len(set(points))
 
 
 def test_isolation_dodges_root_at_split_point():

@@ -14,12 +14,24 @@ def test_incidence_subcommand(capsys):
     assert payload["lines"]["l2"] == ["P1", "P2", "P4"]
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert run([]) == 2
     assert run(["solve", "--grid", "not-a-number"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["solve", "--grid", "10"]) == 2  # below the configured minimum
     assert run(["verify", "--json", "/nonexistent/path.json"]) == 2
+    # malformed input files: a message and exit 2, not a traceback
+    no_vertices = tmp_path / "no_vertices.json"
+    no_vertices.write_text('[{"precision": 60}]')
+    assert run(["verify", "--json", str(no_vertices)]) == 2
+    not_a_list = tmp_path / "not_a_list.json"
+    not_a_list.write_text('{"x": 1}')
+    assert run(["render", "--json", str(not_a_list), "--svg", str(tmp_path / "out")]) == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    no_tables = tmp_path / "no_tables.json"
+    no_tables.write_text('{"rows": []}')
+    assert run(["verify", "--json", str(empty), "--seed-tables", str(no_tables)]) == 2
     capsys.readouterr()
 
 

@@ -16,7 +16,6 @@ from heawood_udg.verify import (
     flag_residuals,
     match_table,
     max_flag_residual,
-    mirror_image,
     regularity_check,
 )
 
@@ -127,42 +126,6 @@ def test_degenerate_candidate_has_zero_margin(solutions):
     assert regularity_check(degenerate) < ctx.pow10(-50)
 
 
-def test_margin_invariant_under_mirror(solutions):
-    for cand in solutions[:3]:
-        mirrored = mirror_image(cand)
-        a = float(regularity_check(cand))
-        b = float(regularity_check(mirrored))
-        assert abs(a - b) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# mirror closure
-
-
-def test_mirror_preserves_pinned_and_flags(solutions):
-    ctx = RealContext(60)
-    for cand in solutions:
-        mirrored = mirror_image(cand)
-        assert mirrored["P5"].x == 0 and mirrored["P5"].y == 0
-        assert mirrored["P2"].y == 2
-        assert max_flag_residual(mirrored) < ctx.pow10(-50)
-
-
-def test_mirror_breaks_the_collinearity_restriction(solutions):
-    # the reflected-relabelled image satisfies the flags but generally not
-    # the extra restriction, so it is a different unit-distance embedding
-    mirrored = mirror_image(solutions[0])
-    assert float(collinearity_residual(mirrored)) > 1e-3
-
-
-def test_mirror_is_an_involution(solutions):
-    ctx = RealContext(60)
-    twice = mirror_image(mirror_image(solutions[0]))
-    for v in solutions[0].coords:
-        assert abs(twice.coords[v].x - solutions[0].coords[v].x) < ctx.pow10(-55)
-        assert abs(twice.coords[v].y - solutions[0].coords[v].y) < ctx.pow10(-55)
-
-
 # ---------------------------------------------------------------------------
 # charpoly cross-certification
 
@@ -192,16 +155,12 @@ def test_solutions_land_in_distinct_isolating_intervals(solutions, poly):
 
 
 def test_match_table_strict_tolerance(solutions, tables, printed_row_nine):
-    matches = [match_table(c, tables, "1e-13") for c in solutions]
-    # every row matches exactly one solution at 1e-13
-    assert sorted(matches) == list(range(1, 12))
+    # every row matches exactly one solution, at 1e-13 and at the looser 1e-9
+    for tol in ("1e-13", "1e-9"):
+        matches = [match_table(c, tables, tol) for c in solutions]
+        assert sorted(matches) == list(range(1, 12)), tol
     # row 9 as printed is only ~1e-11 accurate, so it matches none
     assert all(match_table(c, [printed_row_nine], "1e-13") is None for c in solutions)
-
-
-def test_match_table_documented_accuracy(solutions, tables):
-    matches = [match_table(c, tables, "1e-9") for c in solutions]
-    assert sorted(matches) == list(range(1, 12))
 
 
 def test_certify_solutions_pass(solutions, poly, inc, tables):
