@@ -13,7 +13,7 @@ import time
 
 from heawood_udg import SolveConfig, solve_all, sweep
 
-config = SolveConfig()  # grid 20000, precision stages (30, 60)
+config = SolveConfig()  # grid 20000, bisection at 30 digits, Newton to 60
 
 brackets = sweep(config)
 print(f"raw sign-change brackets over 64 branch vectors: {len(brackets)}")

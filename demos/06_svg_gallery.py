@@ -9,17 +9,16 @@ Output lands in demos/output/.
 
 from pathlib import Path
 
-from heawood_udg import RenderStyle, SolveConfig, render_svg, solve_all
+from heawood_udg import SolveConfig, render_svg, solve_all
 
 out_dir = Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 embeddings = solve_all(SolveConfig())
-style = RenderStyle(scale=180.0)
 
 for k, emb in enumerate(embeddings, start=1):
     path = out_dir / f"embedding_{k:02d}.svg"
-    path.write_text(render_svg(emb, style=style))
+    path.write_text(render_svg(emb, scale=180.0))
     print(f"wrote {path}")
 
 print(f"\n{len(embeddings)} drawings in {out_dir}")

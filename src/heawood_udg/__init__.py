@@ -44,7 +44,7 @@ from .incidence import (
     verify_fano_axioms,
 )
 from .refdata import reference_tables
-from .render import RenderStyle, render_svg
+from .render import render_svg
 from .solver import (
     Bracket,
     LostBracket,
@@ -76,7 +76,6 @@ __all__ = [
     "NotSquarefree",
     "Point2",
     "RealContext",
-    "RenderStyle",
     "SingularJacobian",
     "SolveConfig",
     "Tangent",

@@ -82,12 +82,6 @@ class BranchVector:
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
 
-    def __getitem__(self, k: int) -> int:
-        return self.bits[k]
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -325,8 +319,12 @@ def dump_candidates(candidates) -> str:
 
 
 def load_candidates(text: str) -> list:
-    """Parse :func:`dump_candidates` output; ValueError if malformed."""
+    """Parse :func:`dump_candidates` output; ValueError if malformed or if
+    it holds no embedding."""
+    data = json.loads(text)
+    if not isinstance(data, list) or not data:
+        raise ValueError("embeddings file must hold a non-empty JSON list")
     try:
-        return [candidate_from_json_dict(d) for d in json.loads(text)]
+        return [candidate_from_json_dict(d) for d in data]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed embeddings file: {exc!r}") from exc

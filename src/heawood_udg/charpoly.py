@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-from .geom import RealContext
+from .geom import RealContext, bisect_sign_change
 
 
 class NotSquarefree(Exception):
@@ -372,17 +372,7 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
         raise ValueError("interval endpoint is an exact root; shrink the interval")
     if s_lo == s_hi:
         raise ValueError("no sign change over the interval; not an isolating interval")
-    target = Fraction(1, 10 ** digits)
-    while hi - lo >= target:
-        mid = (lo + hi) / 2
-        s_mid = sign_at(p, mid)
-        if s_mid == 0:
-            lo = hi = mid
-            break
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_sign_change(lambda t: sign_at(p, t), lo, hi, s_lo, Fraction(1, 10 ** digits))
     ctx = RealContext(max(digits + 5, 15))
     mid = (lo + hi) / 2
     return ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)

@@ -17,7 +17,7 @@ from . import charpoly, refdata, solver, verify
 from .chain import dump_candidates, load_candidates
 from .geom import RealContext
 from .incidence import build_heawood_incidence
-from .render import RenderStyle, render_svg
+from .render import SCALE, render_svg
 
 EXPECTED_EMBEDDINGS = 11
 
@@ -45,18 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render embeddings from a JSON file to SVG")
     p_render.add_argument("--json", type=Path, required=True, help="embeddings JSON to render")
     p_render.add_argument("--svg", type=Path, required=True, help="output directory")
-    p_render.add_argument("--scale", type=float, default=200.0, help="pixels per unit length")
+    p_render.add_argument("--scale", type=float, default=SCALE, help="pixels per unit length")
 
     sub.add_parser("incidence", help="print the line triples and flag list as JSON")
     return parser
 
 
-def _stages_for(digits: int) -> tuple:
-    return (30, digits) if digits > 30 else (digits,)
-
-
 def _cmd_solve(args) -> int:
-    config = solver.SolveConfig(grid_points=args.grid, precision_stages=_stages_for(args.digits))
+    config = solver.SolveConfig(grid_points=args.grid, digits=args.digits)
     embeddings = solver.solve_all(config)
     text = dump_candidates(embeddings)
     if args.json is not None:
@@ -64,7 +60,7 @@ def _cmd_solve(args) -> int:
     else:
         sys.stdout.write(text)
     if args.svg is not None:
-        _write_svgs(embeddings, args.svg, RenderStyle())
+        _write_svgs(embeddings, args.svg)
     print(f"found={len(embeddings)} expected={EXPECTED_EMBEDDINGS}")
     return 0 if len(embeddings) == EXPECTED_EMBEDDINGS else 1
 
@@ -95,22 +91,23 @@ def _cmd_verify(args) -> int:
     inc = build_heawood_incidence()
     certificates = [verify.certify(e, poly, inc, tables) for e in embeddings]
     print(json.dumps([c.to_json_dict() for c in certificates], indent=2))
-    return 0 if certificates and all(c.passes for c in certificates) else 1
+    return 0 if all(c.passes for c in certificates) else 1
 
 
-def _write_svgs(embeddings, directory: Path, style: RenderStyle) -> list:
+def _write_svgs(embeddings, directory: Path, scale: float = SCALE) -> list:
+    svgs = [render_svg(emb, scale=scale) for emb in embeddings]
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for k, emb in enumerate(embeddings, start=1):
+    for k, svg in enumerate(svgs, start=1):
         path = directory / f"embedding_{k:02d}.svg"
-        path.write_text(render_svg(emb, style=style))
+        path.write_text(svg)
         paths.append(path)
     return paths
 
 
 def _cmd_render(args) -> int:
     embeddings = load_candidates(args.json.read_text())
-    paths = _write_svgs(embeddings, args.svg, RenderStyle(scale=args.scale))
+    paths = _write_svgs(embeddings, args.svg, args.scale)
     print(f"wrote {len(paths)} SVG files to {args.svg}")
     return 0
 

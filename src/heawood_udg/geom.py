@@ -2,13 +2,14 @@
 
 Provides an explicit-precision real arithmetic context (no ambient global
 precision state), 2D points, and the two-valued circle-circle intersection
-that drives the compass-and-ruler construction chain.
+that drives the compass-and-ruler construction chain, and the sign-change
+bisection shared by the solver and the exact root refinement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from mpmath.ctx_mp import MPContext
 
@@ -87,7 +88,7 @@ class RealContext:
 
     @property
     def default_tol(self):
-        """Default tangency/degeneracy tolerance, ``10^(-dps/2)``.
+        """Tangency/degeneracy tolerance of the intersection, ``10^(-dps/2)``.
 
         The intersection discriminant loses about half the working digits
         near tangency, so half precision is the natural cutoff.
@@ -120,7 +121,6 @@ def circle_circle_intersect(
     c2: Point2,
     r2: Any,
     bit: int,
-    tol: Any = None,
 ) -> Point2:
     """Intersect the circles around ``c1`` (radius ``r1``) and ``c2`` (``r2``).
 
@@ -130,15 +130,12 @@ def circle_circle_intersect(
     independent of coordinate magnitudes.
 
     Raises :class:`ConcentricCircles` when the centers coincide within
-    ``tol``, :class:`Tangent` when the discriminant vanishes within ``tol``
-    and :class:`NoIntersection` when it is negative beyond ``tol``.
+    ``ctx.default_tol``, :class:`Tangent` when the discriminant vanishes
+    within it and :class:`NoIntersection` when it is negative beyond it.
     """
     if bit not in (0, 1):
         raise ValueError(f"branch bit must be 0 or 1, got {bit!r}")
-    if tol is None:
-        tol = ctx.default_tol
-    else:
-        tol = ctx.mpf(tol)
+    tol = ctx.default_tol
     r1 = ctx.mpf(r1)
     r2 = ctx.mpf(r2)
     if r1 <= 0 or r2 <= 0:
@@ -167,3 +164,26 @@ def circle_circle_intersect(
     if bit == 0:
         return Point2(mx - h * uy, my + h * ux)
     return Point2(mx + h * uy, my - h * ux)
+
+
+def bisect_sign_change(sign: Callable[[Any], Any], lo: Any, hi: Any, sign_lo: Any, width: Any) -> tuple:
+    """Halve ``[lo, hi]`` around a sign change until ``hi - lo < width``.
+
+    ``sign(t)`` returns a number with the sign of the bisected function at
+    ``t``, and ``sign_lo`` is one with its sign at ``lo``; the caller has
+    checked that the sign at ``hi`` is opposite.  Only midpoints are
+    evaluated.  End points may be mpf or :class:`fractions.Fraction`.
+    Returns the final ``(lo, hi)``, or ``(mid, mid)`` when ``sign(mid)`` is
+    exactly zero.
+    """
+    negative_lo = sign_lo < 0
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        s = sign(mid)
+        if s == 0:
+            return mid, mid
+        if (s < 0) == negative_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -8,27 +8,18 @@ inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chain import EmbeddingCandidate
 from .incidence import IncidenceStructure, build_heawood_incidence
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    scale: float = 200.0  # pixels per unit length
-    vertex_radius: float = 5.0
-    label_offset: tuple = (7.0, -7.0)
-    padding: float = 0.2  # in unit lengths
-    point_color: str = "#c0392b"  # P vertices
-    line_color: str = "#2255a4"  # l vertices
-    edge_color: str = "#555555"
-    edge_width: float = 2.0
-    font_size: float = 13.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+SCALE = 200.0  # default pixels per unit length
+VERTEX_RADIUS = 5.0
+LABEL_OFFSET = (7.0, -7.0)
+PADDING = 0.2  # in unit lengths
+POINT_COLOR = "#c0392b"  # P vertices
+LINE_COLOR = "#2255a4"  # l vertices
+EDGE_COLOR = "#555555"
+EDGE_WIDTH = 2.0
+FONT_SIZE = 13.0
 
 
 def _fmt(value: float) -> str:
@@ -38,23 +29,25 @@ def _fmt(value: float) -> str:
 def render_svg(
     candidate: EmbeddingCandidate,
     inc: IncidenceStructure | None = None,
-    style: RenderStyle | None = None,
+    scale: float = SCALE,
 ) -> str:
-    """Render one embedding as an SVG document string."""
+    """Render one embedding as an SVG document string, ``scale`` pixels
+    per unit length."""
+    if scale <= 0:
+        raise ValueError("scale must be positive")
     inc = inc or build_heawood_incidence()
-    style = style or RenderStyle()
     pos = {v: (float(p.x), float(p.y)) for v, p in candidate.coords.items()}
 
     xs = [x for x, _ in pos.values()]
     ys = [y for _, y in pos.values()]
-    min_x, max_x = min(xs) - style.padding, max(xs) + style.padding
-    min_y, max_y = min(ys) - style.padding, max(ys) + style.padding
-    width = (max_x - min_x) * style.scale
-    height = (max_y - min_y) * style.scale
+    min_x, max_x = min(xs) - PADDING, max(xs) + PADDING
+    min_y, max_y = min(ys) - PADDING, max(ys) + PADDING
+    width = (max_x - min_x) * scale
+    height = (max_y - min_y) * scale
 
     def to_px(x: float, y: float) -> tuple:
         # y flipped: mathematical orientation, origin at bottom-left
-        return (x - min_x) * style.scale, (max_y - y) * style.scale
+        return (x - min_x) * scale, (max_y - y) * scale
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -68,20 +61,20 @@ def render_svg(
         x2, y2 = to_px(*pos[ln])
         parts.append(
             f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{style.edge_color}" stroke-width="{_fmt(style.edge_width)}"/>'
+            f'stroke="{EDGE_COLOR}" stroke-width="{_fmt(EDGE_WIDTH)}"/>'
         )
     for v in sorted(pos):
         cx, cy = to_px(*pos[v])
-        color = style.point_color if v.is_point else style.line_color
+        color = POINT_COLOR if v.is_point else LINE_COLOR
         parts.append(
-            f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(style.vertex_radius)}" '
+            f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(VERTEX_RADIUS)}" '
             f'fill="{color}" stroke="black" stroke-width="1"/>'
         )
-        lx = cx + style.label_offset[0]
-        ly = cy + style.label_offset[1]
+        lx = cx + LABEL_OFFSET[0]
+        ly = cy + LABEL_OFFSET[1]
         parts.append(
             f'  <text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="{_fmt(style.font_size)}" fill="{color}">{v}</text>'
+            f'font-size="{_fmt(FONT_SIZE)}" fill="{color}">{v}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

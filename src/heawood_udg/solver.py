@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -40,10 +40,11 @@ from .chain import (
     build_chain,
     candidate_from_coords,
 )
-from .geom import Point2, RealContext, distance_squared
+from .geom import Point2, RealContext, bisect_sign_change, distance_squared
 from .incidence import ALL_VERTICES, VertexLabel
 
 TWO_PI = 2 * math.pi
+BISECTION_DIGITS = 30
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
 
@@ -83,20 +84,19 @@ class Bracket:
 @dataclass(frozen=True)
 class SolveConfig:
     grid_points: int = 20000
-    precision_stages: tuple = (30, 60)
-    min_vertex_separation: float = 1e-6
+    digits: int = 60
+    # vertices closer than this mark a degenerate zero, not an embedding
+    min_vertex_separation: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.grid_points < 1000:
             raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
-        stages = tuple(int(s) for s in self.precision_stages)
-        if not stages or any(b <= a for a, b in zip(stages, stages[1:])):
-            raise ValueError(f"precision stages must be strictly increasing: {stages}")
-        object.__setattr__(self, "precision_stages", stages)
 
     @property
-    def final_precision(self) -> int:
-        return self.precision_stages[-1]
+    def precision_stages(self) -> tuple:
+        """Bisection and a first Newton pass at 30 digits, then Newton at
+        ``digits``; a single stage when ``digits`` is 30 or fewer."""
+        return (BISECTION_DIGITS, self.digits) if self.digits > BISECTION_DIGITS else (self.digits,)
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +144,24 @@ def closure_grid(thetas: np.ndarray, branch: BranchVector) -> np.ndarray:
     return (p1x - l1x) ** 2 + (p1y - l1y) ** 2 - 1.0
 
 
-def sweep(config: SolveConfig | None = None, theta_lo: float = 0.0, theta_hi: float = TWO_PI) -> list:
+def sweep(config: SolveConfig | None = None) -> list:
     """Bracket every same-branch sign change of the closure residual.
 
-    Scans ``grid_points`` angles over [theta_lo, theta_hi) for each of the
-    64 branch vectors; grid cells where the chain breaks are skipped.  When
-    the range is the full circle the wrap-around pair is included.
+    Scans ``grid_points`` angles over [0, 2 pi) for each of the 64 branch
+    vectors, the wrap-around pair included; grid cells where the chain
+    breaks are skipped.
     """
     config = config or SolveConfig()
-    thetas = np.linspace(theta_lo, theta_hi, config.grid_points, endpoint=False)
-    full_circle = math.isclose(theta_hi - theta_lo, TWO_PI)
+    n = config.grid_points
+    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     brackets = []
     for branch in all_branch_vectors():
         res = closure_grid(thetas, branch)
-        pairs = zip(range(len(thetas) - 1), range(1, len(thetas)))
-        if full_circle:
-            pairs = list(pairs) + [(len(thetas) - 1, 0)]
-        for i, j in pairs:
+        for i in range(n):
+            j = (i + 1) % n
             a, b = res[i], res[j]
             if np.isfinite(a) and np.isfinite(b) and a * b < 0:
-                t_hi = thetas[j] if j != 0 else theta_lo + TWO_PI
+                t_hi = thetas[j] if j != 0 else TWO_PI
                 brackets.append(Bracket(branch, float(thetas[i]), float(t_hi), float(a), float(b)))
     return brackets
 
@@ -205,19 +203,10 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     # the 10^(-digits/2) bound even for steep crossings
     width_target = ctx.pow10(-(digits // 2) - 2)
     residual_bound = ctx.pow10(-(digits // 2))
-    while hi - lo >= width_target:
-        mid = (lo + hi) / 2
-        try:
-            f_mid = closure_at(mid)
-        except ChainBroken as exc:
-            raise LostBracket(f"chain breaks inside the bracket: {exc}") from exc
-        if f_mid == 0:
-            lo = hi = mid
-            break
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
+    try:
+        lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target)
+    except ChainBroken as exc:
+        raise LostBracket(f"chain breaks inside the bracket: {exc}") from exc
     candidate = build_chain((lo + hi) / 2, bracket.branch, digits)
     if abs(candidate.closure) >= residual_bound:
         raise LostBracket(
@@ -415,8 +404,7 @@ def solve_all(config: SolveConfig | None = None) -> list:
     """
     config = config or SolveConfig()
     stage0 = config.precision_stages[0]
-    final_ctx = RealContext(config.final_precision)
-    tol = final_ctx.mpf(DEDUPE_TOL)
+    tol = RealContext(config.digits).mpf(DEDUPE_TOL)
 
     polished = []
     for bracket in sweep(config):

@@ -28,7 +28,7 @@ V = VertexLabel.parse
 
 def test_criterion_1_eleven_embedding_reproduction(tables):
     started = time.time()
-    embeddings = solve_all(solver.SolveConfig(precision_stages=(30, 60)))
+    embeddings = solve_all(solver.SolveConfig(digits=60))
     elapsed = time.time() - started
     assert elapsed < 300, f"solve took {elapsed:.1f}s, budget is 5 minutes"
     assert len(embeddings) == 11, f"expected 11 embeddings, found {len(embeddings)}"

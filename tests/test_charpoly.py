@@ -215,6 +215,12 @@ def test_refine_rejects_sign_consistent_interval():
         refine_root(p, IsolatingInterval(Fraction(2), Fraction(3)), 10)
 
 
+def test_refine_stops_at_an_exact_root_midpoint():
+    # 2T - 1 vanishes at the first midpoint, which the bisection returns as is
+    root = refine_root(BigPoly((-1, 2)), IsolatingInterval(Fraction(0), Fraction(1)), 10)
+    assert root == 0.5
+
+
 def test_isolating_interval_validation():
     with pytest.raises(ValueError):
         IsolatingInterval(Fraction(1), Fraction(1))

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from heawood_udg.chain import dump_candidates, load_candidates
+from heawood_udg.chain import BranchVector, build_chain, dump_candidates, load_candidates
 from heawood_udg.cli import run
+
+BENCHMARK_ROOTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "roots60.json"
 
 
 def test_incidence_subcommand(capsys):
@@ -27,11 +30,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
     not_a_list = tmp_path / "not_a_list.json"
     not_a_list.write_text('{"x": 1}')
     assert run(["render", "--json", str(not_a_list), "--svg", str(tmp_path / "out")]) == 2
-    empty = tmp_path / "empty.json"
-    empty.write_text("[]")
+    # a file holding no embedding is a usage error for both commands
+    for text in ("{}", "[]"):
+        empty = tmp_path / "empty.json"
+        empty.write_text(text)
+        assert run(["verify", "--json", str(empty)]) == 2
+        assert run(["render", "--json", str(empty), "--svg", str(tmp_path / "out")]) == 2
+    one = tmp_path / "one.json"
+    one.write_text(dump_candidates([build_chain("2.5", BranchVector.from_string("000000"), 30)]))
     no_tables = tmp_path / "no_tables.json"
     no_tables.write_text('{"rows": []}')
-    assert run(["verify", "--json", str(empty), "--seed-tables", str(no_tables)]) == 2
+    assert run(["verify", "--json", str(one), "--seed-tables", str(no_tables)]) == 2
     capsys.readouterr()
 
 
@@ -60,8 +69,10 @@ def test_solve_stdout_when_no_json_path(capsys):
 
 
 def test_roots_subcommand(capsys):
-    assert run(["roots", "--digits", "20"]) == 0
+    assert run(["roots", "--digits", "60"]) == 0
     out = capsys.readouterr().out
+    # the benchmark's reference file holds the JSON rows of `roots --digits 60`
+    assert out.rpartition("found=")[0] == BENCHMARK_ROOTS.read_text()
     rows = json.loads(out[: out.rindex("]") + 1])
     assert len(rows) == 11
     assert "found=11 expected=11" in out

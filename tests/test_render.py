@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heawood_udg.render import RenderStyle, render_svg
+from heawood_udg.render import LINE_COLOR, PADDING, POINT_COLOR, SCALE, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -25,17 +25,16 @@ def test_structural_counts(solutions, inc):
 
 
 def test_rendered_segments_are_exactly_the_flags(solutions, inc):
-    style = RenderStyle()
-    svg = render_svg(solutions[0], inc, style)
+    svg = render_svg(solutions[0], inc)
     root = _parse(svg)
     pos = {v: (float(p.x), float(p.y)) for v, p in solutions[0].coords.items()}
     xs = [x for x, _ in pos.values()]
     ys = [y for _, y in pos.values()]
-    min_x = min(xs) - style.padding
-    max_y = max(ys) + style.padding
+    min_x = min(xs) - PADDING
+    max_y = max(ys) + PADDING
 
     def to_px(x, y):
-        return ((x - min_x) * style.scale, (max_y - y) * style.scale)
+        return ((x - min_x) * SCALE, (max_y - y) * SCALE)
 
     px = {v: to_px(*xy) for v, xy in pos.items()}
 
@@ -53,8 +52,7 @@ def test_rendered_segments_are_exactly_the_flags(solutions, inc):
 
 def test_y_axis_flipped(solutions):
     # P5 = (0,0) must land BELOW l7 = (1,2) in pixel space (larger y)
-    style = RenderStyle()
-    svg = render_svg(solutions[0], style=style)
+    svg = render_svg(solutions[0])
     root = _parse(svg)
     centers = {}
     for c, t in zip(root.findall(f"{SVG_NS}circle"), root.findall(f"{SVG_NS}text")):
@@ -70,22 +68,21 @@ def test_byte_identical_rendering(solutions):
 
 
 def test_distinct_colors_for_points_and_lines(solutions):
-    style = RenderStyle()
-    root = _parse(render_svg(solutions[0], style=style))
+    root = _parse(render_svg(solutions[0]))
     fills = {c.get("fill") for c in root.findall(f"{SVG_NS}circle")}
-    assert fills == {style.point_color, style.line_color}
+    assert fills == {POINT_COLOR, LINE_COLOR}
 
 
 def test_viewport_covers_padded_bounding_box(solutions):
-    style = RenderStyle(scale=100.0)
-    root = _parse(render_svg(solutions[0], style=style))
+    scale = 100.0
+    root = _parse(render_svg(solutions[0], scale=scale))
     pos = [(float(p.x), float(p.y)) for p in solutions[0].coords.values()]
-    span_x = max(x for x, _ in pos) - min(x for x, _ in pos) + 2 * style.padding
-    span_y = max(y for _, y in pos) - min(y for _, y in pos) + 2 * style.padding
-    assert abs(float(root.get("width")) - span_x * style.scale) < 0.01
-    assert abs(float(root.get("height")) - span_y * style.scale) < 0.01
+    span_x = max(x for x, _ in pos) - min(x for x, _ in pos) + 2 * PADDING
+    span_y = max(y for _, y in pos) - min(y for _, y in pos) + 2 * PADDING
+    assert abs(float(root.get("width")) - span_x * scale) < 0.01
+    assert abs(float(root.get("height")) - span_y * scale) < 0.01
 
 
-def test_style_validation():
+def test_style_validation(solutions):
     with pytest.raises(ValueError):
-        RenderStyle(scale=0)
+        render_svg(solutions[0], scale=0)

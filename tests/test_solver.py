@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from heawood_udg.chain import (
     BranchVector,
     ChainBroken,
     build_chain,
+    all_branch_vectors,
     candidate_from_coords,
     dump_candidates,
 )
@@ -35,6 +37,8 @@ from heawood_udg.solver import (
 
 V = VertexLabel.parse
 
+BENCHMARK_EMBEDDINGS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "embeddings60.json"
+
 DEGENERATE_THETA = math.acos(-0.8)  # l4 = (-3/5, 6/5), unit distance from P2
 
 
@@ -52,11 +56,10 @@ def _bracket_around(theta: float, branch_str: str, half_width: float = 2e-4) -> 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(grid_points=999)
-    with pytest.raises(ValueError):
-        SolveConfig(precision_stages=(30, 30))
-    with pytest.raises(ValueError):
-        SolveConfig(precision_stages=())
-    assert SolveConfig().final_precision == 60
+    assert SolveConfig(digits=20).precision_stages == (20,)
+    assert SolveConfig(digits=300).precision_stages == (30, 300)
+    assert SolveConfig().digits == 60
+    assert SolveConfig().precision_stages == (30, 60)
 
 
 def test_bracket_requires_sign_change():
@@ -118,11 +121,12 @@ def test_every_raw_bracket_is_accounted_for():
     assert degenerate >= 1
 
 
-def test_sweep_empty_on_interval_where_all_chains_break():
+def test_closure_grid_nan_near_zero_for_every_branch():
     # near theta = 0 the unit circles around l3 and l4 are disjoint for
-    # every branch, so there is nothing to bracket
-    brackets = sweep(SolveConfig(grid_points=1000), theta_lo=0.0, theta_hi=0.3)
-    assert brackets == []
+    # every branch, so the sweep has nothing to bracket there
+    thetas = np.linspace(0.0, 0.3, 1000, endpoint=False)
+    for branch in all_branch_vectors():
+        assert np.isnan(closure_grid(thetas, branch)).all(), str(branch)
 
 
 def test_doubled_grid_brackets_cover_original_cells():
@@ -363,6 +367,11 @@ def test_dedupe_keeps_one_of_identical_pair(solutions):
     assert len(dedupe_candidates(doubled, tol)) == 2
 
 
+def test_default_solve_matches_benchmark_embeddings(solutions):
+    # the benchmark's reference file is the JSON of `solve --digits 60`
+    assert dump_candidates(solutions).encode() == BENCHMARK_EMBEDDINGS.read_bytes()
+
+
 def test_determinism_bit_identical_runs():
     a = solve_all(SolveConfig(grid_points=3000))
     b = solve_all(SolveConfig(grid_points=3000))
@@ -370,7 +379,7 @@ def test_determinism_bit_identical_runs():
 
 
 def test_low_precision_stage_gives_same_solutions(solutions):
-    low = solve_all(SolveConfig(precision_stages=(15,)))
+    low = solve_all(SolveConfig(digits=15))
     assert len(low) == 11
     for lo, hi in zip(low, solutions):
         assert abs(float(lo["l4"].x) - float(hi["l4"].x)) < 1e-9
