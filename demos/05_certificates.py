@@ -14,7 +14,6 @@ an erratum in the data file.
 
 from heawood_udg import (
     SolveConfig,
-    build_heawood_incidence,
     certify,
     charpoly_xl4,
     reference_tables,
@@ -23,12 +22,11 @@ from heawood_udg import (
 
 embeddings = solve_all(SolveConfig())
 poly = charpoly_xl4()
-inc = build_heawood_incidence()
 tables = reference_tables()
 
 print(f"{'':>3} {'pass':>5} {'max flag residual':>19} {'margin':>12} {'bracket':>8} {'table':>6}")
 for k, emb in enumerate(embeddings, start=1):
-    cert = certify(emb, poly, inc, tables)
+    cert = certify(emb, poly, tables)
     print(
         f"{k:>3} {str(cert.passes):>5} {float(cert.max_flag_residual):>19.3e} "
         f"{float(cert.regularity_margin):>12.6f} {str(cert.charpoly_bracket_ok):>8} "

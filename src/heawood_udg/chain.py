@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .geom import GeometryError, Point2, RealContext
 from .geom import circle_circle_intersect, distance_squared
@@ -47,9 +47,12 @@ CHAIN_STEPS = tuple(
     ]
 )
 
-DEPENDENT_VERTICES = (VertexLabel.parse("l4"), VertexLabel.parse("P4")) + tuple(
-    step[0] for step in CHAIN_STEPS
-)
+_L4 = VertexLabel.parse("l4")
+_P4 = VertexLabel.parse("P4")
+_P1 = VertexLabel.parse("P1")
+_L1 = VertexLabel.parse("l1")
+
+DEPENDENT_VERTICES = (_L4, _P4) + tuple(step[0] for step in CHAIN_STEPS)
 
 
 class ChainBroken(Exception):
@@ -131,10 +134,33 @@ def fixed_points(ctx: RealContext) -> dict:
     return {v: ctx.point(x, y) for v, (x, y) in FIXED_POSITIONS.items()}
 
 
-def place_l4(ctx: RealContext, theta: Any) -> Point2:
-    """Place l4 on the radius-2 circle around l5 = (1, 0) at angle theta."""
-    t = ctx.mpf(theta)
-    return Point2(1 + 2 * ctx.cos(t), 2 * ctx.sin(t))
+def place_l4(ctx: Any, theta: Any) -> Point2:
+    """Place l4 on the radius-2 circle around l5 = (1, 0) at angle theta.
+
+    ``ctx`` supplies ``cos`` and ``sin``: a :class:`RealContext`, or numpy
+    for a float64 array of angles.
+    """
+    return Point2(1 + 2 * ctx.cos(theta), 2 * ctx.sin(theta))
+
+
+def construct(l4: Point2, branch: BranchVector, fixed: Mapping, intersect: Callable) -> tuple:
+    """Walk the chain from l4; returns ``(coords, closure)``.
+
+    ``fixed`` holds the pinned rectangle and ``intersect(c1, c2, bit)`` is
+    the unit-circle step, so the same walk runs on mpf scalars and on
+    float64 arrays.  A :class:`GeometryError` from a step is raised as
+    :class:`ChainBroken` naming that step's vertex.
+    """
+    coords = dict(fixed)
+    coords[_L4] = l4
+    # exact halving: P4 is the midpoint of l4 and l5 by definition
+    coords[_P4] = Point2((l4.x + 1) / 2, l4.y / 2)
+    for bit, (vertex, ca, cb) in zip(branch, CHAIN_STEPS):
+        try:
+            coords[vertex] = intersect(coords[ca], coords[cb], bit)
+        except GeometryError as exc:
+            raise ChainBroken(vertex, exc) from exc
+    return coords, _closure_from_coords(coords)
 
 
 def build_chain(theta: Any, branch: BranchVector, precision: int = 60) -> EmbeddingCandidate:
@@ -145,29 +171,19 @@ def build_chain(theta: Any, branch: BranchVector, precision: int = 60) -> Embedd
     """
     ctx = RealContext(precision)
     t = ctx.mpf(theta)
-    coords = fixed_points(ctx)
-    l4 = VertexLabel.parse("l4")
-    p4 = VertexLabel.parse("P4")
-    coords[l4] = place_l4(ctx, t)
-    # exact halving: P4 is the midpoint of l4 and l5 by definition
-    coords[p4] = Point2((coords[l4].x + 1) / 2, coords[l4].y / 2)
-    for bit, (vertex, ca, cb) in zip(branch, CHAIN_STEPS):
-        try:
-            coords[vertex] = circle_circle_intersect(
-                ctx, coords[ca], 1, coords[cb], 1, bit
-            )
-        except GeometryError as exc:
-            raise ChainBroken(vertex, exc) from exc
-    closure = _closure_from_coords(coords)
+    coords, closure = construct(
+        place_l4(ctx, t),
+        branch,
+        fixed_points(ctx),
+        lambda c1, c2, bit: circle_circle_intersect(ctx, c1, 1, c2, 1, bit),
+    )
     return EmbeddingCandidate(
         coords=coords, theta=t, branch=branch, closure=closure, precision=precision
     )
 
 
 def _closure_from_coords(coords: Mapping) -> Any:
-    p1 = coords[VertexLabel.parse("P1")]
-    l1 = coords[VertexLabel.parse("l1")]
-    return distance_squared(p1, l1) - 1
+    return distance_squared(coords[_P1], coords[_L1]) - 1
 
 
 def closure_residual(candidate: EmbeddingCandidate) -> Any:
@@ -204,7 +220,7 @@ def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate
         else:
             x, y = value
             full[label] = Point2(ctx.mpf(x), ctx.mpf(y))
-    l4 = full[VertexLabel.parse("l4")]
+    l4 = full[_L4]
     theta = ctx.atan2(l4.y / 2, (l4.x - 1) / 2)
     if theta < 0:
         theta = theta + 2 * ctx.pi

@@ -365,6 +365,8 @@ def isolate_real_roots(p: BigPoly) -> list:
 def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     """Bisect with exact sign evaluations until width < 10^-digits; returns
     the midpoint at a matching working precision."""
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, got {digits}")
     lo, hi = interval.lo, interval.hi
     s_lo = sign_at(p, lo)
     s_hi = sign_at(p, hi)

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import charpoly, refdata, solver, verify
 from .chain import dump_candidates, load_candidates
-from .geom import RealContext
 from .incidence import build_heawood_incidence
 from .render import SCALE, render_svg
 
@@ -68,7 +67,6 @@ def _cmd_solve(args) -> int:
 def _cmd_roots(args) -> int:
     poly = charpoly.charpoly_xl4()
     intervals = charpoly.isolate_real_roots(poly)
-    ctx = RealContext(max(args.digits + 5, 15))
     rows = []
     for iv in intervals:
         root = charpoly.refine_root(poly, iv, args.digits)
@@ -76,7 +74,7 @@ def _cmd_roots(args) -> int:
             {
                 "lo": f"{iv.lo.numerator}/{iv.lo.denominator}",
                 "hi": f"{iv.hi.numerator}/{iv.hi.denominator}",
-                "root": ctx.nstr(root, args.digits),
+                "root": root.context.nstr(root, args.digits),
             }
         )
     print(json.dumps(rows, indent=2))
@@ -88,8 +86,7 @@ def _cmd_verify(args) -> int:
     embeddings = load_candidates(args.json.read_text())
     tables = refdata.reference_tables(args.seed_tables)
     poly = charpoly.charpoly_xl4()
-    inc = build_heawood_incidence()
-    certificates = [verify.certify(e, poly, inc, tables) for e in embeddings]
+    certificates = [verify.certify(e, poly, tables) for e in embeddings]
     print(json.dumps([c.to_json_dict() for c in certificates], indent=2))
     return 0 if all(c.passes for c in certificates) else 1
 

@@ -108,6 +108,11 @@ def build_heawood_incidence() -> IncidenceStructure:
     )
 
 
+# the 21 flags in sorted order: the edges that certification checks and
+# rendering draws
+HEAWOOD_FLAGS = tuple(sorted(build_heawood_incidence().flags))
+
+
 @dataclass(frozen=True)
 class FanoAxiomReport:
     """Pass/fail per projective-plane axiom for a structure of order two."""

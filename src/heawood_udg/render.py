@@ -9,7 +9,7 @@ inputs.
 from __future__ import annotations
 
 from .chain import EmbeddingCandidate
-from .incidence import IncidenceStructure, build_heawood_incidence
+from .incidence import HEAWOOD_FLAGS
 
 SCALE = 200.0  # default pixels per unit length
 VERTEX_RADIUS = 5.0
@@ -26,16 +26,11 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def render_svg(
-    candidate: EmbeddingCandidate,
-    inc: IncidenceStructure | None = None,
-    scale: float = SCALE,
-) -> str:
+def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
     """Render one embedding as an SVG document string, ``scale`` pixels
     per unit length."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    inc = inc or build_heawood_incidence()
     pos = {v: (float(p.x), float(p.y)) for v, p in candidate.coords.items()}
 
     xs = [x for x, _ in pos.values()]
@@ -56,7 +51,7 @@ def render_svg(
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
         f'  <!-- branch {candidate.branch}, precision {candidate.precision} digits -->',
     ]
-    for p, ln in sorted(inc.flags):
+    for p, ln in HEAWOOD_FLAGS:
         x1, y1 = to_px(*pos[p])
         x2, y2 = to_px(*pos[ln])
         parts.append(

@@ -39,6 +39,8 @@ from .chain import (
     all_branch_vectors,
     build_chain,
     candidate_from_coords,
+    construct,
+    place_l4,
 )
 from .geom import Point2, RealContext, bisect_sign_change, distance_squared
 from .incidence import ALL_VERTICES, VertexLabel
@@ -102,13 +104,13 @@ class SolveConfig:
 # ---------------------------------------------------------------------------
 # Vectorized sweep (hardware floats; signs only)
 
-_FIXED_F = {str(v): (float(x), float(y)) for v, (x, y) in FIXED_POSITIONS.items()}
+_FIXED_F = {v: Point2(float(x), float(y)) for v, (x, y) in FIXED_POSITIONS.items()}
 
 
-def _cci_grid(c1x, c1y, c2x, c2y, bit):
+def _cci_grid(c1: Point2, c2: Point2, bit: int) -> Point2:
     # unit-circle intersection, NaN where the circles miss
-    dx = c2x - c1x
-    dy = c2y - c1y
+    dx = c2.x - c1.x
+    dy = c2.y - c1.y
     d2 = dx * dx + dy * dy
     with np.errstate(invalid="ignore", divide="ignore"):
         d = np.sqrt(d2)
@@ -116,32 +118,24 @@ def _cci_grid(c1x, c1y, c2x, c2y, bit):
         h = np.sqrt(np.where(h2 >= 0.0, h2, np.nan))
         ux = dx / d
         uy = dy / d
-        mx = c1x + 0.5 * d * ux
-        my = c1y + 0.5 * d * uy
+        mx = c1.x + 0.5 * d * ux
+        my = c1.y + 0.5 * d * uy
         if bit == 0:
-            return mx - h * uy, my + h * ux
-        return mx + h * uy, my - h * ux
+            return Point2(mx - h * uy, my + h * ux)
+        return Point2(mx + h * uy, my - h * ux)
 
 
 def closure_grid(thetas: np.ndarray, branch: BranchVector) -> np.ndarray:
     """Closure residual on an angle grid for one branch vector (float64).
 
-    NaN marks angles where the chain breaks.  This is the sweep's fast
-    path; tests cross-check it pointwise against :func:`chain.build_chain`.
+    The sweep's fast path: the chain walk of :func:`chain.construct` on
+    float64 arrays, with a circle step that returns NaN where the circles
+    miss instead of raising, so NaN marks angles where the chain breaks.
+    Tests cross-check it pointwise against :func:`chain.build_chain`.
     """
     thetas = np.asarray(thetas, dtype=float)
-    pos = {name: (np.full_like(thetas, x), np.full_like(thetas, y)) for name, (x, y) in _FIXED_F.items()}
-    l4x = 1.0 + 2.0 * np.cos(thetas)
-    l4y = 2.0 * np.sin(thetas)
-    pos["l4"] = (l4x, l4y)
-    pos["P4"] = ((l4x + 1.0) / 2.0, l4y / 2.0)
-    for bit, (vertex, ca, cb) in zip(branch, CHAIN_STEPS):
-        ax, ay = pos[str(ca)]
-        bx, by = pos[str(cb)]
-        pos[str(vertex)] = _cci_grid(ax, ay, bx, by, bit)
-    p1x, p1y = pos["P1"]
-    l1x, l1y = pos["l1"]
-    return (p1x - l1x) ** 2 + (p1y - l1y) ** 2 - 1.0
+    _, closure = construct(place_l4(np, thetas), branch, _FIXED_F, _cci_grid)
+    return closure
 
 
 def sweep(config: SolveConfig | None = None) -> list:
@@ -296,13 +290,6 @@ def _inf_norm(column) -> Any:
     return max(abs(column[k]) for k in range(column.rows))
 
 
-def _condition_estimate(ctx: RealContext, J) -> Any:
-    norm = max(sum(abs(J[i, j]) for j in range(16)) for i in range(16))
-    inv = ctx.mp.inverse(J)
-    inv_norm = max(sum(abs(inv[i, j]) for j in range(16)) for i in range(16))
-    return norm * inv_norm
-
-
 def newton_polish(
     candidate: EmbeddingCandidate,
     digits: int,
@@ -317,34 +304,25 @@ def newton_polish(
     norms of the Newton steps are appended to it, giving the quadratic
     convergence record.
 
-    Raises :class:`SingularJacobian` when the seed Jacobian's condition
-    estimate exceeds 10^(digits/2) and :class:`NoConvergence` when the
-    residual target is not met within ``max_iter`` iterations.
+    Raises :class:`SingularJacobian` when ``lu_solve`` finds the Jacobian
+    numerically singular (a pivot below its working-precision tolerance)
+    and :class:`NoConvergence` when the residual target is not met within
+    ``max_iter`` iterations.
     """
     ctx = RealContext(digits)
     vec = _candidate_vector(ctx, candidate)
     target = ctx.pow10(4 - digits)
-    cond_limit = ctx.pow10(digits // 2)
 
-    for iteration in range(max_iter):
+    for _ in range(max_iter):
         residuals = system_residuals(ctx, vec)
         if max(abs(r) for r in residuals) < target:
             break
         J = system_jacobian(ctx, vec)
-        if iteration == 0:
-            try:
-                cond = _condition_estimate(ctx, J)
-            except ZeroDivisionError:
-                raise SingularJacobian("Jacobian is exactly singular at the seed")
-            if cond > cond_limit:
-                raise SingularJacobian(
-                    f"condition estimate {ctx.nstr(cond, 5)} exceeds 10^{digits // 2}"
-                )
         rhs = ctx.mp.matrix([-r for r in residuals])
         try:
             step = ctx.mp.lu_solve(J, rhs)
-        except ZeroDivisionError:
-            raise SingularJacobian("Jacobian became singular during iteration")
+        except ZeroDivisionError as exc:
+            raise SingularJacobian(f"Jacobian is numerically singular: {exc}") from exc
         if trace is not None:
             trace.append(_inf_norm(step))
         vec = [vec[k] + step[k] for k in range(16)]

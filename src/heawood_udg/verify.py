@@ -19,7 +19,7 @@ from typing import Any, Sequence
 from .chain import EmbeddingCandidate
 from .charpoly import BigPoly, sign_at
 from .geom import Point2, RealContext, distance_squared
-from .incidence import IncidenceStructure, VertexLabel, build_heawood_incidence
+from .incidence import HEAWOOD_FLAGS, VertexLabel
 from .refdata import TABLE_VERTICES
 
 _L4 = VertexLabel.parse("l4")
@@ -68,19 +68,18 @@ class Certificate:
         }
 
 
-def flag_residuals(candidate: EmbeddingCandidate, inc: IncidenceStructure | None = None) -> list:
+def flag_residuals(candidate: EmbeddingCandidate) -> list:
     """|d(P, l)^2 - 1| for each of the 21 flags, as (flag, residual) pairs."""
-    inc = inc or build_heawood_incidence()
     out = []
-    for flag in sorted(inc.flags):
+    for flag in HEAWOOD_FLAGS:
         p, ln = flag
         res = abs(distance_squared(candidate.coords[p], candidate.coords[ln]) - 1)
         out.append((flag, res))
     return out
 
 
-def max_flag_residual(candidate: EmbeddingCandidate, inc: IncidenceStructure | None = None):
-    return max(res for _, res in flag_residuals(candidate, inc))
+def max_flag_residual(candidate: EmbeddingCandidate):
+    return max(res for _, res in flag_residuals(candidate))
 
 
 def collinearity_residual(candidate: EmbeddingCandidate):
@@ -106,15 +105,14 @@ def _point_segment_distance(ctx: RealContext, p: Point2, a: Point2, b: Point2):
     return ctx.sqrt((p.x - qx) ** 2 + (p.y - qy) ** 2)
 
 
-def regularity_check(candidate: EmbeddingCandidate, inc: IncidenceStructure | None = None):
+def regularity_check(candidate: EmbeddingCandidate):
     """Minimum distance from any vertex to any edge it is not an endpoint
     of; a positive margin certifies the embedding is regular (vertices only
     touch their own edges)."""
-    inc = inc or build_heawood_incidence()
     ctx = candidate.context()
     margin = None
     for v in candidate.coords:
-        for p, ln in sorted(inc.flags):
+        for p, ln in HEAWOOD_FLAGS:
             if v == p or v == ln:
                 continue
             d = _point_segment_distance(
@@ -161,7 +159,6 @@ def match_table(candidate: EmbeddingCandidate, tables: Sequence[dict], tol) -> i
 def certify(
     candidate: EmbeddingCandidate,
     poly: BigPoly,
-    inc: IncidenceStructure | None = None,
     tables: Sequence[dict] | None = None,
 ) -> Certificate:
     """Assemble the full certificate for a candidate.
@@ -170,14 +167,13 @@ def certify(
     Tables are matched at :data:`MATCH_TOL`; see :mod:`heawood_udg.refdata`
     for the corrected row 9.
     """
-    inc = inc or build_heawood_incidence()
     _, _, bracket_ok = charpoly_bracket(candidate, poly)
     matched = match_table(candidate, tables, MATCH_TOL) if tables is not None else None
     return Certificate(
-        max_flag_residual=max_flag_residual(candidate, inc),
+        max_flag_residual=max_flag_residual(candidate),
         collinearity_residual=collinearity_residual(candidate),
         charpoly_bracket_ok=bracket_ok,
-        regularity_margin=regularity_check(candidate, inc),
+        regularity_margin=regularity_check(candidate),
         precision=candidate.precision,
         matched_table=matched,
     )

@@ -23,6 +23,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["no-such-command"]) == 2
     assert run(["solve", "--grid", "10"]) == 2  # below the configured minimum
     assert run(["verify", "--json", "/nonexistent/path.json"]) == 2
+    assert run(["roots", "--digits", "-1"]) == 2
+    assert run(["roots", "--digits", "0"]) == 2
     # malformed input files: a message and exit 2, not a traceback
     no_vertices = tmp_path / "no_vertices.json"
     no_vertices.write_text('[{"precision": 60}]')

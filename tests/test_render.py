@@ -13,8 +13,8 @@ def _parse(svg_text: str):
     return ET.fromstring(svg_text)
 
 
-def test_structural_counts(solutions, inc):
-    root = _parse(render_svg(solutions[0], inc))
+def test_structural_counts(solutions):
+    root = _parse(render_svg(solutions[0]))
     lines = root.findall(f"{SVG_NS}line")
     circles = root.findall(f"{SVG_NS}circle")
     texts = root.findall(f"{SVG_NS}text")
@@ -25,7 +25,7 @@ def test_structural_counts(solutions, inc):
 
 
 def test_rendered_segments_are_exactly_the_flags(solutions, inc):
-    svg = render_svg(solutions[0], inc)
+    svg = render_svg(solutions[0])
     root = _parse(svg)
     pos = {v: (float(p.x), float(p.y)) for v, p in solutions[0].coords.items()}
     xs = [x for x, _ in pos.values()]

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
 
@@ -16,7 +18,7 @@ from heawood_udg.chain import (
     candidate_from_coords,
     dump_candidates,
 )
-from heawood_udg.geom import RealContext
+from heawood_udg.geom import Point2, RealContext, circle_circle_intersect
 from heawood_udg.incidence import VertexLabel
 from heawood_udg.solver import (
     Bracket,
@@ -24,6 +26,7 @@ from heawood_udg.solver import (
     NoConvergence,
     SingularJacobian,
     SolveConfig,
+    _cci_grid,
     closure_grid,
     dedupe_candidates,
     min_vertex_separation,
@@ -91,6 +94,26 @@ def test_closure_grid_nan_where_chain_breaks():
     res = closure_grid(np.array([0.0, 0.2, math.pi / 2]), branch)
     assert not np.isfinite(res[0])  # P3 circles disjoint
     assert not np.isfinite(res[1])
+
+
+@settings(derandomize=True)
+@given(
+    x=st.floats(-3.0, 3.0),
+    y=st.floats(-3.0, 3.0),
+    d=st.floats(0.01, 1.99),
+    phi=st.floats(0.0, 2 * math.pi),
+)
+def test_float_and_mpf_circle_steps_pick_the_same_branch(x, y, d, phi):
+    # closure_grid and build_chain share one chain walk, so their circle
+    # steps must agree on which intersection each branch bit selects
+    ctx = RealContext(30)
+    c1 = (x, y)
+    c2 = (x + d * math.cos(phi), y + d * math.sin(phi))
+    for bit in (0, 1):
+        fast = _cci_grid(Point2(*c1), Point2(*c2), bit)
+        exact = circle_circle_intersect(ctx, ctx.point(*c1), 1, ctx.point(*c2), 1, bit)
+        assert abs(float(fast.x) - float(exact.x)) < 1e-12
+        assert abs(float(fast.y) - float(exact.y)) < 1e-12
 
 
 def test_sweep_finds_at_least_eleven_brackets():

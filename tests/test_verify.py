@@ -77,7 +77,7 @@ def test_perturbed_p1_shows_in_residuals(table_seeds):
 
 
 def test_all_21_flags_reported(solutions, inc):
-    residuals = flag_residuals(solutions[0], inc)
+    residuals = flag_residuals(solutions[0])
     assert len(residuals) == 21
     assert {f for f, _ in residuals} == set(inc.flags)
 
@@ -167,41 +167,41 @@ def test_match_table_documented_accuracy(solutions, tables):
     assert sorted(matches) == list(range(1, 12))
 
 
-def test_certify_solutions_pass(solutions, poly, inc, tables):
-    certs = [certify(c, poly, inc, tables) for c in solutions]
+def test_certify_solutions_pass(solutions, poly, tables):
+    certs = [certify(c, poly, tables) for c in solutions]
     assert all(c.passes for c in certs)
     assert certs[0].matched_table == 1
     assert all(c.precision == 60 for c in certs)
 
 
-def test_certificate_json_fields(solutions, poly, inc, tables):
-    cert = certify(solutions[0], poly, inc, tables)
+def test_certificate_json_fields(solutions, poly, tables):
+    cert = certify(solutions[0], poly, tables)
     data = cert.to_json_dict()
     assert data["pass"] is True
     assert set(data) >= {"pass", "max_flag_residual", "regularity_margin", "matched_table"}
 
 
-def test_certify_non_solution_fails_on_closure_flag(poly, inc, tables):
+def test_certify_non_solution_fails_on_closure_flag(poly, tables):
     # a chain candidate away from any zero satisfies every constraint
     # except the closure flag, whose residual (about 0.51 here) dominates
     cand = build_chain("2.2", BranchVector.from_string("000000"), 60)
-    cert = certify(cand, poly, inc, tables)
+    cert = certify(cand, poly, tables)
     assert not cert.passes
     assert abs(float(cert.max_flag_residual) - abs(float(cand.closure))) < 1e-12
     assert 0.4 < float(cert.max_flag_residual) < 0.6
-    residuals = dict(flag_residuals(cand, inc))
+    residuals = dict(flag_residuals(cand))
     assert residuals[(V("P1"), V("l1"))] == max(residuals.values())
     assert cert.matched_table is None
 
 
-def test_certification_is_path_independent(solutions, poly, inc, tables):
+def test_certification_is_path_independent(solutions, poly, tables):
     # serialize, reload, recertify: identical verdicts
     from heawood_udg.chain import candidate_from_json_dict, candidate_to_json_dict
 
     cand = solutions[0]
     reloaded = candidate_from_json_dict(candidate_to_json_dict(cand))
-    a = certify(cand, poly, inc, tables)
-    b = certify(reloaded, poly, inc, tables)
+    a = certify(cand, poly, tables)
+    b = certify(reloaded, poly, tables)
     assert a.passes and b.passes
     assert a.matched_table == b.matched_table
 
