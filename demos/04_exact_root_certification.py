@@ -3,9 +3,13 @@ Exact real-root certification
 =============================
 
 The x-coordinate of l4 satisfies a degree-79 polynomial with integer
-coefficients up to 47 digits.  Sturm sequences over exact rational
-arithmetic make its real-root count a theorem rather than a floating-point
-observation: exactly eleven real roots, one per embedding.
+coefficients up to 47 digits.  A Sturm sequence over exact rational
+arithmetic makes its real-root count a theorem rather than a floating-point
+observation: exactly eleven real roots, one per embedding.  Bisection
+tested by Descartes' rule of signs then isolates each root in a rational
+interval without the Sturm sequence, and refinement narrows each one to any
+number of digits: Newton's method names the final interval of exact
+bisection and exact signs confirm it.
 """
 
 import time

@@ -5,7 +5,7 @@ The Heawood graph is the point-line incidence graph of the Fano plane:
 unit-distance embeddings in the plane from a compass-and-ruler chain over
 a pinned rectangle, finds all eleven real embeddings at arbitrary working
 precision, certifies each one against the exact degree-79 coordinate
-polynomial via Sturm sequences, and renders the results as SVG.
+polynomial in exact integer arithmetic, and renders the results as SVG.
 """
 
 from .chain import (

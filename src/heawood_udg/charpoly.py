@@ -3,12 +3,16 @@
 The zero-dimensional constraint system behind the construction chain induces
 a univariate characteristic polynomial for each coordinate: its roots are the
 values that coordinate takes over all complex solutions.  The degree-79
-polynomial for the x-coordinate of l4 is hard-coded in the table below;
-one Sturm chain over exact rational arithmetic counts and isolates its
-real roots, which certifies the solver's embeddings independently of the
-floating-point path that found them.  Counting and isolation require a
-squarefree polynomial, as this one is, and raise :class:`NotSquarefree`
-otherwise.
+polynomial for the x-coordinate of l4 is hard-coded in the table below.
+Exact integer arithmetic isolates its real roots, which certifies the
+solver's embeddings independently of the floating-point path that found
+them: bisection tested by Descartes' rule of signs (Collins and Akritas,
+1976) isolates each root, and :func:`refine_root` narrows it to any number
+of digits, landing by Newton's method on the interval that exact bisection
+would reach and confirming it by exact signs.  A Sturm chain counts the real
+roots in any interval as an independent check.  Counting and isolation
+require a squarefree polynomial, as this one is, and raise
+:class:`NotSquarefree` otherwise.
 
 Coefficients are stored as decimal strings in one table and parsed at load
 time; a checksum plus digit-count guard protects the transcription, which is
@@ -21,7 +25,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .geom import RealContext, bisect_sign_change
@@ -121,6 +125,17 @@ _XL4_SHA256 = "5f8dcac162215c806eeb69e6e7a928c6ff11960456371529b9c4ccfc86477251"
 _XL4_DIGIT_COUNT = 3271
 _XL4_DEGREE = 79
 
+# gcd(p, p') is taken modulo this prime (2^61 - 1) to prove squarefreeness.
+_SQUAREFREE_PRIME = 2 ** 61 - 1
+
+# refine_root bisects exactly to this width, then runs Newton's method with
+# this many digits beyond the requested ones (10 were too few to land in the
+# final cell: evaluating the degree-79 polynomial near its roots cancels up
+# to 26 digits) and at most this many steps.
+_NEWTON_START_WIDTH = Fraction(1, 10 ** 8)
+_NEWTON_GUARD_DIGITS = 40
+_NEWTON_MAX_STEPS = 64
+
 
 @dataclass(frozen=True)
 class BigPoly:
@@ -155,12 +170,15 @@ class BigPoly:
 
 @dataclass(frozen=True)
 class IsolatingInterval:
-    """Open-below rational interval (lo, hi] containing exactly one real root."""
+    """Open-below rational interval (lo, hi] containing exactly one real root;
+    the end points are stored as :class:`~fractions.Fraction`."""
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", Fraction(self.lo))
+        object.__setattr__(self, "hi", Fraction(self.hi))
         if not self.lo < self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} >= {self.hi}")
 
@@ -322,49 +340,163 @@ def count_real_roots(p: BigPoly, lo=None, hi=None) -> int:
 
 
 def root_bound(p: BigPoly) -> int:
-    """Cauchy bound: every real root lies in (-B, B)."""
+    """Cauchy bound: every real root lies in (-B, B).  Isolation bisects
+    (-B, B], so B fixes the end points of the isolating intervals."""
     lead = abs(p.leading_coefficient)
     biggest = max(abs(c) for c in p.coefficients[:-1]) if p.degree > 0 else 0
     bound = Fraction(biggest, lead) + 1
     return int(bound) + 1
 
 
+def _power_of_two_bound(p: BigPoly) -> int:
+    """Smallest power of two, at least 2, at or above the Fujiwara bound
+    ``2 max(|c[n-k] / c[n]|^(1/k), |c[0] / (2 c[n])|^(1/n))``; every root
+    ``z`` of ``p`` has ``|z|`` at most this."""
+    coeffs = p.coefficients
+    n = p.degree
+    lead = abs(coeffs[-1])
+    # the least half with base 2^(half k) >= |c[n-k]| for every term below,
+    # base being |c[n]| for k < n and 2 |c[n]| for k = n
+    terms = [(k, lead, abs(coeffs[n - k])) for k in range(1, n)] + [(n, 2 * lead, abs(coeffs[0]))]
+    half = 0
+    while any((base << (half * k)) < c for k, base, c in terms):
+        half += 1
+    return 2 ** (half + 1)
+
+
+def _taylor_shift(coeffs: Sequence[int]) -> list:
+    """Coefficients of f(y + 1), by repeated synthetic division."""
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _compose(coeffs: Sequence[int], den: int, shift: int, scale: int) -> tuple:
+    """Primitive part of a nonzero multiple of f((shift + scale y) / den)."""
+    n = len(coeffs) - 1
+    if not shift:
+        return _primitive([c * den ** (n - k) * scale ** k for k, c in enumerate(coeffs)])
+    # f(shift (1 + w) / den), then w = scale y / shift: the shift is by one
+    a = _taylor_shift([c * den ** (n - k) * shift ** k for k, c in enumerate(coeffs)])
+    return _primitive([c * scale ** k * shift ** (n - k) for k, c in enumerate(a)])
+
+
+def _descartes_variations(q: Sequence[int]) -> int:
+    """Sign variations of ``(1 + z)^n q(1 / (1 + z))``: an upper bound on
+    the number of roots of ``q`` in (0, 1), equal to it in parity."""
+    return _variations((c > 0) - (c < 0) for c in _taylor_shift(q[::-1]))
+
+
+def _require_squarefree(p: BigPoly) -> None:
+    """Raise unless ``p`` is nonzero and squarefree.
+
+    gcd(p, p') = 1 modulo a prime that does not divide the leading
+    coefficient proves gcd(p, p') = 1 over the rationals; when the modular
+    gcd is not constant the exact Sturm chain decides.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial has no real-root count")
+    prime = _SQUAREFREE_PRIME
+    f, df = p.coefficients, p.derivative().coefficients
+    if p.leading_coefficient % prime == 0 or _gcd_degree_mod(f, df, prime) > 0:
+        _squarefree_chain(p)
+
+
+def _gcd_degree_mod(f: Sequence[int], g: Sequence[int], prime: int) -> int:
+    """Degree of gcd(f, g) over the integers modulo ``prime``; ``f`` must
+    not vanish there."""
+
+    def reduced(coeffs):
+        r = [c % prime for c in coeffs]
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    a, b = reduced(f), reduced(g)
+    while b:
+        inverse = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            factor = a[-1] * inverse % prime
+            offset = len(a) - len(b)
+            for j, c in enumerate(b):
+                a[offset + j] = (a[offset + j] - factor * c) % prime
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def isolate_real_roots(p: BigPoly) -> list:
     """Disjoint rational isolating intervals, one per real root, sorted
-    ascending; requires ``p`` squarefree.  Bisection on exact Sturm counts:
-    intervals carry their end-point counts, so each split evaluates the
-    chain once."""
-    chain = _squarefree_chain(p)
+    ascending; requires ``p`` squarefree.
+
+    Bisects (-B, B], B the Cauchy bound :func:`root_bound`, at midpoints,
+    moving a split point that is a root, and returns the largest node of
+    that tree holding exactly one root.  Descartes' rule of signs on the
+    node's polynomial decides 0 or 1 roots; a node whose test is
+    inconclusive, or skipped because it is wider than twice the power-of-two
+    Fujiwara bound F, is itself returned when its children hold exactly one
+    root between them.  Nodes outside [-F, F] hold no root.  The walk keeps
+    its own stack, so the depth of the tree is not limited by recursion.
+    """
+    _require_squarefree(p)
+    fujiwara = _power_of_two_bound(p)
     bound = root_bound(p)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    # Cauchy bound endpoints are never roots
-    result: list = []
-    stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
-    while stack:
-        a, b, v_a, v_b = stack.pop()
-        count = v_a - v_b
-        if count == 0:
+    found: list = []
+    # ("visit", a, b, source): the node (a, b], whose end points are not
+    # roots; source is (parent polynomial, den, shift, scale) for
+    # _compose, or None while the node is too wide to test.
+    # ("close", a, b, start): the node's children are done and found
+    # their intervals from found[start] on.
+    todo: list = [("visit", Fraction(-bound), Fraction(bound), None)]
+    while todo:
+        action, a, b, extra = todo.pop()
+        if action == "close":
+            if len(found) == extra + 1:
+                found[extra] = IsolatingInterval(a, b)
             continue
-        if count == 1:
-            result.append(IsolatingInterval(a, b))
+        if b <= -fujiwara or a >= fujiwara:
             continue
-        mid = (a + b) / 2
-        ratio = Fraction(3, 7)
-        while sign_at(p, mid) == 0:
+        q = None
+        if extra is not None:
+            q = _compose(*extra)
+        elif b - a <= 2 * fujiwara:
+            width = b - a
+            den = lcm(a.denominator, width.denominator)
+            q = _compose(p.coefficients, den, int(a * den), int(width * den))
+        if q is not None:
+            variations = _descartes_variations(q)
+            if variations < 2:
+                if variations == 1:
+                    found.append(IsolatingInterval(a, b))
+                continue
+        ratio, next_ratio = Fraction(1, 2), Fraction(3, 7)
+        while sign_at(p, a + (b - a) * ratio) == 0:
             # dodge a root at the split point; the ratios are all distinct
             # and p has finitely many roots, so this terminates
-            mid = a + (b - a) * ratio
-            ratio = (ratio + Fraction(1, 2)) / 2
-        v_mid = _variations_at(chain, mid)
-        stack.append((a, mid, v_a, v_mid))
-        stack.append((mid, b, v_mid, v_b))
-    result.sort(key=lambda iv: iv.lo)
-    return result
+            ratio, next_ratio = next_ratio, (next_ratio + Fraction(1, 2)) / 2
+        mid = a + (b - a) * ratio
+        u, v = ratio.numerator, ratio.denominator
+        # each child's polynomial is made when it is visited, so the right
+        # child's exists only after the left subtree is done
+        todo.append(("close", a, b, len(found)))
+        todo.append(("visit", mid, b, None if q is None else (q, v, u, v - u)))
+        todo.append(("visit", a, mid, None if q is None else (q, v, 0, u)))
+    return found
 
 
 def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
-    """Bisect with exact sign evaluations until width < 10^-digits; returns
-    the midpoint at a matching working precision."""
+    """The midpoint, at a matching working precision, of the interval that
+    halving ``interval`` until its width is below 10^-digits reaches.
+
+    Exact bisection narrows the root to width 1e-8; Newton's method in
+    mpf at ``digits`` plus guard digits then names the final cell, which
+    two exact signs confirm.  An unconfirmed cell falls back to bisection,
+    so the result is always the bisection's.
+    """
     if digits < 1:
         raise ValueError(f"digits must be at least 1, got {digits}")
     lo, hi = interval.lo, interval.hi
@@ -374,7 +506,51 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
         raise ValueError("interval endpoint is an exact root; shrink the interval")
     if s_lo == s_hi:
         raise ValueError("no sign change over the interval; not an isolating interval")
-    lo, hi = bisect_sign_change(lambda t: sign_at(p, t), lo, hi, s_lo, Fraction(1, 10 ** digits))
+
+    def sign(t):
+        return sign_at(p, t)
+
+    width = Fraction(1, 10 ** digits)
+    lo, hi = bisect_sign_change(sign, lo, hi, s_lo, max(width, _NEWTON_START_WIDTH))
+    if hi - lo >= width:
+        lo, hi = _newton_cell(p, lo, hi, s_lo, width, digits) or bisect_sign_change(sign, lo, hi, s_lo, width)
     ctx = RealContext(max(digits + 5, 15))
     mid = (lo + hi) / 2
     return ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)
+
+
+def _newton_cell(p: BigPoly, lo: Fraction, hi: Fraction, s_lo: int, width: Fraction, digits: int):
+    """The cell ``(a, b)`` that halving (lo, hi) until the width is below
+    ``width`` ends in, named by Newton's method and confirmed by the exact
+    signs at its end points; None when the signs do not confirm it."""
+    cell = hi - lo
+    cells = 1
+    while cell >= width:
+        cell /= 2
+        cells *= 2
+    mp = RealContext(digits + _NEWTON_GUARD_DIGITS).mp
+
+    def to_mpf(t: Fraction):
+        return mp.mpf(t.numerator) / t.denominator
+
+    coeffs = [mp.mpf(c) for c in reversed(p.coefficients)]
+    x = to_mpf((lo + hi) / 2)
+    tolerance = to_mpf(cell) / 10 ** 10
+    for _ in range(_NEWTON_MAX_STEPS):
+        value, slope = mp.polyval(coeffs, x, derivative=True)
+        if not slope:
+            return None
+        step = value / slope
+        x -= step
+        if abs(step) < tolerance:
+            break
+    if not mp.isfinite(x):
+        return None
+    k = int(mp.floor((x - to_mpf(lo)) / to_mpf(cell)))
+    if not 0 <= k < cells:
+        return None
+    a = lo + k * cell
+    b = a + cell
+    if sign_at(p, a) != s_lo or sign_at(p, b) != -s_lo:
+        return None
+    return a, b

@@ -65,6 +65,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    if args.digits < 1:
+        raise ValueError(f"digits must be at least 1, got {args.digits}")
     poly = charpoly.charpoly_xl4()
     intervals = charpoly.isolate_real_roots(poly)
     rows = []

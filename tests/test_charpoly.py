@@ -20,6 +20,7 @@ from heawood_udg.charpoly import (
     sign_at,
     sturm_chain,
 )
+from heawood_udg.geom import RealContext, bisect_sign_change
 
 # independently recomputed from the stored coefficient strings during
 # development: the exact coefficient sum p(1) and alternating sum p(-1)
@@ -155,28 +156,111 @@ def test_isolates_eleven_disjoint_intervals(poly):
         assert count_real_roots(poly, iv.lo, iv.hi) == 1
 
 
-def test_isolation_never_reevaluates_a_point(poly, monkeypatch):
-    # each interval carries the Sturm counts at its end points, so the chain
-    # is evaluated once per split point and never again at an end point
-    points = []
-    variations_at = charpoly._variations_at
+def test_isolation_and_refinement_never_build_the_sturm_chain(poly, monkeypatch):
+    # a squarefree input is proved squarefree modulo a prime, so the Sturm
+    # chain stays an independent check that the production route never uses
+    def forbidden(p):
+        raise AssertionError("sturm_chain called")
 
-    def recording(chain, t):
-        points.append(t)
-        return variations_at(chain, t)
+    monkeypatch.setattr(charpoly, "sturm_chain", forbidden)
+    intervals = isolate_real_roots(poly)
+    assert len(intervals) == 11
+    for iv in intervals:
+        refine_root(poly, iv, 20)
 
-    monkeypatch.setattr(charpoly, "_variations_at", recording)
+
+def test_isolation_tests_no_node_twice(poly, monkeypatch):
+    # each tree node's polynomial is built once and given the Descartes test
+    # at most once
+    tested = []
+    variations = charpoly._descartes_variations
+
+    def recording(q):
+        tested.append(tuple(q))
+        return variations(q)
+
+    monkeypatch.setattr(charpoly, "_descartes_variations", recording)
     assert len(isolate_real_roots(poly)) == 11
-    assert len(points) == len(set(points))
+    assert tested
+    assert len(tested) == len(set(tested))
 
 
 def test_isolation_dodges_root_at_split_point():
-    # T^3 - T has a root at 0, the exact midpoint of the first bisection
+    # T^3 - T has a root at 0, the exact midpoint of the first bisection of
+    # (-3, 3]; the split moves to 3/7 of the way, and these are the intervals
+    # the Sturm-count bisection returned
     p = BigPoly((0, -1, 0, 1))
     intervals = isolate_real_roots(p)
-    assert len(intervals) == 3
+    assert [(iv.lo, iv.hi) for iv in intervals] == [
+        (Fraction(-3), Fraction(-3, 7)),
+        (Fraction(-3, 7), Fraction(3, 7)),
+        (Fraction(3, 7), Fraction(9, 7)),
+    ]
     for iv, root in zip(intervals, (-1, 0, 1)):
         assert iv.lo < root <= iv.hi
+
+
+def test_isolation_depth_is_not_limited_by_recursion():
+    # T^3 - 2^3000: the Cauchy bound is about 2^3000 and the one real root
+    # 2^1000, so the tree is about 2000 levels deep before a node is tested;
+    # a single root makes the whole of (-B, B] its interval
+    p = BigPoly((-(2 ** 3000), 0, 0, 1))
+    bound = root_bound(p)
+    assert [(iv.lo, iv.hi) for iv in isolate_real_roots(p)] == [(-bound, bound)]
+
+
+def test_isolation_falls_back_to_sturm_when_the_prime_check_is_inconclusive(monkeypatch):
+    # T^2 - P is squarefree, but modulo P it is T^2, a square
+    prime = charpoly._SQUAREFREE_PRIME
+    p = BigPoly((-prime, 0, 1))
+    chains = []
+    chain = charpoly.sturm_chain
+
+    def recording(q):
+        chains.append(q)
+        return chain(q)
+
+    monkeypatch.setattr(charpoly, "sturm_chain", recording)
+    intervals = isolate_real_roots(p)
+    assert chains == [p]
+    # the first split, at 0, separates the roots +-sqrt(P)
+    bound = root_bound(p)
+    assert [(iv.lo, iv.hi) for iv in intervals] == [(-bound, 0), (0, bound)]
+
+
+def _sturm_bisection(p):
+    # bisection on exact Sturm counts, the reference the Descartes route
+    # must reproduce node for node
+    bound = root_bound(p)
+    result, stack = [], [(Fraction(-bound), Fraction(bound))]
+    while stack:
+        a, b = stack.pop()
+        count = count_real_roots(p, a, b)
+        if count == 1:
+            result.append((a, b))
+        elif count > 1:
+            mid, ratio = (a + b) / 2, Fraction(3, 7)
+            while sign_at(p, mid) == 0:
+                mid = a + (b - a) * ratio
+                ratio = (ratio + Fraction(1, 2)) / 2
+            stack += [(a, mid), (mid, b)]
+    return sorted(result)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (-2, 0, 1),
+        (0, 24, -10, -15, 0, 1),  # roots -3, -2, 0, 1, 4; 0 is the first split point
+        (720, -1764, 1624, -735, 175, -21, 1),  # roots 1, ..., 6
+        (1, -20001, 100010000),  # roots 1/10000 and 1/10001
+        (3, -7, 0, 5, -1, -2, 1),
+        (-5, 0, 0, 0, 0, 0, 0, 1),
+    ],
+)
+def test_isolation_matches_sturm_bisection(coeffs):
+    p = BigPoly(coeffs)
+    assert [(iv.lo, iv.hi) for iv in isolate_real_roots(p)] == _sturm_bisection(p)
 
 
 def test_isolates_sqrt_two():
@@ -213,6 +297,41 @@ def test_refine_rejects_sign_consistent_interval():
     p = BigPoly((-2, 0, 1))
     with pytest.raises(ValueError):
         refine_root(p, IsolatingInterval(Fraction(2), Fraction(3)), 10)
+
+
+def test_refine_equals_exact_bisection_for_every_root(poly):
+    # the Newton jump must land on the cell that halving to 1e-60 ends in
+    width = Fraction(1, 10 ** 60)
+    ctx = RealContext(65)
+    for iv in isolate_real_roots(poly):
+        lo, hi = bisect_sign_change(lambda t: sign_at(poly, t), iv.lo, iv.hi, sign_at(poly, iv.lo), width)
+        mid = (lo + hi) / 2
+        root = refine_root(poly, iv, 60)
+        assert root.context.dps == ctx.dps
+        assert root == ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)
+
+
+def test_refine_falls_back_to_bisection_on_a_root_at_a_cell_edge(monkeypatch):
+    # 2^40 T - 1 vanishes at 2^-40, an end point of a 1e-20 cell of (0, 1]:
+    # the exact signs cannot confirm a cell, and bisection stops at the root
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return bisect_sign_change(*args)
+
+    monkeypatch.setattr(charpoly, "bisect_sign_change", recording)
+    root = refine_root(BigPoly((-1, 2 ** 40)), IsolatingInterval(0, 1), 20)
+    assert root == mpmath.mpf(2) ** -40
+    assert len(calls) == 2
+
+
+def test_isolating_interval_end_points_become_fractions():
+    iv = IsolatingInterval(0, 0.5)
+    assert (iv.lo, iv.hi) == (Fraction(0), Fraction(1, 2))
+    assert all(type(t) is Fraction for t in (iv.lo, iv.hi))
+    root = refine_root(BigPoly((-1, 3)), IsolatingInterval(0, 1), 20)
+    assert root.context.nstr(root, 20) == "0.33333333333333333333"
 
 
 def test_refine_stops_at_an_exact_root_midpoint():
