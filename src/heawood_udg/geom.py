@@ -8,6 +8,7 @@ bisection shared by the solver and the exact root refinement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -36,21 +37,28 @@ class ConcentricCircles(GeometryError):
     """The two centers coincide within tolerance; the branch is undefined."""
 
 
+# building an MPContext costs about as much as a 30-digit construction chain
+@functools.lru_cache(maxsize=32)
+def _mp_context(dps: int) -> MPContext:
+    mp = MPContext()
+    mp.dps = dps
+    return mp
+
+
 class RealContext:
     """Real arithmetic at a fixed decimal precision.
 
-    Each instance owns an independent mpmath context, so the working
-    precision is explicit in every computation and never shared mutable
-    state.  Values produced under a context round-trip exactly through
-    decimal strings of ``dps`` significant digits.
+    Instances of one precision share one mpmath context, which must not be
+    mutated: ``mp.dps`` and ``mp.prec`` stay as built.  Values produced
+    under a context round-trip exactly through decimal strings of ``dps``
+    significant digits.
     """
 
     def __init__(self, dps: int = DEFAULT_DPS):
         if dps < 3:
             raise ValueError(f"precision must be at least 3 digits, got {dps}")
         self.dps = int(dps)
-        self.mp = MPContext()
-        self.mp.dps = self.dps
+        self.mp = _mp_context(self.dps)
 
     def __repr__(self) -> str:
         return f"RealContext(dps={self.dps})"

@@ -8,6 +8,8 @@ inputs.
 
 from __future__ import annotations
 
+import math
+
 from .chain import EmbeddingCandidate
 from .incidence import HEAWOOD_FLAGS
 
@@ -29,8 +31,6 @@ def _fmt(value: float) -> str:
 def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
     """Render one embedding as an SVG document string, ``scale`` pixels
     per unit length."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
     pos = {v: (float(p.x), float(p.y)) for v, p in candidate.coords.items()}
 
     xs = [x for x, _ in pos.values()]
@@ -39,6 +39,9 @@ def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
     min_y, max_y = min(ys) - PADDING, max(ys) + PADDING
     width = (max_x - min_x) * scale
     height = (max_y - min_y) * scale
+    # NaN, infinite and overflowing scales all give a non-finite drawing size
+    if not (scale > 0 and math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"scale must be positive and keep the drawing size finite, got {scale}")
 
     def to_px(x: float, y: float) -> tuple:
         # y flipped: mathematical orientation, origin at bottom-left

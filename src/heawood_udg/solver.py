@@ -18,7 +18,9 @@ circles) are not zeros at all and are rejected during bisection.
 
 The sweep domain (branch vector x angle subinterval) is embarrassingly
 parallel and all functions here are pure; the implementation is
-single-threaded since the full default run takes seconds.
+single-threaded (the default run takes about two seconds), since mpmath
+routines such as ``lu_solve`` briefly raise the precision of the shared
+per-precision contexts of :class:`~heawood_udg.geom.RealContext`.
 """
 
 from __future__ import annotations
@@ -148,15 +150,18 @@ def sweep(config: SolveConfig | None = None) -> list:
     config = config or SolveConfig()
     n = config.grid_points
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    # upper end of each grid cell; the last cell wraps around to 2 pi
+    upper = np.append(thetas[1:], TWO_PI)
     brackets = []
     for branch in all_branch_vectors():
         res = closure_grid(thetas, branch)
-        for i in range(n):
-            j = (i + 1) % n
-            a, b = res[i], res[j]
-            if np.isfinite(a) and np.isfinite(b) and a * b < 0:
-                t_hi = thetas[j] if j != 0 else TWO_PI
-                brackets.append(Bracket(branch, float(thetas[i]), float(t_hi), float(a), float(b)))
+        nxt = np.roll(res, -1)
+        with np.errstate(invalid="ignore"):
+            hits = np.isfinite(res) & np.isfinite(nxt) & (res * nxt < 0)
+        brackets.extend(
+            Bracket(branch, float(thetas[i]), float(upper[i]), float(res[i]), float(nxt[i]))
+            for i in np.flatnonzero(hits)
+        )
     return brackets
 
 

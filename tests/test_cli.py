@@ -43,6 +43,12 @@ def test_usage_error_exit_code(tmp_path, capsys):
     no_tables = tmp_path / "no_tables.json"
     no_tables.write_text('{"rows": []}')
     assert run(["verify", "--json", str(one), "--seed-tables", str(no_tables)]) == 2
+    # a scale that is not positive or makes the drawing size overflow
+    # writes no SVG
+    for scale in ("nan", "inf", "1e308"):
+        figs = tmp_path / f"figs_{scale}"
+        assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
+        assert not figs.exists()
     capsys.readouterr()
 
 

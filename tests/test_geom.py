@@ -34,6 +34,12 @@ def test_contexts_are_independent():
     assert b.nstr(b.mpf(x), 30) == a.nstr(x, 30)
 
 
+def test_contexts_are_shared_per_precision():
+    assert RealContext(30).mp is RealContext(30).mp
+    assert RealContext(30).mp is not RealContext(60).mp
+    assert RealContext(30).mp.dps == 30 and RealContext(60).mp.dps == 60
+
+
 def test_equilateral_intersection():
     ctx = RealContext(60)
     q = circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(1, 0), 1, bit=0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -84,5 +85,6 @@ def test_viewport_covers_padded_bounding_box(solutions):
 
 
 def test_style_validation(solutions):
-    with pytest.raises(ValueError):
-        render_svg(solutions[0], scale=0)
+    for scale in (0, -1.0, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError):
+            render_svg(solutions[0], scale=scale)

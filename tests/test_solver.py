@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
 
+from heawood_udg import geom, solver, verify
 from heawood_udg.chain import (
     BranchVector,
     ChainBroken,
@@ -26,6 +28,7 @@ from heawood_udg.solver import (
     NoConvergence,
     SingularJacobian,
     SolveConfig,
+    TWO_PI,
     _cci_grid,
     closure_grid,
     dedupe_candidates,
@@ -41,6 +44,9 @@ from heawood_udg.solver import (
 V = VertexLabel.parse
 
 BENCHMARK_EMBEDDINGS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "embeddings60.json"
+
+# SHA-256 of the JSON of solve_all(SolveConfig(grid_points=5000, digits=300))
+DEEP300_GRID5000_SHA256 = "3c4070f564128743a1e892a1ca8bf6c2cbb610024531be38c02c0b13664f5ed8"
 
 DEGENERATE_THETA = math.acos(-0.8)  # l4 = (-3/5, 6/5), unit distance from P2
 
@@ -165,6 +171,53 @@ def test_doubled_grid_brackets_cover_original_cells():
             if f.branch == b.branch and f.theta_lo >= b.theta_lo - 1e-12 and f.theta_hi <= b.theta_hi + 1e-12
         ]
         assert hits, f"no refined sign change inside {b}"
+
+
+def _scalar_sweep(grid_points: int, residuals) -> list:
+    """The sweep's pair scan as a per-pair loop, the reference for the
+    vectorised scan; ``residuals(thetas, branch)`` gives the closure."""
+    thetas = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+    brackets = []
+    for branch in all_branch_vectors():
+        res = residuals(thetas, branch)
+        for i in range(grid_points):
+            j = (i + 1) % grid_points
+            a, b = res[i], res[j]
+            if np.isfinite(a) and np.isfinite(b) and a * b < 0:
+                t_hi = thetas[j] if j != 0 else TWO_PI
+                brackets.append(Bracket(branch, float(thetas[i]), float(t_hi), float(a), float(b)))
+    return brackets
+
+
+def _bracket_bits(brackets) -> list:
+    return [
+        (str(b.branch), *(float.hex(v) for v in (b.theta_lo, b.theta_hi, b.residual_lo, b.residual_hi)))
+        for b in brackets
+    ]
+
+
+@pytest.mark.parametrize("grid_points", [1000, 5000, 20000])
+def test_sweep_equals_scalar_pair_scan(grid_points):
+    expected = _scalar_sweep(grid_points, closure_grid)
+    assert expected
+    assert _bracket_bits(sweep(SolveConfig(grid_points=grid_points))) == _bracket_bits(expected)
+
+
+def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
+    # the real closure is NaN near theta = 0, so its wrap-around pair never
+    # brackets; a synthetic residual with a sign change across 2 pi, NaN
+    # and infinite cells checks the scan's edge cases against the loop
+    def synthetic(thetas, branch):
+        k = int(str(branch), 2)
+        res = np.sin(4 * thetas) + thetas - 1 - 0.07 * k
+        res[k :: 97] = np.nan
+        res[2 * k + 1 :: 89] = np.inf if k % 2 else -np.inf
+        return res
+
+    expected = _scalar_sweep(1000, synthetic)
+    assert any(b.theta_hi == TWO_PI for b in expected)
+    monkeypatch.setattr(solver, "closure_grid", synthetic)
+    assert _bracket_bits(sweep(SolveConfig(grid_points=1000))) == _bracket_bits(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +446,32 @@ def test_dedupe_keeps_one_of_identical_pair(solutions):
 def test_default_solve_matches_benchmark_embeddings(solutions):
     # the benchmark's reference file is the JSON of `solve --digits 60`
     assert dump_candidates(solutions).encode() == BENCHMARK_EMBEDDINGS.read_bytes()
+
+
+def test_deep_solve_bytes_unchanged():
+    # the 300-digit path of the benchmark's deep300 workload, byte for byte
+    deep = solve_all(SolveConfig(grid_points=5000, digits=300))
+    digest = hashlib.sha256(dump_candidates(deep).encode()).hexdigest()
+    assert digest == DEEP300_GRID5000_SHA256
+
+
+def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
+    # record every context the run asks for, with the precision it had then
+    shared = geom._mp_context
+    seen = {}
+
+    def recording(dps):
+        mp = shared(dps)
+        seen.setdefault(dps, (mp, mp.prec))
+        return mp
+
+    monkeypatch.setattr(geom, "_mp_context", recording)
+    found = solve_all(SolveConfig(grid_points=1000, digits=40))
+    assert all(verify.certify(c, poly, tables).passes for c in found)
+    assert {30, 40} <= set(seen)
+    for dps, (mp, prec) in seen.items():
+        assert (mp.dps, mp.prec) == (dps, prec)
+        assert shared(dps) is mp
 
 
 def test_determinism_bit_identical_runs():
