@@ -14,8 +14,6 @@ from .chain import (
     EmbeddingCandidate,
     build_chain,
     candidate_from_coords,
-    closure_residual,
-    equation_registry,
     place_l4,
 )
 from .charpoly import (
@@ -86,9 +84,7 @@ __all__ = [
     "certify",
     "charpoly_xl4",
     "circle_circle_intersect",
-    "closure_residual",
     "count_real_roots",
-    "equation_registry",
     "eval_exact",
     "flag_residuals",
     "girth",

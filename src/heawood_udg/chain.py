@@ -186,11 +186,6 @@ def _closure_from_coords(coords: Mapping) -> Any:
     return distance_squared(coords[_P1], coords[_L1]) - 1
 
 
-def closure_residual(candidate: EmbeddingCandidate) -> Any:
-    """The leftover unit-distance constraint d(P1, l1)^2 - 1."""
-    return _closure_from_coords(candidate.coords)
-
-
 def branch_vector_of(coords: Mapping) -> BranchVector:
     """Recover the branch bits from vertex positions via orientation signs."""
     bits = []
@@ -231,63 +226,6 @@ def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate
         closure=_closure_from_coords(full),
         precision=precision,
     )
-
-
-# ---------------------------------------------------------------------------
-# Equation registry
-
-
-@dataclass(frozen=True)
-class EquationEntry:
-    """One constraint of the system with the unit-distance flags it pins.
-
-    Kinds: ``unit-circle`` (one flag per circle equation), ``spacing``
-    (d(l4, l5) = 2, which together with the midpoint equations pins the two
-    P4 flags), ``midpoint`` (linear, non-flag), and ``rectangle-side``
-    (pinned configuration edges).
-    """
-
-    eq_id: str
-    kind: str
-    flags: tuple
-
-
-def _flag(p: str, ln: str) -> tuple:
-    return (VertexLabel.parse(p), VertexLabel.parse(ln))
-
-
-def equation_registry() -> tuple:
-    """Every constraint of the system, in construction order.
-
-    The union of all entries' flags is exactly the 21-flag set of the
-    incidence structure; tests cross-check this against
-    :func:`heawood_udg.incidence.build_heawood_incidence`.
-    """
-    entries = [
-        EquationEntry("l4-l5-spacing", "spacing", (_flag("P4", "l4"), _flag("P4", "l5"))),
-        EquationEntry("P4-midpoint-x", "midpoint", ()),
-        EquationEntry("P4-midpoint-y", "midpoint", ()),
-    ]
-    for vertex, ca, cb in CHAIN_STEPS:
-        for center in (ca, cb):
-            pair = (vertex, center) if vertex.is_point else (center, vertex)
-            entries.append(
-                EquationEntry(f"{vertex}|{center}", "unit-circle", (pair,))
-            )
-    entries.append(
-        EquationEntry("P1|l1-closure", "unit-circle", (_flag("P1", "l1"),))
-    )
-    cycle = RECTANGLE_CYCLE
-    for i, v in enumerate(cycle):
-        w = cycle[(i + 1) % len(cycle)]
-        pair = (v, w) if v.is_point else (w, v)
-        entries.append(EquationEntry(f"rect:{v}-{w}", "rectangle-side", (pair,)))
-    return tuple(entries)
-
-
-def registry_flags() -> frozenset:
-    """The flag set induced by the full constraint system."""
-    return frozenset(f for e in equation_registry() for f in e.flags)
 
 
 # ---------------------------------------------------------------------------

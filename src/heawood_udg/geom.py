@@ -49,9 +49,10 @@ class RealContext:
     """Real arithmetic at a fixed decimal precision.
 
     Instances of one precision share one mpmath context, which must not be
-    mutated: ``mp.dps`` and ``mp.prec`` stay as built.  Values produced
-    under a context round-trip exactly through decimal strings of ``dps``
-    significant digits.
+    mutated: ``mp.dps`` and ``mp.prec`` stay as built, so no code here calls
+    mpmath routines that change them while they run, such as ``lu_solve``.
+    Values produced under a context round-trip exactly through decimal
+    strings of ``dps`` significant digits.
     """
 
     def __init__(self, dps: int = DEFAULT_DPS):
@@ -174,7 +175,9 @@ def circle_circle_intersect(
     return Point2(mx + h * uy, my - h * ux)
 
 
-def bisect_sign_change(sign: Callable[[Any], Any], lo: Any, hi: Any, sign_lo: Any, width: Any) -> tuple:
+def bisect_sign_change(
+    sign: Callable[[Any], Any], lo: Any, hi: Any, sign_lo: Any, width: Any, estimate: Any = None
+) -> tuple:
     """Halve ``[lo, hi]`` around a sign change until ``hi - lo < width``.
 
     ``sign(t)`` returns a number with the sign of the bisected function at
@@ -183,8 +186,27 @@ def bisect_sign_change(sign: Callable[[Any], Any], lo: Any, hi: Any, sign_lo: An
     evaluated.  End points may be mpf or :class:`fractions.Fraction`.
     Returns the final ``(lo, hi)``, or ``(mid, mid)`` when ``sign(mid)`` is
     exactly zero.
+
+    Given an ``estimate`` of the root, each midpoint goes to the side of
+    the estimate without being evaluated, and only the two end points of
+    the final cell are: the cell is returned when they show the sign
+    change, and the plain halving runs when they do not.  When the
+    function changes sign once in ``[lo, hi]`` both routes end in the same
+    cell.
     """
     negative_lo = sign_lo < 0
+    if estimate is not None:
+        a, b = lo, hi
+        while b - a >= width:
+            mid = (a + b) / 2
+            if mid < estimate:
+                a = mid
+            else:
+                b = mid
+        s_a = sign(a)
+        s_b = sign(b)
+        if s_a != 0 and s_b != 0 and (s_a < 0) == negative_lo and (s_b < 0) != negative_lo:
+            return a, b
     while hi - lo >= width:
         mid = (lo + hi) / 2
         s = sign(mid)

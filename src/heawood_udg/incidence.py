@@ -89,7 +89,7 @@ class IncidenceStructure:
 
 # Line triples fixed by the construction chain's circle centers: each
 # dependent vertex is cut out by circles around the vertices it is incident
-# with, which forces this labeling (see chain.equation_registry).
+# with, which forces this labeling (see chain.CHAIN_STEPS).
 _HEAWOOD_TRIPLES = {
     l(1): ("P7", "P3", "P1"),
     l(2): ("P2", "P4", "P1"),

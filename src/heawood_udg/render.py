@@ -39,9 +39,13 @@ def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
     min_y, max_y = min(ys) - PADDING, max(ys) + PADDING
     width = (max_x - min_x) * scale
     height = (max_y - min_y) * scale
-    # NaN, infinite and overflowing scales all give a non-finite drawing size
-    if not (scale > 0 and math.isfinite(width) and math.isfinite(height)):
-        raise ValueError(f"scale must be positive and keep the drawing size finite, got {scale}")
+    # NaN, infinite and overflowing scales all give a non-finite drawing
+    # size; a tiny one gives a size that prints as 0.000
+    finite = scale > 0 and math.isfinite(width) and math.isfinite(height)
+    if not finite or float(_fmt(min(width, height))) == 0:
+        raise ValueError(
+            f"scale must be positive and give a drawing size that is finite and prints as non-zero, got {scale}"
+        )
 
     def to_px(x: float, y: float) -> tuple:
         # y flipped: mathematical orientation, origin at bottom-left

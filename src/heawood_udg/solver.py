@@ -18,18 +18,22 @@ circles) are not zeros at all and are rejected during bisection.
 
 The sweep domain (branch vector x angle subinterval) is embarrassingly
 parallel and all functions here are pure; the implementation is
-single-threaded (the default run takes about two seconds), since mpmath
-routines such as ``lu_solve`` briefly raise the precision of the shared
-per-precision contexts of :class:`~heawood_udg.geom.RealContext`.
+single-threaded.  Bisection and Newton dominate the run time, so each is
+cut short without changing a bit of its result: an Illinois-secant
+estimate of the root lets the bisection skip to its final cell, and the
+Newton step's linear solve skips the structural zeros of the sparse
+Jacobian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
+from mpmath.ctx_mp import MPContext
 
 from .chain import (
     CHAIN_STEPS,
@@ -49,8 +53,10 @@ from .incidence import ALL_VERTICES, VertexLabel
 
 TWO_PI = 2 * math.pi
 BISECTION_DIGITS = 30
+MIN_DIGITS = 15
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
+SECANT_MAX_STEPS = 12
 
 
 class SolverError(Exception):
@@ -95,6 +101,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.grid_points < 1000:
             raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
+        # below about 7 digits degenerate zeros pass the separation filter;
+        # 15 is the precision of the reference tables
+        if self.digits < MIN_DIGITS:
+            raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
 
     @property
     def precision_stages(self) -> tuple:
@@ -169,9 +179,48 @@ def sweep(config: SolveConfig | None = None) -> list:
 # High-precision refinement
 
 
+def _secant_estimate(closure_at, lo, hi, f_lo, f_hi, tol):
+    """Estimate the root in ``[lo, hi]`` by Illinois-modified regula falsi
+    (Dowell & Jarratt, BIT 1971), stopping once the sign change is narrowed
+    below ``tol`` or a step falls below the working precision.  None when
+    a step leaves the bracket, the chain breaks, or ``SECANT_MAX_STEPS``
+    steps do not converge."""
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    side = 0
+    for _ in range(SECANT_MAX_STEPS):
+        x = b - fb * (b - a) / (fb - fa)
+        if not a <= x <= b:
+            return None
+        if x == a or x == b:
+            return x  # the step is below the working precision
+        try:
+            fx = closure_at(x)
+        except ChainBroken:
+            return None
+        if fx == 0:
+            return x
+        if (fx < 0) == (fb < 0):
+            b, fb = x, fx
+            if side == 1:
+                fa /= 2  # the same end kept twice: halve its weight
+            side = 1
+        else:
+            a, fa = x, fx
+            if side == -1:
+                fb /= 2
+            side = -1
+        if b - a < tol:
+            return x
+    return None
+
+
 def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     """Bisect the bracket at ``digits`` working precision down to an angle
     interval below 10^(-digits/2) and return the chain at its midpoint.
+
+    An Illinois-secant estimate of the root lets the bisection skip to its
+    final cell, which two chain evaluations confirm; without an estimate,
+    or when they do not confirm it, every midpoint is evaluated.
 
     Raises :class:`LostBracket` when the sign change is not backed by an
     actual zero: the endpoints agree in sign at working precision, the
@@ -202,8 +251,9 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     # the 10^(-digits/2) bound even for steep crossings
     width_target = ctx.pow10(-(digits // 2) - 2)
     residual_bound = ctx.pow10(-(digits // 2))
+    estimate = _secant_estimate(closure_at, lo, hi, f_lo, f_hi, width_target / 1000)
     try:
-        lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target)
+        lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target, estimate=estimate)
     except ChainBroken as exc:
         raise LostBracket(f"chain breaks inside the bracket: {exc}") from exc
     candidate = build_chain((lo + hi) / 2, bracket.branch, digits)
@@ -260,27 +310,113 @@ def system_residuals(ctx: RealContext, vec: Sequence) -> list:
     return out
 
 
-def system_jacobian(ctx: RealContext, vec: Sequence):
-    """Analytic Jacobian of :func:`system_residuals` (16 x 16)."""
+def system_jacobian(ctx: RealContext, vec: Sequence) -> list:
+    """Analytic Jacobian of :func:`system_residuals`: 16 sparse rows, each
+    a ``{column: value}`` dict holding its non-zero entries (at most 4)."""
     pos = _positions(ctx, vec)
     l4 = pos[_L4]
-    J = ctx.mp.zeros(16, 16)
     half = ctx.mpf(1) / 2
-    J[0, _VAR_INDEX[(_L4, 0)]] = 2 * (l4.x - 1)
-    J[0, _VAR_INDEX[(_L4, 1)]] = 2 * l4.y
-    J[1, _VAR_INDEX[(_P4, 0)]] = 1
-    J[1, _VAR_INDEX[(_L4, 0)]] = -half
-    J[2, _VAR_INDEX[(_P4, 1)]] = 1
-    J[2, _VAR_INDEX[(_L4, 1)]] = -half
-    for row, (vertex, center) in enumerate(_CIRCLE_PAIRS, start=3):
+    one = ctx.mpf(1)
+    rows = [
+        {_VAR_INDEX[(_L4, 0)]: 2 * (l4.x - 1), _VAR_INDEX[(_L4, 1)]: 2 * l4.y},
+        {_VAR_INDEX[(_P4, 0)]: one, _VAR_INDEX[(_L4, 0)]: -half},
+        {_VAR_INDEX[(_P4, 1)]: one, _VAR_INDEX[(_L4, 1)]: -half},
+    ]
+    for vertex, center in _CIRCLE_PAIRS:
         dx = 2 * (pos[vertex].x - pos[center].x)
         dy = 2 * (pos[vertex].y - pos[center].y)
-        J[row, _VAR_INDEX[(vertex, 0)]] = dx
-        J[row, _VAR_INDEX[(vertex, 1)]] = dy
+        row = {_VAR_INDEX[(vertex, 0)]: dx, _VAR_INDEX[(vertex, 1)]: dy}
         if (center, 0) in _VAR_INDEX:
-            J[row, _VAR_INDEX[(center, 0)]] = -dx
-            J[row, _VAR_INDEX[(center, 1)]] = -dy
-    return J
+            row[_VAR_INDEX[(center, 0)]] = -dx
+            row[_VAR_INDEX[(center, 1)]] = -dy
+        rows.append(row)
+    return rows
+
+
+# mpmath's lu_solve works at 10 bits above the caller's precision
+_LU_GUARD_BITS = 10
+_SINGULAR = "matrix is numerically singular"
+
+
+@functools.lru_cache(maxsize=32)
+def _lu_context(prec: int) -> MPContext:
+    mp = MPContext()
+    mp.prec = prec
+    return mp
+
+
+def _lu_solve(rows: Sequence, rhs: Sequence, mp: MPContext) -> list:
+    """Solve the sparse system ``rows`` · x = ``rhs`` bit for bit as
+    mpmath 1.3.0's ``mp.lu_solve`` does.
+
+    The operations of mpmath's ``LU_decomp``, ``L_solve`` and ``U_solve``
+    run one at a time at ``prec + 10`` bits in the same order, with the
+    same pivot rule (largest |A[k, j]| / row sum, first one wins) and the
+    same singularity tolerance (1-norm times epsilon).  Only products with
+    a structurally zero factor are skipped: x - 0*y is exact, and exact
+    sums ignore zero terms.  ``rows`` holds one ``{column: value}`` dict
+    per row.  Returns x as mpf values of ``mp`` that keep the guard bits,
+    as mpmath's do.
+
+    Raises ZeroDivisionError where mpmath does, and also when a column has
+    no non-zero entry on or below the diagonal, where mpmath fails with a
+    TypeError instead.
+    """
+    work = _lu_context(mp.prec + _LU_GUARD_BITS)
+    n = len(rows)
+    A = [{k: work.mpf(v) for k, v in sorted(row.items()) if v} for row in rows]
+    x = [work.mpf(v) for v in rhs]
+    columns = [[] for _ in range(n)]
+    for row in A:
+        for k, v in row.items():
+            columns[k].append(v)
+    tol = abs(max(work.fsum(c, absolute=True) for c in columns) * work.eps)
+
+    pivots = []
+    for j in range(n - 1):
+        biggest = 0
+        p = None
+        for k in range(j, n):
+            s = work.fsum([v for c, v in A[k].items() if c >= j], absolute=True)
+            if s <= tol:
+                raise ZeroDivisionError(_SINGULAR)
+            if j in A[k]:
+                current = 1 / s * abs(A[k][j])
+                if current > biggest:
+                    biggest = current
+                    p = k
+        if p is None:
+            raise ZeroDivisionError(_SINGULAR)
+        A[j], A[p] = A[p], A[j]
+        pivots.append(p)
+        pivot_row = A[j]
+        pivot = pivot_row[j]
+        if abs(pivot) <= tol:
+            raise ZeroDivisionError(_SINGULAR)
+        upper = [(k, v) for k, v in pivot_row.items() if k > j]
+        for i in range(j + 1, n):
+            row = A[i]
+            if j not in row:
+                continue
+            factor = row[j] = row[j] / pivot
+            for k, v in upper:
+                row[k] = row[k] - factor * v if k in row else -(factor * v)
+            A[i] = dict(sorted(row.items()))
+    if abs(A[n - 1].get(n - 1, 0)) <= tol:
+        raise ZeroDivisionError(_SINGULAR)
+
+    for k, p in enumerate(pivots):
+        x[k], x[p] = x[p], x[k]
+    for i in range(1, n):
+        for j, v in A[i].items():
+            if j < i:
+                x[i] = x[i] - v * x[j]
+    for i in range(n - 1, -1, -1):
+        for j, v in A[i].items():
+            if j > i:
+                x[i] = x[i] - v * x[j]
+        x[i] = x[i] / A[i][i]
+    return [mp.make_mpf(v._mpf_) for v in x]
 
 
 def _candidate_vector(ctx: RealContext, candidate: EmbeddingCandidate) -> list:
@@ -289,10 +425,6 @@ def _candidate_vector(ctx: RealContext, candidate: EmbeddingCandidate) -> list:
         p = candidate.coords[v]
         vec.append(ctx.mpf(p.x if axis == 0 else p.y))
     return vec
-
-
-def _inf_norm(column) -> Any:
-    return max(abs(column[k]) for k in range(column.rows))
 
 
 def newton_polish(
@@ -309,9 +441,12 @@ def newton_polish(
     norms of the Newton steps are appended to it, giving the quadratic
     convergence record.
 
-    Raises :class:`SingularJacobian` when ``lu_solve`` finds the Jacobian
-    numerically singular (a pivot below its working-precision tolerance)
-    and :class:`NoConvergence` when the residual target is not met within
+    Each step solves the sparse Jacobian system with ``_lu_solve``, which
+    gives mpmath's ``lu_solve`` result bit for bit.  Raises
+    :class:`SingularJacobian` when its pivot test finds the Jacobian
+    numerically singular (a row sum or pivot at most the 1-norm times the
+    epsilon of ``digits`` precision plus 10 guard bits) and
+    :class:`NoConvergence` when the residual target is not met within
     ``max_iter`` iterations.
     """
     ctx = RealContext(digits)
@@ -322,15 +457,13 @@ def newton_polish(
         residuals = system_residuals(ctx, vec)
         if max(abs(r) for r in residuals) < target:
             break
-        J = system_jacobian(ctx, vec)
-        rhs = ctx.mp.matrix([-r for r in residuals])
         try:
-            step = ctx.mp.lu_solve(J, rhs)
+            step = _lu_solve(system_jacobian(ctx, vec), [-r for r in residuals], ctx.mp)
         except ZeroDivisionError as exc:
             raise SingularJacobian(f"Jacobian is numerically singular: {exc}") from exc
         if trace is not None:
-            trace.append(_inf_norm(step))
-        vec = [vec[k] + step[k] for k in range(16)]
+            trace.append(max(abs(s) for s in step))
+        vec = [v + s for v, s in zip(vec, step)]
     else:
         raise NoConvergence(f"no convergence after {max_iter} Newton iterations")
 

@@ -1,0 +1,64 @@
+"""The constraint system written out as equations, for tests that check
+the construction chain against the incidence structure.
+
+Each entry names the unit-distance flags its equation pins, so the union
+over all entries can be compared with the 21 flags of the Heawood graph.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+from heawood_udg.chain import CHAIN_STEPS, RECTANGLE_CYCLE, EmbeddingCandidate
+from heawood_udg.geom import distance_squared
+from heawood_udg.incidence import VertexLabel
+
+
+@dataclass(frozen=True)
+class EquationEntry:
+    """One constraint of the system with the unit-distance flags it pins.
+
+    Kinds: ``unit-circle`` (one flag per circle equation), ``spacing``
+    (d(l4, l5) = 2, which together with the midpoint equations pins the two
+    P4 flags), ``midpoint`` (linear, non-flag), and ``rectangle-side``
+    (pinned configuration edges).
+    """
+
+    eq_id: str
+    kind: str
+    flags: tuple
+
+
+def _flag(p: str, ln: str) -> tuple:
+    return (VertexLabel.parse(p), VertexLabel.parse(ln))
+
+
+def equation_registry() -> tuple:
+    """Every constraint of the system, in construction order."""
+    entries = [
+        EquationEntry("l4-l5-spacing", "spacing", (_flag("P4", "l4"), _flag("P4", "l5"))),
+        EquationEntry("P4-midpoint-x", "midpoint", ()),
+        EquationEntry("P4-midpoint-y", "midpoint", ()),
+    ]
+    for vertex, ca, cb in CHAIN_STEPS:
+        for center in (ca, cb):
+            pair = (vertex, center) if vertex.is_point else (center, vertex)
+            entries.append(EquationEntry(f"{vertex}|{center}", "unit-circle", (pair,)))
+    entries.append(EquationEntry("P1|l1-closure", "unit-circle", (_flag("P1", "l1"),)))
+    cycle = RECTANGLE_CYCLE
+    for i, v in enumerate(cycle):
+        w = cycle[(i + 1) % len(cycle)]
+        pair = (v, w) if v.is_point else (w, v)
+        entries.append(EquationEntry(f"rect:{v}-{w}", "rectangle-side", (pair,)))
+    return tuple(entries)
+
+
+def registry_flags() -> frozenset:
+    """The flag set induced by the full constraint system."""
+    return frozenset(f for e in equation_registry() for f in e.flags)
+
+
+def closure_residual(candidate: EmbeddingCandidate) -> Any:
+    """The leftover unit-distance constraint d(P1, l1)^2 - 1."""
+    return distance_squared(candidate["P1"], candidate["l1"]) - 1

@@ -14,9 +14,10 @@ import time
 from fractions import Fraction
 
 from conftest import MARGIN_BASELINES
+from equations import registry_flags
 
 from heawood_udg import charpoly, solver
-from heawood_udg.chain import candidate_from_coords, registry_flags
+from heawood_udg.chain import candidate_from_coords
 from heawood_udg.geom import RealContext
 from heawood_udg.incidence import VertexLabel, girth, verify_fano_axioms
 from heawood_udg.refdata import TABLE_VERTICES

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from equations import closure_residual, equation_registry, registry_flags
+
 from heawood_udg.chain import (
     CHAIN_STEPS,
     FIXED_POSITIONS,
@@ -17,13 +19,10 @@ from heawood_udg.chain import (
     candidate_from_coords,
     candidate_from_json_dict,
     candidate_to_json_dict,
-    closure_residual,
     dump_candidates,
-    equation_registry,
     fixed_points,
     load_candidates,
     place_l4,
-    registry_flags,
 )
 from heawood_udg.geom import RealContext, distance_squared
 from heawood_udg.incidence import VertexLabel

@@ -22,6 +22,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["solve", "--grid", "not-a-number"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["solve", "--grid", "10"]) == 2  # below the configured minimum
+    # below 15 digits degenerate zeros are counted as embeddings
+    assert run(["solve", "--digits", "6"]) == 2
+    assert run(["solve", "--digits", "2"]) == 2
     assert run(["verify", "--json", "/nonexistent/path.json"]) == 2
     assert run(["roots", "--digits", "-1"]) == 2
     assert run(["roots", "--digits", "0"]) == 2
@@ -43,9 +46,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
     no_tables = tmp_path / "no_tables.json"
     no_tables.write_text('{"rows": []}')
     assert run(["verify", "--json", str(one), "--seed-tables", str(no_tables)]) == 2
-    # a scale that is not positive or makes the drawing size overflow
-    # writes no SVG
-    for scale in ("nan", "inf", "1e308"):
+    # a scale that is not positive, makes the drawing size overflow or
+    # prints it as zero writes no SVG
+    for scale in ("nan", "inf", "1e308", "1e-320", "1e-6"):
         figs = tmp_path / f"figs_{scale}"
         assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
         assert not figs.exists()

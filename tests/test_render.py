@@ -85,6 +85,6 @@ def test_viewport_covers_padded_bounding_box(solutions):
 
 
 def test_style_validation(solutions):
-    for scale in (0, -1.0, math.nan, math.inf, 1e308):
+    for scale in (0, -1.0, math.nan, math.inf, 1e308, 1e-320, 1e-6):
         with pytest.raises(ValueError):
             render_svg(solutions[0], scale=scale)

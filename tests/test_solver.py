@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
 
@@ -20,7 +23,7 @@ from heawood_udg.chain import (
     candidate_from_coords,
     dump_candidates,
 )
-from heawood_udg.geom import Point2, RealContext, circle_circle_intersect
+from heawood_udg.geom import Point2, RealContext, bisect_sign_change, circle_circle_intersect
 from heawood_udg.incidence import VertexLabel
 from heawood_udg.solver import (
     Bracket,
@@ -30,6 +33,7 @@ from heawood_udg.solver import (
     SolveConfig,
     TWO_PI,
     _cci_grid,
+    _lu_solve,
     closure_grid,
     dedupe_candidates,
     min_vertex_separation,
@@ -65,6 +69,11 @@ def _bracket_around(theta: float, branch_str: str, half_width: float = 2e-4) -> 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(grid_points=999)
+    # below 15 digits degenerate zeros pass the separation filter
+    for digits in (14, 6, 2, 0, -1):
+        with pytest.raises(ValueError, match=">= 15"):
+            SolveConfig(digits=digits)
+    assert SolveConfig(digits=15).precision_stages == (15,)
     assert SolveConfig(digits=20).precision_stages == (20,)
     assert SolveConfig(digits=300).precision_stages == (30, 300)
     assert SolveConfig().digits == 60
@@ -284,6 +293,55 @@ def test_degenerate_zero_has_coincident_vertices():
     assert sep_p1_p6 < ctx.pow10(-12)
 
 
+def _refine_outcome(bracket: Bracket):
+    try:
+        return refine_bracket(bracket, 30).theta
+    except LostBracket as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("grid_points", [2000, 5000, 20000])
+def test_refine_bracket_equals_plain_halving(monkeypatch, grid_points):
+    # the estimate only skips evaluations: on every bracket the angle, or
+    # the LostBracket message, is the one that halving without it gives
+    brackets = sweep(SolveConfig(grid_points=grid_points))
+    guided = [_refine_outcome(b) for b in brackets]
+    monkeypatch.setattr(solver, "_secant_estimate", lambda *args: None)
+    plain = [_refine_outcome(b) for b in brackets]
+    assert guided == plain
+    assert sum(isinstance(o, str) for o in plain) == 2
+
+    # a wrong estimate must cost evaluations, never change the result
+    def off_by_a_third(closure_at, lo, hi, f_lo, f_hi, tol):
+        return lo + (hi - lo) / 3
+
+    monkeypatch.setattr(solver, "_secant_estimate", off_by_a_third)
+    assert [_refine_outcome(b) for b in brackets] == plain
+
+
+def test_bisection_estimate_is_confirmed_or_dropped():
+    # exact arithmetic: the estimate's cell is returned only when the signs
+    # at its end points confirm it, and otherwise halving decides
+    root = Fraction(1, 3)
+    calls = []
+
+    def sign(t):
+        calls.append(t)
+        return t - root
+
+    width = Fraction(1, 2 ** 40)
+    plain = bisect_sign_change(sign, Fraction(0), Fraction(1), -1, width)
+    assert len(calls) == 41
+    # the first two lie in the root's final cell, the last two do not
+    for estimate, evaluations in ((root, 2), (root + width / 8, 2), (Fraction(1, 4), 43), (Fraction(9, 10), 43)):
+        calls.clear()
+        assert bisect_sign_change(sign, Fraction(0), Fraction(1), -1, width, estimate=estimate) == plain
+        assert len(calls) == evaluations
+    # a root on a midpoint: the plain route stops there, and so must this one
+    half = bisect_sign_change(lambda t: t - Fraction(1, 2), Fraction(0), Fraction(1), -1, width, estimate=Fraction(1, 2))
+    assert half == (Fraction(1, 2), Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Newton polishing
 
@@ -306,6 +364,8 @@ def test_jacobian_matches_finite_differences():
     for name in ("l4", "P4", "P3", "P6", "l2", "l1", "l6", "P1"):
         vec.extend([cand[name].x, cand[name].y])
     J = system_jacobian(ctx, vec)
+    assert len(J) == 16
+    assert all(1 <= len(row) <= 4 for row in J)
     h = ctx.pow10(-20)
     base = system_residuals(ctx, vec)
     for col in range(16):
@@ -314,7 +374,7 @@ def test_jacobian_matches_finite_differences():
         res = system_residuals(ctx, bumped)
         for row in range(16):
             fd = (res[row] - base[row]) / h
-            assert abs(J[row, col] - fd) < ctx.pow10(-18)
+            assert abs(J[row].get(col, 0) - fd) < ctx.pow10(-18)
 
 
 def test_newton_polish_from_reference_seed(table_seeds):
@@ -375,11 +435,108 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
     )
     with pytest.raises(SingularJacobian):
         newton_polish(broken, 60)
+    # mpmath's dense solve gives up on the same Jacobian
+    ctx = RealContext(60)
+    vec = solver._candidate_vector(ctx, broken)
+    rows = system_jacobian(ctx, vec)
+    rhs = [-r for r in system_residuals(ctx, vec)]
+    assert _dense_lu_solve(ctx.mp, rows, rhs) is ZeroDivisionError
+    assert _sparse_lu_solve(ctx.mp, rows, rhs) is ZeroDivisionError
 
 
 def test_newton_no_convergence_with_iteration_cap(table_seeds):
     with pytest.raises(NoConvergence):
         newton_polish(table_seeds[0], 60, max_iter=1)
+
+
+def _dense_lu_solve(mp, rows, rhs):
+    """mpmath's own dense solve of the sparse rows, the reference for
+    ``_lu_solve``: the raw mpf tuples, or the exception type it raises."""
+    A = mp.zeros(len(rows), len(rows))
+    for i, row in enumerate(rows):
+        for k, v in row.items():
+            A[i, k] = v
+    try:
+        x = mp.lu_solve(A, mp.matrix(list(rhs)))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    except TypeError:
+        # a column with no pivot; the kernel raises ZeroDivisionError there
+        # (test_lu_solve_rejects_a_column_without_pivot)
+        return ZeroDivisionError
+    return [x[k]._mpf_ for k in range(len(rhs))]
+
+
+def _sparse_lu_solve(mp, rows, rhs):
+    try:
+        return [v._mpf_ for v in _lu_solve(rows, rhs, mp)]
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _random_rows(ctx, rng, pattern):
+    # values spread over a few binades, none dyadic, so rounding shows
+    return [
+        {k: ctx.mpf(rng.uniform(-2, 2)) / rng.choice((3, 7, 11)) for k in sorted(cols)}
+        for cols in pattern
+    ]
+
+
+@pytest.mark.parametrize("digits", [30, 60, 300])
+def test_lu_solve_equals_mpmath_bit_for_bit(solutions, digits):
+    ctx = RealContext(digits)
+    rng = random.Random(digits)
+    for cand in solutions:
+        vec = solver._candidate_vector(ctx, cand)
+        rows = system_jacobian(ctx, vec)
+        rhs = [ctx.mpf(rng.uniform(-1, 1)) / 3 for _ in range(16)]
+        expected = _dense_lu_solve(ctx.mp, rows, rhs)
+        assert expected is not ZeroDivisionError
+        assert _sparse_lu_solve(ctx.mp, rows, rhs) == expected
+        # random values in the Jacobian's sparsity pattern
+        pattern = [set(row) for row in rows]
+        for _ in range(3):
+            rows = _random_rows(ctx, rng, pattern)
+            assert _sparse_lu_solve(ctx.mp, rows, rhs) == _dense_lu_solve(ctx.mp, rows, rhs)
+
+
+def test_lu_solve_equals_mpmath_on_dense_and_singular_matrices():
+    ctx = RealContext(30)
+    rng = random.Random(7)
+    results = []
+    for n in (2, 3, 5, 8, 16):
+        for _ in range(6):
+            rows = _random_rows(ctx, rng, [range(n)] * n)
+            rhs = [ctx.mpf(rng.uniform(-1, 1)) / 3 for _ in range(n)]
+            results.append((rows, rhs))
+            # small integer entries tie in the pivot search and are often
+            # singular, exactly or to within the tolerance
+            ties = [{k: ctx.mpf(rng.randint(-2, 2)) / 3 for k in range(n)} for _ in range(n)]
+            results.append((ties, rhs))
+            # the last row a rounded multiple of the first: singular, with
+            # a last pivot that is zero or below the tolerance
+            for matrix in (rows, ties):
+                scaled = matrix[:-1] + [{k: v * 5 / 7 for k, v in matrix[0].items()}]
+                results.append((scaled, rhs))
+    # a pivot column far below the tolerance while every row sum is large
+    tiny = ctx.pow10(-40)
+    results.append(([{0: tiny, 1: ctx.mpf(1)}, {0: 2 * tiny, 1: ctx.mpf(1)}], [ctx.mpf(1), ctx.mpf(2)]))
+    singular = 0
+    for rows, rhs in results:
+        expected = _dense_lu_solve(ctx.mp, rows, rhs)
+        singular += expected is ZeroDivisionError
+        assert _sparse_lu_solve(ctx.mp, rows, rhs) == expected
+    # both outcomes are exercised: a solution and a singular matrix
+    assert 5 <= singular < len(results) - 5
+
+
+def test_lu_solve_rejects_a_column_without_pivot():
+    # mpmath fails here with a TypeError (no pivot row is chosen); the
+    # kernel reports the singular matrix instead
+    ctx = RealContext(30)
+    rows = [{1: ctx.mpf(1)}, {1: ctx.mpf(2)}]
+    with pytest.raises(ZeroDivisionError):
+        _lu_solve(rows, [ctx.mpf(1), ctx.mpf(1)], ctx.mp)
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +643,45 @@ def test_low_precision_stage_gives_same_solutions(solutions):
     for lo, hi in zip(low, solutions):
         assert abs(float(lo["l4"].x) - float(hi["l4"].x)) < 1e-9
         assert abs(float(lo["l4"].y) - float(hi["l4"].y)) < 1e-9
+
+
+def test_default_solve_work(monkeypatch):
+    # the secant estimate and the sparse kernel are what keep the default
+    # solve fast: few chain evaluations and no dense mpmath solve
+    counts = {"build_chain": 0, "brackets": 0, "lost": 0, "degenerate": 0}
+
+    def counted(fn, key, after=None):
+        def wrapper(*args, **kwargs):
+            if key == "build_chain":
+                counts[key] += 1
+            try:
+                result = fn(*args, **kwargs)
+            except LostBracket:
+                counts["lost"] += 1
+                raise
+            if after is not None:
+                after(result)
+            return result
+
+        return wrapper
+
+    def dense_solve(*args, **kwargs):
+        raise AssertionError("mpmath's dense lu_solve was called")
+
+    def count_brackets(result):
+        counts["brackets"] += len(result)
+
+    def count_degenerate(result):
+        counts["degenerate"] += result < SolveConfig.min_vertex_separation
+
+    monkeypatch.setattr(MPContext, "lu_solve", dense_solve)
+    monkeypatch.setattr(solver, "build_chain", counted(solver.build_chain, "build_chain"))
+    monkeypatch.setattr(solver, "sweep", counted(solver.sweep, "sweep", count_brackets))
+    monkeypatch.setattr(solver, "refine_bracket", counted(solver.refine_bracket, "refine"))
+    monkeypatch.setattr(
+        solver, "min_vertex_separation", counted(solver.min_vertex_separation, "separation", count_degenerate)
+    )
+    found = solve_all(SolveConfig())
+    assert len(found) == 11
+    assert (counts["brackets"], counts["lost"], counts["degenerate"]) == (17, 2, 4)
+    assert counts["build_chain"] <= 250
