@@ -47,12 +47,12 @@ CHAIN_STEPS = tuple(
     ]
 )
 
-_L4 = VertexLabel.parse("l4")
-_P4 = VertexLabel.parse("P4")
-_P1 = VertexLabel.parse("P1")
-_L1 = VertexLabel.parse("l1")
+L4 = VertexLabel.parse("l4")
+P4 = VertexLabel.parse("P4")
+P1 = VertexLabel.parse("P1")
+L1 = VertexLabel.parse("l1")
 
-DEPENDENT_VERTICES = (_L4, _P4) + tuple(step[0] for step in CHAIN_STEPS)
+DEPENDENT_VERTICES = (L4, P4) + tuple(step[0] for step in CHAIN_STEPS)
 
 
 class ChainBroken(Exception):
@@ -152,9 +152,9 @@ def construct(l4: Point2, branch: BranchVector, fixed: Mapping, intersect: Calla
     :class:`ChainBroken` naming that step's vertex.
     """
     coords = dict(fixed)
-    coords[_L4] = l4
+    coords[L4] = l4
     # exact halving: P4 is the midpoint of l4 and l5 by definition
-    coords[_P4] = Point2((l4.x + 1) / 2, l4.y / 2)
+    coords[P4] = Point2((l4.x + 1) / 2, l4.y / 2)
     for bit, (vertex, ca, cb) in zip(branch, CHAIN_STEPS):
         try:
             coords[vertex] = intersect(coords[ca], coords[cb], bit)
@@ -183,7 +183,7 @@ def build_chain(theta: Any, branch: BranchVector, precision: int = 60) -> Embedd
 
 
 def _closure_from_coords(coords: Mapping) -> Any:
-    return distance_squared(coords[_P1], coords[_L1]) - 1
+    return distance_squared(coords[P1], coords[L1]) - 1
 
 
 def branch_vector_of(coords: Mapping) -> BranchVector:
@@ -210,12 +210,9 @@ def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate
     for label, value in coords.items():
         if isinstance(label, str):
             label = VertexLabel.parse(label)
-        if isinstance(value, Point2):
-            full[label] = Point2(ctx.mpf(value.x), ctx.mpf(value.y))
-        else:
-            x, y = value
-            full[label] = Point2(ctx.mpf(x), ctx.mpf(y))
-    l4 = full[_L4]
+        x, y = value
+        full[label] = Point2(ctx.mpf(x), ctx.mpf(y))
+    l4 = full[L4]
     theta = ctx.atan2(l4.y / 2, (l4.x - 1) / 2)
     if theta < 0:
         theta = theta + 2 * ctx.pi
@@ -251,17 +248,28 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
 
 
 def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
-    precision = int(data["precision"])
+    """Inverse of :func:`candidate_to_json_dict`; ValueError when the
+    precision is not a JSON integer or a number is not finite."""
+    precision = data["precision"]
+    if type(precision) is not int:
+        raise ValueError(f"precision must be a JSON integer, got {precision!r}")
     ctx = RealContext(precision)
+
+    def finite(value):
+        x = ctx.mpf(value)
+        if not ctx.mp.isfinite(x):
+            raise ValueError(f"non-finite number {value!r} in embeddings file")
+        return x
+
     coords = {
-        VertexLabel.parse(name): Point2(ctx.mpf(x), ctx.mpf(y))
+        VertexLabel.parse(name): Point2(finite(x), finite(y))
         for name, (x, y) in data["vertices"].items()
     }
     return EmbeddingCandidate(
         coords=coords,
-        theta=ctx.mpf(data["theta"]),
+        theta=finite(data["theta"]),
         branch=BranchVector(tuple(data["branch"])),
-        closure=ctx.mpf(data["closure"]),
+        closure=finite(data["closure"]),
         precision=precision,
     )
 

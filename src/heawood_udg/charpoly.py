@@ -303,10 +303,6 @@ def _variations_at_infinity(chain: Sequence[BigPoly], positive: bool) -> int:
     return _variations(signs)
 
 
-def is_squarefree(p: BigPoly) -> bool:
-    return sturm_chain(p)[-1].degree == 0
-
-
 def _squarefree_chain(p: BigPoly) -> tuple:
     """Sturm chain of ``p``, which must be nonzero and squarefree."""
     if p.is_zero():

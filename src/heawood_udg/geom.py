@@ -4,6 +4,9 @@ Provides an explicit-precision real arithmetic context (no ambient global
 precision state), 2D points, and the two-valued circle-circle intersection
 that drives the compass-and-ruler construction chain, and the sign-change
 bisection shared by the solver and the exact root refinement.
+
+Every mpmath context comes from one read-only cache keyed by binary
+precision, shared by :class:`RealContext` and the solver's LU kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec
 
 DEFAULT_DPS = 60
 
@@ -37,29 +41,31 @@ class ConcentricCircles(GeometryError):
     """The two centers coincide within tolerance; the branch is undefined."""
 
 
-# building an MPContext costs about as much as a 30-digit construction chain
+# building an MPContext costs about as much as a 30-digit construction chain;
+# callers share the context of one precision and must not change it
 @functools.lru_cache(maxsize=32)
-def _mp_context(dps: int) -> MPContext:
+def _mp_context(prec: int) -> MPContext:
     mp = MPContext()
-    mp.dps = dps
+    mp.prec = prec
     return mp
 
 
 class RealContext:
     """Real arithmetic at a fixed decimal precision.
 
-    Instances of one precision share one mpmath context, which must not be
-    mutated: ``mp.dps`` and ``mp.prec`` stay as built, so no code here calls
-    mpmath routines that change them while they run, such as ``lu_solve``.
-    Values produced under a context round-trip exactly through decimal
-    strings of ``dps`` significant digits.
+    Instances of one precision share the cached context of
+    ``dps_to_prec(dps)`` bits, whose ``dps`` is ``dps``.  It must not be
+    mutated, so no code here calls mpmath routines that change its
+    precision while they run, such as ``lu_solve``.  Values produced under
+    a context round-trip exactly through decimal strings of ``dps``
+    significant digits.
     """
 
     def __init__(self, dps: int = DEFAULT_DPS):
         if dps < 3:
             raise ValueError(f"precision must be at least 3 digits, got {dps}")
         self.dps = int(dps)
-        self.mp = _mp_context(self.dps)
+        self.mp = _mp_context(dps_to_prec(self.dps))
 
     def __repr__(self) -> str:
         return f"RealContext(dps={self.dps})"

@@ -27,7 +27,6 @@ Jacobian.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -39,6 +38,10 @@ from .chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
     FIXED_POSITIONS,
+    L1,
+    L4,
+    P1,
+    P4,
     BranchVector,
     ChainBroken,
     EmbeddingCandidate,
@@ -46,14 +49,16 @@ from .chain import (
     build_chain,
     candidate_from_coords,
     construct,
+    fixed_points,
     place_l4,
 )
-from .geom import Point2, RealContext, bisect_sign_change, distance_squared
-from .incidence import ALL_VERTICES, VertexLabel
+from .geom import Point2, RealContext, _mp_context, bisect_sign_change, distance_squared
+from .incidence import ALL_VERTICES
 
 TWO_PI = 2 * math.pi
 BISECTION_DIGITS = 30
 MIN_DIGITS = 15
+MAX_GRID_POINTS = 10 ** 7
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
 SECANT_MAX_STEPS = 12
@@ -99,8 +104,11 @@ class SolveConfig:
     min_vertex_separation: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        if self.grid_points < 1000:
-            raise ValueError(f"grid_points must be >= 1000, got {self.grid_points}")
+        # the sweep holds about 250 bytes per grid point
+        if not 1000 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must be between 1000 and {MAX_GRID_POINTS}, got {self.grid_points}"
+            )
         # below about 7 digits degenerate zeros pass the separation filter;
         # 15 is the precision of the reference tables
         if self.digits < MIN_DIGITS:
@@ -271,14 +279,9 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
 # unknowns in construction order, x before y
 VARIABLE_ORDER = tuple((v, axis) for v in DEPENDENT_VERTICES for axis in (0, 1))
 
-_L4 = VertexLabel.parse("l4")
-_P4 = VertexLabel.parse("P4")
-_P1 = VertexLabel.parse("P1")
-_L1 = VertexLabel.parse("l1")
-
 
 def _positions(ctx: RealContext, vec) -> dict:
-    pos = {v: ctx.point(x, y) for v, (x, y) in FIXED_POSITIONS.items()}
+    pos = fixed_points(ctx)
     for k in range(0, len(vec), 2):
         pos[VARIABLE_ORDER[k][0]] = Point2(vec[k], vec[k + 1])
     return pos
@@ -286,7 +289,7 @@ def _positions(ctx: RealContext, vec) -> dict:
 
 def _unit_circle_pairs():
     pairs = [(vertex, center) for vertex, ca, cb in CHAIN_STEPS for center in (ca, cb)]
-    pairs.append((_P1, _L1))
+    pairs.append((P1, L1))
     return pairs
 
 
@@ -298,8 +301,8 @@ def system_residuals(ctx: RealContext, vec: Sequence) -> list:
     """The 16 equations: spacing, the two midpoint relations, and the 13
     unit-circle constraints, evaluated at the 16-vector of unknowns."""
     pos = _positions(ctx, vec)
-    l4 = pos[_L4]
-    p4 = pos[_P4]
+    l4 = pos[L4]
+    p4 = pos[P4]
     out = [
         (l4.x - 1) ** 2 + l4.y ** 2 - 4,
         p4.x - (l4.x + 1) / 2,
@@ -314,13 +317,13 @@ def system_jacobian(ctx: RealContext, vec: Sequence) -> list:
     """Analytic Jacobian of :func:`system_residuals`: 16 sparse rows, each
     a ``{column: value}`` dict holding its non-zero entries (at most 4)."""
     pos = _positions(ctx, vec)
-    l4 = pos[_L4]
+    l4 = pos[L4]
     half = ctx.mpf(1) / 2
     one = ctx.mpf(1)
     rows = [
-        {_VAR_INDEX[(_L4, 0)]: 2 * (l4.x - 1), _VAR_INDEX[(_L4, 1)]: 2 * l4.y},
-        {_VAR_INDEX[(_P4, 0)]: one, _VAR_INDEX[(_L4, 0)]: -half},
-        {_VAR_INDEX[(_P4, 1)]: one, _VAR_INDEX[(_L4, 1)]: -half},
+        {_VAR_INDEX[(L4, 0)]: 2 * (l4.x - 1), _VAR_INDEX[(L4, 1)]: 2 * l4.y},
+        {_VAR_INDEX[(P4, 0)]: one, _VAR_INDEX[(L4, 0)]: -half},
+        {_VAR_INDEX[(P4, 1)]: one, _VAR_INDEX[(L4, 1)]: -half},
     ]
     for vertex, center in _CIRCLE_PAIRS:
         dx = 2 * (pos[vertex].x - pos[center].x)
@@ -338,21 +341,15 @@ _LU_GUARD_BITS = 10
 _SINGULAR = "matrix is numerically singular"
 
 
-@functools.lru_cache(maxsize=32)
-def _lu_context(prec: int) -> MPContext:
-    mp = MPContext()
-    mp.prec = prec
-    return mp
-
-
 def _lu_solve(rows: Sequence, rhs: Sequence, mp: MPContext) -> list:
     """Solve the sparse system ``rows`` · x = ``rhs`` bit for bit as
     mpmath 1.3.0's ``mp.lu_solve`` does.
 
     The operations of mpmath's ``LU_decomp``, ``L_solve`` and ``U_solve``
-    run one at a time at ``prec + 10`` bits in the same order, with the
-    same pivot rule (largest |A[k, j]| / row sum, first one wins) and the
-    same singularity tolerance (1-norm times epsilon).  Only products with
+    run one at a time at ``prec + 10`` bits, in the shared context of that
+    precision, in the same order, with the same pivot rule (largest
+    |A[k, j]| / row sum, first one wins) and the same singularity tolerance
+    (1-norm times epsilon).  Only products with
     a structurally zero factor are skipped: x - 0*y is exact, and exact
     sums ignore zero terms.  ``rows`` holds one ``{column: value}`` dict
     per row.  Returns x as mpf values of ``mp`` that keep the guard bits,
@@ -362,7 +359,7 @@ def _lu_solve(rows: Sequence, rhs: Sequence, mp: MPContext) -> list:
     no non-zero entry on or below the diagonal, where mpmath fails with a
     TypeError instead.
     """
-    work = _lu_context(mp.prec + _LU_GUARD_BITS)
+    work = _mp_context(mp.prec + _LU_GUARD_BITS)
     n = len(rows)
     A = [{k: work.mpf(v) for k, v in sorted(row.items()) if v} for row in rows]
     x = [work.mpf(v) for v in rhs]
@@ -428,10 +425,7 @@ def _candidate_vector(ctx: RealContext, candidate: EmbeddingCandidate) -> list:
 
 
 def newton_polish(
-    candidate: EmbeddingCandidate,
-    digits: int,
-    max_iter: int = NEWTON_MAX_ITER,
-    trace: list | None = None,
+    candidate: EmbeddingCandidate, digits: int, trace: list | None = None
 ) -> EmbeddingCandidate:
     """Newton's method at ``digits`` precision on the 16-equation system.
 
@@ -447,13 +441,13 @@ def newton_polish(
     numerically singular (a row sum or pivot at most the 1-norm times the
     epsilon of ``digits`` precision plus 10 guard bits) and
     :class:`NoConvergence` when the residual target is not met within
-    ``max_iter`` iterations.
+    ``NEWTON_MAX_ITER`` iterations.
     """
     ctx = RealContext(digits)
     vec = _candidate_vector(ctx, candidate)
     target = ctx.pow10(4 - digits)
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         residuals = system_residuals(ctx, vec)
         if max(abs(r) for r in residuals) < target:
             break
@@ -465,13 +459,8 @@ def newton_polish(
             trace.append(max(abs(s) for s in step))
         vec = [v + s for v, s in zip(vec, step)]
     else:
-        raise NoConvergence(f"no convergence after {max_iter} Newton iterations")
-
-    coords = {}
-    for k, (v, axis) in enumerate(VARIABLE_ORDER):
-        if axis == 0:
-            coords[v] = (vec[k], vec[k + 1])
-    return candidate_from_coords(coords, digits)
+        raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} Newton iterations")
+    return candidate_from_coords(_positions(ctx, vec), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -535,5 +524,5 @@ def solve_all(config: SolveConfig | None = None) -> list:
         polished.append(cand)
 
     unique = dedupe_candidates(polished, tol)
-    unique.sort(key=lambda c: (c.coords[_L4].x, c.coords[_L4].y))
+    unique.sort(key=lambda c: (c.coords[L4].x, c.coords[L4].y))
     return unique

@@ -16,15 +16,13 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .chain import EmbeddingCandidate
+from .chain import L4, P4, EmbeddingCandidate
 from .charpoly import BigPoly, sign_at
 from .geom import Point2, RealContext, distance_squared
 from .incidence import HEAWOOD_FLAGS, VertexLabel
 from .refdata import TABLE_VERTICES
 
-_L4 = VertexLabel.parse("l4")
 _L5 = VertexLabel.parse("l5")
-_P4 = VertexLabel.parse("P4")
 
 MATCH_TOL = "1e-13"  # reference rows are accurate to their 15 printed digits
 
@@ -85,9 +83,9 @@ def max_flag_residual(candidate: EmbeddingCandidate):
 def collinearity_residual(candidate: EmbeddingCandidate):
     """Worst residual of the extra restriction: l4, P4, l5 on one line with
     d(l4, l5) = 2 and P4 their midpoint."""
-    l4 = candidate.coords[_L4]
+    l4 = candidate.coords[L4]
     l5 = candidate.coords[_L5]
-    p4 = candidate.coords[_P4]
+    p4 = candidate.coords[P4]
     cross = (l4.x - l5.x) * (p4.y - l5.y) - (l4.y - l5.y) * (p4.x - l5.x)
     spacing = distance_squared(l4, l5) - 4
     mid_x = p4.x - (l4.x + l5.x) / 2
@@ -131,7 +129,7 @@ def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fracti
     """Exact rational bracket of the stated width centered at the
     candidate's x_l4; returns (lo, hi, sign_change_ok)."""
     ctx = candidate.context()
-    center = _mpf_to_fraction(ctx, candidate.coords[_L4].x)
+    center = _mpf_to_fraction(ctx, candidate.coords[L4].x)
     lo = center - width / 2
     hi = center + width / 2
     ok = sign_at(poly, lo) * sign_at(poly, hi) < 0

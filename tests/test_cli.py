@@ -52,6 +52,27 @@ def test_usage_error_exit_code(tmp_path, capsys):
         figs = tmp_path / f"figs_{scale}"
         assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
         assert not figs.exists()
+    # a non-finite coordinate or a precision that is not a JSON integer
+    # is a usage error for both commands, not a traceback or a NaN drawing
+    for name, field, value in [
+        ("inf_x", "x", "inf"),
+        ("nan_x", "x", "nan"),
+        ("inf_precision", "precision", float("inf")),
+        ("fractional_precision", "precision", 60.7),
+    ]:
+        data = json.loads(one.read_text())
+        if field == "x":
+            data[0]["vertices"]["l4"][0] = value
+        else:
+            data[0]["precision"] = value
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(data))
+        figs = tmp_path / f"figs_{name}"
+        assert run(["verify", "--json", str(bad)]) == 2, name
+        assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, name
+        assert not figs.exists()
+    # the grid bound is checked before the sweep allocates anything
+    assert run(["solve", "--grid", "10000000000"]) == 2
     capsys.readouterr()
 
 

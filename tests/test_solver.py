@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import dps_to_prec
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
 
@@ -69,6 +70,11 @@ def _bracket_around(theta: float, branch_str: str, half_width: float = 2e-4) -> 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(grid_points=999)
+    # the sweep needs about 250 bytes per grid point; building the config
+    # allocates nothing
+    with pytest.raises(ValueError, match="between 1000 and 10000000"):
+        SolveConfig(grid_points=solver.MAX_GRID_POINTS + 1)
+    assert SolveConfig(grid_points=solver.MAX_GRID_POINTS).grid_points == 10 ** 7
     # below 15 digits degenerate zeros pass the separation filter
     for digits in (14, 6, 2, 0, -1):
         with pytest.raises(ValueError, match=">= 15"):
@@ -444,9 +450,10 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
     assert _sparse_lu_solve(ctx.mp, rows, rhs) is ZeroDivisionError
 
 
-def test_newton_no_convergence_with_iteration_cap(table_seeds):
+def test_newton_no_convergence_with_iteration_cap(table_seeds, monkeypatch):
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
-        newton_polish(table_seeds[0], 60, max_iter=1)
+        newton_polish(table_seeds[0], 60)
 
 
 def _dense_lu_solve(mp, rows, rhs):
@@ -613,22 +620,28 @@ def test_deep_solve_bytes_unchanged():
 
 
 def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
-    # record every context the run asks for, with the precision it had then
+    # record every context the run asks for, keyed by bits, with the
+    # decimal precision it had then; the LU kernel looks the cache up
+    # through its own name in solver
     shared = geom._mp_context
     seen = {}
 
-    def recording(dps):
-        mp = shared(dps)
-        seen.setdefault(dps, (mp, mp.prec))
+    def recording(prec):
+        mp = shared(prec)
+        seen.setdefault(prec, (mp, mp.dps))
         return mp
 
     monkeypatch.setattr(geom, "_mp_context", recording)
+    monkeypatch.setattr(solver, "_mp_context", recording)
     found = solve_all(SolveConfig(grid_points=1000, digits=40))
     assert all(verify.certify(c, poly, tables).passes for c in found)
-    assert {30, 40} <= set(seen)
-    for dps, (mp, prec) in seen.items():
+    stages = {dps_to_prec(dps): dps for dps in (30, 40)}
+    assert all(seen[prec][1] == dps for prec, dps in stages.items())
+    # the LU kernel's contexts, 10 guard bits above each Newton stage
+    assert {prec + 10 for prec in stages} <= set(seen)
+    for prec, (mp, dps) in seen.items():
         assert (mp.dps, mp.prec) == (dps, prec)
-        assert shared(dps) is mp
+        assert shared(prec) is mp
 
 
 def test_determinism_bit_identical_runs():
