@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
-from .geom import GeometryError, Point2, RealContext
+from .geom import MAX_DIGITS, GeometryError, Point2, RealContext
 from .geom import circle_circle_intersect, distance_squared
 from .incidence import ALL_VERTICES, VertexLabel
 
@@ -249,10 +249,13 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
 
 def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
-    precision is not a JSON integer or a number is not finite."""
+    precision is not a JSON integer up to ``MAX_DIGITS`` or a number is not
+    finite."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
+    if precision > MAX_DIGITS:
+        raise ValueError(f"precision must be <= {MAX_DIGITS}, got {precision}")
     ctx = RealContext(precision)
 
     def finite(value):

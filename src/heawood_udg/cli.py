@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import charpoly, refdata, solver, verify
 from .chain import dump_candidates, load_candidates
+from .geom import MAX_DIGITS
 from .incidence import build_heawood_incidence
 from .render import SCALE, render_svg
 
@@ -65,8 +66,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if args.digits < 1:
-        raise ValueError(f"digits must be at least 1, got {args.digits}")
+    if not 1 <= args.digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be between 1 and {MAX_DIGITS}, got {args.digits}")
     poly = charpoly.charpoly_xl4()
     intervals = charpoly.isolate_real_roots(poly)
     rows = []

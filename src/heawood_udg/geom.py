@@ -6,7 +6,7 @@ that drives the compass-and-ruler construction chain, and the sign-change
 bisection shared by the solver and the exact root refinement.
 
 Every mpmath context comes from one read-only cache keyed by binary
-precision, shared by :class:`RealContext` and the solver's LU kernel.
+precision, which serves :class:`RealContext`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import dps_to_prec
 
 DEFAULT_DPS = 60
+# the largest precision a command accepts: at 10,000 digits `roots` already
+# takes about 84 s, and at 10^8 digits reading one number takes seconds
+MAX_DIGITS = 10_000
 
 
 class GeometryError(Exception):

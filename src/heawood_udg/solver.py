@@ -6,7 +6,8 @@ per branch vector: only the closure residual d(P1, l1)^2 - 1 remains.  The
 sweep scans a dense angle grid over all 64 branch vectors in hardware
 floats, bracketing sign changes; brackets are then bisected at working
 precision and polished with Newton's method on the square 16-variable
-system using the analytic Jacobian.
+system.  Its Jacobian is the linearization of the chain, so each Newton
+step is solved by walking the chain, not by a general linear solver.
 
 Degenerate zeros are real solutions of the equation set that are not graph
 embeddings: configurations where distinct vertices coincide (a constructed
@@ -18,11 +19,9 @@ circles) are not zeros at all and are rejected during bisection.
 
 The sweep domain (branch vector x angle subinterval) is embarrassingly
 parallel and all functions here are pure; the implementation is
-single-threaded.  Bisection and Newton dominate the run time, so each is
-cut short without changing a bit of its result: an Illinois-secant
-estimate of the root lets the bisection skip to its final cell, and the
-Newton step's linear solve skips the structural zeros of the sparse
-Jacobian.
+single-threaded.  Bisection dominates the mpf run time, so it is cut
+short without changing a bit of its result: an Illinois-secant estimate of
+the root lets it skip to its final cell.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
-from mpmath.ctx_mp import MPContext
 
 from .chain import (
     CHAIN_STEPS,
@@ -52,7 +50,7 @@ from .chain import (
     fixed_points,
     place_l4,
 )
-from .geom import Point2, RealContext, _mp_context, bisect_sign_change, distance_squared
+from .geom import MAX_DIGITS, Point2, RealContext, bisect_sign_change, distance_squared
 from .incidence import ALL_VERTICES
 
 TWO_PI = 2 * math.pi
@@ -113,6 +111,8 @@ class SolveConfig:
         # 15 is the precision of the reference tables
         if self.digits < MIN_DIGITS:
             raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
+        if self.digits > MAX_DIGITS:
+            raise ValueError(f"digits must be <= {MAX_DIGITS}, got {self.digits}")
 
     @property
     def precision_stages(self) -> tuple:
@@ -294,7 +294,6 @@ def _unit_circle_pairs():
 
 
 _CIRCLE_PAIRS = _unit_circle_pairs()
-_VAR_INDEX = {va: k for k, va in enumerate(VARIABLE_ORDER)}
 
 
 def system_residuals(ctx: RealContext, vec: Sequence) -> list:
@@ -313,107 +312,72 @@ def system_residuals(ctx: RealContext, vec: Sequence) -> list:
     return out
 
 
-def system_jacobian(ctx: RealContext, vec: Sequence) -> list:
-    """Analytic Jacobian of :func:`system_residuals`: 16 sparse rows, each
-    a ``{column: value}`` dict holding its non-zero entries (at most 4)."""
-    pos = _positions(ctx, vec)
-    l4 = pos[L4]
-    half = ctx.mpf(1) / 2
-    one = ctx.mpf(1)
-    rows = [
-        {_VAR_INDEX[(L4, 0)]: 2 * (l4.x - 1), _VAR_INDEX[(L4, 1)]: 2 * l4.y},
-        {_VAR_INDEX[(P4, 0)]: one, _VAR_INDEX[(L4, 0)]: -half},
-        {_VAR_INDEX[(P4, 1)]: one, _VAR_INDEX[(L4, 1)]: -half},
-    ]
-    for vertex, center in _CIRCLE_PAIRS:
-        dx = 2 * (pos[vertex].x - pos[center].x)
-        dy = 2 * (pos[vertex].y - pos[center].y)
-        row = {_VAR_INDEX[(vertex, 0)]: dx, _VAR_INDEX[(vertex, 1)]: dy}
-        if (center, 0) in _VAR_INDEX:
-            row[_VAR_INDEX[(center, 0)]] = -dx
-            row[_VAR_INDEX[(center, 1)]] = -dy
-        rows.append(row)
-    return rows
+def _dot(u: Point2, v: Point2):
+    return u.x * v.x + u.y * v.y
 
 
-# mpmath's lu_solve works at 10 bits above the caller's precision
-_LU_GUARD_BITS = 10
-_SINGULAR = "matrix is numerically singular"
+def _norm1(u: Point2):
+    return abs(u.x) + abs(u.y)
 
 
-def _lu_solve(rows: Sequence, rhs: Sequence, mp: MPContext) -> list:
-    """Solve the sparse system ``rows`` · x = ``rhs`` bit for bit as
-    mpmath 1.3.0's ``mp.lu_solve`` does.
+def _gradient(u: Point2, v: Point2) -> Point2:
+    """The gradient of |u - v|² with respect to u."""
+    return Point2(2 * (u.x - v.x), 2 * (u.y - v.y))
 
-    The operations of mpmath's ``LU_decomp``, ``L_solve`` and ``U_solve``
-    run one at a time at ``prec + 10`` bits, in the shared context of that
-    precision, in the same order, with the same pivot rule (largest
-    |A[k, j]| / row sum, first one wins) and the same singularity tolerance
-    (1-norm times epsilon).  Only products with
-    a structurally zero factor are skipped: x - 0*y is exact, and exact
-    sums ignore zero terms.  ``rows`` holds one ``{column: value}`` dict
-    per row.  Returns x as mpf values of ``mp`` that keep the guard bits,
-    as mpmath's do.
 
-    Raises ZeroDivisionError where mpmath does, and also when a column has
-    no non-zero entry on or below the diagonal, where mpmath fails with a
-    TypeError instead.
+def _chain_step(ctx: RealContext, vec: Sequence, residuals: Sequence) -> list:
+    """Newton's step: solve J·δ = −``residuals`` for the Jacobian J of
+    :func:`system_residuals` at ``vec`` by walking the construction chain.
+
+    J is block lower-triangular in construction order except for the
+    spacing row and the closure row.  The spacing row leaves l4 one free
+    direction: l4 moves by p + t·n, where p = −r·g/|g|² satisfies the row
+    with gradient g and n = (−g_y, g_x) leaves it unchanged.  P4 follows
+    from the midpoint rows and each chain vertex from a 2×2 Cramer solve of
+    its two circle rows, given how its centres move; this is carried once
+    for p, with the residuals, and once for n, homogeneous.  The closure
+    row then fixes t.
+
+    Raises ZeroDivisionError when a vertex's determinant, or the closure
+    row's coefficient of t, is at most ``eps`` times the product of the
+    1-norms of the two vectors it is formed from.
     """
-    work = _mp_context(mp.prec + _LU_GUARD_BITS)
-    n = len(rows)
-    A = [{k: work.mpf(v) for k, v in sorted(row.items()) if v} for row in rows]
-    x = [work.mpf(v) for v in rhs]
-    columns = [[] for _ in range(n)]
-    for row in A:
-        for k, v in row.items():
-            columns[k].append(v)
-    tol = abs(max(work.fsum(c, absolute=True) for c in columns) * work.eps)
-
-    pivots = []
-    for j in range(n - 1):
-        biggest = 0
-        p = None
-        for k in range(j, n):
-            s = work.fsum([v for c, v in A[k].items() if c >= j], absolute=True)
-            if s <= tol:
-                raise ZeroDivisionError(_SINGULAR)
-            if j in A[k]:
-                current = 1 / s * abs(A[k][j])
-                if current > biggest:
-                    biggest = current
-                    p = k
-        if p is None:
-            raise ZeroDivisionError(_SINGULAR)
-        A[j], A[p] = A[p], A[j]
-        pivots.append(p)
-        pivot_row = A[j]
-        pivot = pivot_row[j]
-        if abs(pivot) <= tol:
-            raise ZeroDivisionError(_SINGULAR)
-        upper = [(k, v) for k, v in pivot_row.items() if k > j]
-        for i in range(j + 1, n):
-            row = A[i]
-            if j not in row:
-                continue
-            factor = row[j] = row[j] / pivot
-            for k, v in upper:
-                row[k] = row[k] - factor * v if k in row else -(factor * v)
-            A[i] = dict(sorted(row.items()))
-    if abs(A[n - 1].get(n - 1, 0)) <= tol:
-        raise ZeroDivisionError(_SINGULAR)
-
-    for k, p in enumerate(pivots):
-        x[k], x[p] = x[p], x[k]
-    for i in range(1, n):
-        for j, v in A[i].items():
-            if j < i:
-                x[i] = x[i] - v * x[j]
-    for i in range(n - 1, -1, -1):
-        for j, v in A[i].items():
-            if j > i:
-                x[i] = x[i] - v * x[j]
-        x[i] = x[i] / A[i][i]
-    return [mp.make_mpf(v._mpf_) for v in x]
+    pos = _positions(ctx, vec)
+    eps = ctx.mp.eps
+    rows = iter(residuals)
+    l4 = pos[L4]
+    g = Point2(2 * (l4.x - 1), 2 * l4.y)
+    s = -next(rows) / _dot(g, g)
+    # how each vertex moves along p and along n; pinned vertices stay put
+    p = dict.fromkeys(FIXED_POSITIONS, Point2(0, 0))
+    n = dict(p)
+    p[L4] = Point2(s * g.x, s * g.y)
+    n[L4] = Point2(-g.y, g.x)
+    p[P4] = Point2(p[L4].x / 2 - next(rows), p[L4].y / 2 - next(rows))
+    n[P4] = Point2(n[L4].x / 2, n[L4].y / 2)
+    for vertex, ca, cb in CHAIN_STEPS:
+        a = _gradient(pos[vertex], pos[ca])
+        b = _gradient(pos[vertex], pos[cb])
+        det = a.x * b.y - a.y * b.x
+        if abs(det) <= eps * _norm1(a) * _norm1(b):
+            raise ZeroDivisionError(f"the circle rows of {vertex} are parallel")
+        r_a, r_b = next(rows), next(rows)
+        for move, f_a, f_b in ((p, -r_a, -r_b), (n, 0, 0)):
+            # a·(dq − d(ca)) = f_a and b·(dq − d(cb)) = f_b
+            e_a = f_a + _dot(a, move[ca])
+            e_b = f_b + _dot(b, move[cb])
+            move[vertex] = Point2((e_a * b.y - e_b * a.y) / det, (a.x * e_b - b.x * e_a) / det)
+    c = _gradient(pos[P1], pos[L1])
+    dn = Point2(n[P1].x - n[L1].x, n[P1].y - n[L1].y)
+    coef = _dot(c, dn)
+    if abs(coef) <= eps * _norm1(c) * _norm1(dn):
+        raise ZeroDivisionError("the closure row does not fix the free direction")
+    t = (-next(rows) - _dot(c, Point2(p[P1].x - p[L1].x, p[P1].y - p[L1].y))) / coef
+    return [
+        value
+        for v in DEPENDENT_VERTICES
+        for value in (p[v].x + t * n[v].x, p[v].y + t * n[v].y)
+    ]
 
 
 def _candidate_vector(ctx: RealContext, candidate: EmbeddingCandidate) -> list:
@@ -435,13 +399,12 @@ def newton_polish(
     norms of the Newton steps are appended to it, giving the quadratic
     convergence record.
 
-    Each step solves the sparse Jacobian system with ``_lu_solve``, which
-    gives mpmath's ``lu_solve`` result bit for bit.  Raises
-    :class:`SingularJacobian` when its pivot test finds the Jacobian
-    numerically singular (a row sum or pivot at most the 1-norm times the
-    epsilon of ``digits`` precision plus 10 guard bits) and
-    :class:`NoConvergence` when the residual target is not met within
-    ``NEWTON_MAX_ITER`` iterations.
+    Each step is solved along the construction chain by ``_chain_step``.
+    Raises :class:`SingularJacobian` when that walk finds the Jacobian
+    numerically singular (a vertex whose two circle rows are parallel, or
+    a closure row that does not fix l4's free direction, to within the
+    epsilon of ``digits`` precision) and :class:`NoConvergence` when the
+    residual target is not met within ``NEWTON_MAX_ITER`` iterations.
     """
     ctx = RealContext(digits)
     vec = _candidate_vector(ctx, candidate)
@@ -452,7 +415,7 @@ def newton_polish(
         if max(abs(r) for r in residuals) < target:
             break
         try:
-            step = _lu_solve(system_jacobian(ctx, vec), [-r for r in residuals], ctx.mp)
+            step = _chain_step(ctx, vec, residuals)
         except ZeroDivisionError as exc:
             raise SingularJacobian(f"Jacobian is numerically singular: {exc}") from exc
         if trace is not None:

@@ -1,5 +1,6 @@
 """The constraint system written out as equations, for tests that check
-the construction chain against the incidence structure.
+the construction chain against the incidence structure, and its analytic
+Jacobian, the oracle for the solver's Newton step.
 
 Each entry names the unit-distance flags its equation pins, so the union
 over all entries can be compared with the 21 flags of the Heawood graph.
@@ -8,11 +9,12 @@ over all entries can be compared with the 21 flags of the Heawood graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
-from heawood_udg.chain import CHAIN_STEPS, RECTANGLE_CYCLE, EmbeddingCandidate
-from heawood_udg.geom import distance_squared
+from heawood_udg.chain import CHAIN_STEPS, L4, P4, RECTANGLE_CYCLE, EmbeddingCandidate
+from heawood_udg.geom import RealContext, distance_squared
 from heawood_udg.incidence import VertexLabel
+from heawood_udg.solver import _CIRCLE_PAIRS, VARIABLE_ORDER, _positions
 
 
 @dataclass(frozen=True)
@@ -62,3 +64,30 @@ def registry_flags() -> frozenset:
 def closure_residual(candidate: EmbeddingCandidate) -> Any:
     """The leftover unit-distance constraint d(P1, l1)^2 - 1."""
     return distance_squared(candidate["P1"], candidate["l1"]) - 1
+
+
+_VAR_INDEX = {va: k for k, va in enumerate(VARIABLE_ORDER)}
+
+
+def system_jacobian(ctx: RealContext, vec: Sequence) -> list:
+    """Analytic Jacobian of :func:`heawood_udg.solver.system_residuals`: 16
+    sparse rows, each a ``{column: value}`` dict holding its non-zero
+    entries (at most 4)."""
+    pos = _positions(ctx, vec)
+    l4 = pos[L4]
+    half = ctx.mpf(1) / 2
+    one = ctx.mpf(1)
+    rows = [
+        {_VAR_INDEX[(L4, 0)]: 2 * (l4.x - 1), _VAR_INDEX[(L4, 1)]: 2 * l4.y},
+        {_VAR_INDEX[(P4, 0)]: one, _VAR_INDEX[(L4, 0)]: -half},
+        {_VAR_INDEX[(P4, 1)]: one, _VAR_INDEX[(L4, 1)]: -half},
+    ]
+    for vertex, center in _CIRCLE_PAIRS:
+        dx = 2 * (pos[vertex].x - pos[center].x)
+        dy = 2 * (pos[vertex].y - pos[center].y)
+        row = {_VAR_INDEX[(vertex, 0)]: dx, _VAR_INDEX[(vertex, 1)]: dy}
+        if (center, 0) in _VAR_INDEX:
+            row[_VAR_INDEX[(center, 0)]] = -dx
+            row[_VAR_INDEX[(center, 1)]] = -dy
+        rows.append(row)
+    return rows

@@ -3,8 +3,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from heawood_udg import charpoly, cli, solver, verify
 from heawood_udg.chain import BranchVector, build_chain, dump_candidates, load_candidates
 from heawood_udg.cli import run
+from heawood_udg.geom import MAX_DIGITS
 
 BENCHMARK_ROOTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "roots60.json"
 
@@ -74,6 +78,42 @@ def test_usage_error_exit_code(tmp_path, capsys):
     # the grid bound is checked before the sweep allocates anything
     assert run(["solve", "--grid", "10000000000"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["roots", "solve", "verify", "render"])
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 10 ** 8])
+def test_precision_above_max_digits_is_a_usage_error(command, digits, tmp_path, monkeypatch, capsys):
+    # the bound is checked before any work at that precision: the stage
+    # that would run next fails the test instead of running for minutes
+    def past_the_check(*args, **kwargs):
+        raise AssertionError("ran past the precision check")
+
+    monkeypatch.setattr(charpoly, "isolate_real_roots", past_the_check)
+    monkeypatch.setattr(solver, "sweep", past_the_check)
+    monkeypatch.setattr(verify, "certify", past_the_check)
+    monkeypatch.setattr(cli, "render_svg", past_the_check)
+    # integer coordinates read fast at any precision
+    data = json.loads(dump_candidates([build_chain("2.5", BranchVector.from_string("000000"), 30)]))
+    data[0].update(precision=digits, theta="2", closure="0")
+    data[0]["vertices"] = {name: ["0", "1"] for name in data[0]["vertices"]}
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data))
+    figs = tmp_path / "figs"
+    argv = {
+        "roots": ["roots", "--digits", str(digits)],
+        "solve": ["solve", "--digits", str(digits), "--grid", "1000"],
+        "verify": ["verify", "--json", str(huge)],
+        "render": ["render", "--json", str(huge), "--svg", str(figs)],
+    }[command]
+    try:
+        status = run(argv)
+    except AssertionError:
+        # without pytrace the report does not print the stage's arguments,
+        # whose 10^8-digit numbers would take minutes to format
+        pytest.fail("ran past the precision check", pytrace=False)
+    assert status == 2
+    assert str(MAX_DIGITS) in capsys.readouterr().err
+    assert not figs.exists()
 
 
 def test_solve_writes_json_and_svg(tmp_path, capsys):

@@ -14,6 +14,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import dps_to_prec
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
+from equations import system_jacobian
 
 from heawood_udg import geom, solver, verify
 from heawood_udg.chain import (
@@ -34,7 +35,6 @@ from heawood_udg.solver import (
     SolveConfig,
     TWO_PI,
     _cci_grid,
-    _lu_solve,
     closure_grid,
     dedupe_candidates,
     min_vertex_separation,
@@ -42,7 +42,6 @@ from heawood_udg.solver import (
     refine_bracket,
     solve_all,
     sweep,
-    system_jacobian,
     system_residuals,
 )
 
@@ -79,6 +78,11 @@ def test_config_validation():
     for digits in (14, 6, 2, 0, -1):
         with pytest.raises(ValueError, match=">= 15"):
             SolveConfig(digits=digits)
+    # past MAX_DIGITS a solve runs for hours; building the config is cheap
+    for digits in (solver.MAX_DIGITS + 1, 10 ** 8):
+        with pytest.raises(ValueError, match="<= 10000"):
+            SolveConfig(digits=digits)
+    assert SolveConfig(digits=solver.MAX_DIGITS).digits == 10_000
     assert SolveConfig(digits=15).precision_stages == (15,)
     assert SolveConfig(digits=20).precision_stages == (20,)
     assert SolveConfig(digits=300).precision_stages == (30, 300)
@@ -444,10 +448,27 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
     # mpmath's dense solve gives up on the same Jacobian
     ctx = RealContext(60)
     vec = solver._candidate_vector(ctx, broken)
-    rows = system_jacobian(ctx, vec)
-    rhs = [-r for r in system_residuals(ctx, vec)]
-    assert _dense_lu_solve(ctx.mp, rows, rhs) is ZeroDivisionError
-    assert _sparse_lu_solve(ctx.mp, rows, rhs) is ZeroDivisionError
+    residuals = system_residuals(ctx, vec)
+    rhs = [-r for r in residuals]
+    assert _dense_lu_solve(ctx, system_jacobian(ctx, vec), rhs) is ZeroDivisionError
+    with pytest.raises(ZeroDivisionError):
+        solver._chain_step(ctx, vec, residuals)
+
+
+def test_newton_singular_jacobian_when_p3_lies_on_its_centre_line(solutions):
+    # P3 on the line through l3 and l4: its two circle rows are parallel.
+    # Dyadic l4 and P3 make them parallel exactly, not just to rounding.
+    l4 = solutions[0]["l4"]
+    l4 = (Fraction(round(l4.x * 2 ** 20), 2 ** 20), Fraction(round(l4.y * 2 ** 20), 2 ** 20))
+    coords = {str(v): (p.x, p.y) for v, p in solutions[0].coords.items()}
+    coords["l4"] = tuple(float(c) for c in l4)
+    coords["P3"] = (float(2 * l4[0]), float(2 * l4[1] - 1))  # l3 + 2 (l4 - l3)
+    broken = candidate_from_coords(
+        {k: v for k, v in coords.items() if k not in ("P5", "P2", "P7", "l3", "l5", "l7")},
+        60,
+    )
+    with pytest.raises(SingularJacobian, match="P3"):
+        newton_polish(broken, 60)
 
 
 def test_newton_no_convergence_with_iteration_cap(table_seeds, monkeypatch):
@@ -456,9 +477,13 @@ def test_newton_no_convergence_with_iteration_cap(table_seeds, monkeypatch):
         newton_polish(table_seeds[0], 60)
 
 
-def _dense_lu_solve(mp, rows, rhs):
-    """mpmath's own dense solve of the sparse rows, the reference for
-    ``_lu_solve``: the raw mpf tuples, or the exception type it raises."""
+def _dense_lu_solve(ctx, rows, rhs):
+    """mpmath's dense ``lu_solve`` of the sparse rows, the reference for
+    the chain step: the solution, or ZeroDivisionError when mpmath finds
+    the matrix singular.  It runs in a private context because ``lu_solve``
+    changes its context's precision while it runs."""
+    mp = MPContext()
+    mp.prec = ctx.mp.prec
     A = mp.zeros(len(rows), len(rows))
     for i, row in enumerate(rows):
         for k, v in row.items():
@@ -467,83 +492,23 @@ def _dense_lu_solve(mp, rows, rhs):
         x = mp.lu_solve(A, mp.matrix(list(rhs)))
     except ZeroDivisionError:
         return ZeroDivisionError
-    except TypeError:
-        # a column with no pivot; the kernel raises ZeroDivisionError there
-        # (test_lu_solve_rejects_a_column_without_pivot)
-        return ZeroDivisionError
-    return [x[k]._mpf_ for k in range(len(rhs))]
-
-
-def _sparse_lu_solve(mp, rows, rhs):
-    try:
-        return [v._mpf_ for v in _lu_solve(rows, rhs, mp)]
-    except ZeroDivisionError:
-        return ZeroDivisionError
-
-
-def _random_rows(ctx, rng, pattern):
-    # values spread over a few binades, none dyadic, so rounding shows
-    return [
-        {k: ctx.mpf(rng.uniform(-2, 2)) / rng.choice((3, 7, 11)) for k in sorted(cols)}
-        for cols in pattern
-    ]
+    return [ctx.mpf(x[k]) for k in range(len(rhs))]
 
 
 @pytest.mark.parametrize("digits", [30, 60, 300])
-def test_lu_solve_equals_mpmath_bit_for_bit(solutions, digits):
+def test_chain_step_agrees_with_mpmath(solutions, digits):
     ctx = RealContext(digits)
     rng = random.Random(digits)
     for cand in solutions:
-        vec = solver._candidate_vector(ctx, cand)
-        rows = system_jacobian(ctx, vec)
-        rhs = [ctx.mpf(rng.uniform(-1, 1)) / 3 for _ in range(16)]
-        expected = _dense_lu_solve(ctx.mp, rows, rhs)
-        assert expected is not ZeroDivisionError
-        assert _sparse_lu_solve(ctx.mp, rows, rhs) == expected
-        # random values in the Jacobian's sparsity pattern
-        pattern = [set(row) for row in rows]
-        for _ in range(3):
-            rows = _random_rows(ctx, rng, pattern)
-            assert _sparse_lu_solve(ctx.mp, rows, rhs) == _dense_lu_solve(ctx.mp, rows, rhs)
-
-
-def test_lu_solve_equals_mpmath_on_dense_and_singular_matrices():
-    ctx = RealContext(30)
-    rng = random.Random(7)
-    results = []
-    for n in (2, 3, 5, 8, 16):
-        for _ in range(6):
-            rows = _random_rows(ctx, rng, [range(n)] * n)
-            rhs = [ctx.mpf(rng.uniform(-1, 1)) / 3 for _ in range(n)]
-            results.append((rows, rhs))
-            # small integer entries tie in the pivot search and are often
-            # singular, exactly or to within the tolerance
-            ties = [{k: ctx.mpf(rng.randint(-2, 2)) / 3 for k in range(n)} for _ in range(n)]
-            results.append((ties, rhs))
-            # the last row a rounded multiple of the first: singular, with
-            # a last pivot that is zero or below the tolerance
-            for matrix in (rows, ties):
-                scaled = matrix[:-1] + [{k: v * 5 / 7 for k, v in matrix[0].items()}]
-                results.append((scaled, rhs))
-    # a pivot column far below the tolerance while every row sum is large
-    tiny = ctx.pow10(-40)
-    results.append(([{0: tiny, 1: ctx.mpf(1)}, {0: 2 * tiny, 1: ctx.mpf(1)}], [ctx.mpf(1), ctx.mpf(2)]))
-    singular = 0
-    for rows, rhs in results:
-        expected = _dense_lu_solve(ctx.mp, rows, rhs)
-        singular += expected is ZeroDivisionError
-        assert _sparse_lu_solve(ctx.mp, rows, rhs) == expected
-    # both outcomes are exercised: a solution and a singular matrix
-    assert 5 <= singular < len(results) - 5
-
-
-def test_lu_solve_rejects_a_column_without_pivot():
-    # mpmath fails here with a TypeError (no pivot row is chosen); the
-    # kernel reports the singular matrix instead
-    ctx = RealContext(30)
-    rows = [{1: ctx.mpf(1)}, {1: ctx.mpf(2)}]
-    with pytest.raises(ZeroDivisionError):
-        _lu_solve(rows, [ctx.mpf(1), ctx.mpf(1)], ctx.mp)
+        exact = solver._candidate_vector(ctx, cand)
+        for size in ("1e-3", "1e-10", "1e-25"):
+            vec = [v + ctx.mpf(size) * rng.uniform(-1, 1) for v in exact]
+            residuals = system_residuals(ctx, vec)
+            step = solver._chain_step(ctx, vec, residuals)
+            ref = _dense_lu_solve(ctx, system_jacobian(ctx, vec), [-r for r in residuals])
+            assert ref is not ZeroDivisionError
+            bound = ctx.pow10(4 - digits) * max(abs(r) for r in ref)
+            assert max(abs(a - b) for a, b in zip(step, ref)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +586,7 @@ def test_deep_solve_bytes_unchanged():
 
 def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
     # record every context the run asks for, keyed by bits, with the
-    # decimal precision it had then; the LU kernel looks the cache up
-    # through its own name in solver
+    # decimal precision it had then
     shared = geom._mp_context
     seen = {}
 
@@ -632,13 +596,12 @@ def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
         return mp
 
     monkeypatch.setattr(geom, "_mp_context", recording)
-    monkeypatch.setattr(solver, "_mp_context", recording)
     found = solve_all(SolveConfig(grid_points=1000, digits=40))
     assert all(verify.certify(c, poly, tables).passes for c in found)
     stages = {dps_to_prec(dps): dps for dps in (30, 40)}
     assert all(seen[prec][1] == dps for prec, dps in stages.items())
-    # the LU kernel's contexts, 10 guard bits above each Newton stage
-    assert {prec + 10 for prec in stages} <= set(seen)
+    # the two stages are the only contexts the run asks for
+    assert set(seen) == set(stages)
     for prec, (mp, dps) in seen.items():
         assert (mp.dps, mp.prec) == (dps, prec)
         assert shared(prec) is mp
@@ -659,7 +622,7 @@ def test_low_precision_stage_gives_same_solutions(solutions):
 
 
 def test_default_solve_work(monkeypatch):
-    # the secant estimate and the sparse kernel are what keep the default
+    # the secant estimate and the chain step are what keep the default
     # solve fast: few chain evaluations and no dense mpmath solve
     counts = {"build_chain": 0, "brackets": 0, "lost": 0, "degenerate": 0}
 
