@@ -19,6 +19,9 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import dps_to_prec
 
 DEFAULT_DPS = 60
+# the smallest precision of a solve or a passing certificate: the 15 printed
+# digits of the reference tables
+MIN_DIGITS = 15
 # the largest precision a command accepts: at 10,000 digits `roots` already
 # takes about 84 s, and at 10^8 digits reading one number takes seconds
 MAX_DIGITS = 10_000
@@ -58,9 +61,9 @@ class RealContext:
 
     Instances of one precision share the cached context of
     ``dps_to_prec(dps)`` bits, whose ``dps`` is ``dps``.  It must not be
-    mutated, so no code here calls mpmath routines that change its
-    precision while they run, such as ``lu_solve``.  Values produced under
-    a context round-trip exactly through decimal strings of ``dps``
+    mutated, so nothing may set its precision or call on it an mpmath
+    routine that changes the precision while it runs.  Values produced
+    under a context round-trip exactly through decimal strings of ``dps``
     significant digits.
     """
 

@@ -4,10 +4,12 @@ The construction chain makes every dependent vertex an explicit function of
 the angle parameter and the branch bits, so root finding is one-dimensional
 per branch vector: only the closure residual d(P1, l1)^2 - 1 remains.  The
 sweep scans a dense angle grid over all 64 branch vectors in hardware
-floats, bracketing sign changes; brackets are then bisected at working
-precision and polished with Newton's method on the square 16-variable
-system.  Its Jacobian is the linearization of the chain, so each Newton
-step is solved by walking the chain, not by a general linear solver.
+floats, bracketing sign changes; brackets are then bisected at 30 digits
+and polished with Newton's method on the square 16-equation system in the
+positions of the eight dependent vertices, at 30 digits and then at the
+requested precision.  The Jacobian is the linearization of the chain, so
+each Newton step is solved by walking the chain, not by a general linear
+solver.
 
 Degenerate zeros are real solutions of the equation set that are not graph
 embeddings: configurations where distinct vertices coincide (a constructed
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -50,12 +52,11 @@ from .chain import (
     fixed_points,
     place_l4,
 )
-from .geom import MAX_DIGITS, Point2, RealContext, bisect_sign_change, distance_squared
+from .geom import MAX_DIGITS, MIN_DIGITS, Point2, RealContext, bisect_sign_change, distance_squared
 from .incidence import ALL_VERTICES
 
 TWO_PI = 2 * math.pi
 BISECTION_DIGITS = 30
-MIN_DIGITS = 15
 MAX_GRID_POINTS = 10 ** 7
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
@@ -96,6 +97,14 @@ class Bracket:
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Sweep grid and output precision of :func:`solve_all`.
+
+    Bisection, the separation filter and a first Newton pass always run at
+    ``BISECTION_DIGITS``; ``digits``, from ``MIN_DIGITS`` (the precision of
+    the reference tables) to ``MAX_DIGITS``, is the precision of the last
+    Newton pass and of the output.
+    """
+
     grid_points: int = 20000
     digits: int = 60
     # vertices closer than this mark a degenerate zero, not an embedding
@@ -107,18 +116,10 @@ class SolveConfig:
             raise ValueError(
                 f"grid_points must be between 1000 and {MAX_GRID_POINTS}, got {self.grid_points}"
             )
-        # below about 7 digits degenerate zeros pass the separation filter;
-        # 15 is the precision of the reference tables
         if self.digits < MIN_DIGITS:
             raise ValueError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
         if self.digits > MAX_DIGITS:
             raise ValueError(f"digits must be <= {MAX_DIGITS}, got {self.digits}")
-
-    @property
-    def precision_stages(self) -> tuple:
-        """Bisection and a first Newton pass at 30 digits, then Newton at
-        ``digits``; a single stage when ``digits`` is 30 or fewer."""
-        return (BISECTION_DIGITS, self.digits) if self.digits > BISECTION_DIGITS else (self.digits,)
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +275,16 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Newton polish on the square 16-variable system
+# Newton polish on the square 16-equation system
 
-# unknowns in construction order, x before y
-VARIABLE_ORDER = tuple((v, axis) for v in DEPENDENT_VERTICES for axis in (0, 1))
-
-
-def _positions(ctx: RealContext, vec) -> dict:
-    pos = fixed_points(ctx)
-    for k in range(0, len(vec), 2):
-        pos[VARIABLE_ORDER[k][0]] = Point2(vec[k], vec[k + 1])
-    return pos
+# (vertex, centre) of each unit-circle equation: the chain's circle rows in
+# construction order, then the closure row
+_CIRCLE_PAIRS = tuple((vertex, center) for vertex, ca, cb in CHAIN_STEPS for center in (ca, cb)) + ((P1, L1),)
 
 
-def _unit_circle_pairs():
-    pairs = [(vertex, center) for vertex, ca, cb in CHAIN_STEPS for center in (ca, cb)]
-    pairs.append((P1, L1))
-    return pairs
-
-
-_CIRCLE_PAIRS = _unit_circle_pairs()
-
-
-def system_residuals(ctx: RealContext, vec: Sequence) -> list:
+def system_residuals(pos: Mapping) -> list:
     """The 16 equations: spacing, the two midpoint relations, and the 13
-    unit-circle constraints, evaluated at the 16-vector of unknowns."""
-    pos = _positions(ctx, vec)
+    unit-circle constraints, evaluated at the vertex positions ``pos``."""
     l4 = pos[L4]
     p4 = pos[P4]
     out = [
@@ -325,9 +310,11 @@ def _gradient(u: Point2, v: Point2) -> Point2:
     return Point2(2 * (u.x - v.x), 2 * (u.y - v.y))
 
 
-def _chain_step(ctx: RealContext, vec: Sequence, residuals: Sequence) -> list:
+def _chain_step(ctx: RealContext, pos: Mapping, residuals: Sequence) -> dict:
     """Newton's step: solve J·δ = −``residuals`` for the Jacobian J of
-    :func:`system_residuals` at ``vec`` by walking the construction chain.
+    :func:`system_residuals` at the positions ``pos`` by walking the
+    construction chain.  Returns each dependent vertex's move as a
+    :class:`Point2`.
 
     J is block lower-triangular in construction order except for the
     spacing row and the closure row.  The spacing row leaves l4 one free
@@ -342,7 +329,6 @@ def _chain_step(ctx: RealContext, vec: Sequence, residuals: Sequence) -> list:
     row's coefficient of t, is at most ``eps`` times the product of the
     1-norms of the two vectors it is formed from.
     """
-    pos = _positions(ctx, vec)
     eps = ctx.mp.eps
     rows = iter(residuals)
     l4 = pos[L4]
@@ -373,31 +359,22 @@ def _chain_step(ctx: RealContext, vec: Sequence, residuals: Sequence) -> list:
     if abs(coef) <= eps * _norm1(c) * _norm1(dn):
         raise ZeroDivisionError("the closure row does not fix the free direction")
     t = (-next(rows) - _dot(c, Point2(p[P1].x - p[L1].x, p[P1].y - p[L1].y))) / coef
-    return [
-        value
-        for v in DEPENDENT_VERTICES
-        for value in (p[v].x + t * n[v].x, p[v].y + t * n[v].y)
-    ]
-
-
-def _candidate_vector(ctx: RealContext, candidate: EmbeddingCandidate) -> list:
-    vec = []
-    for v, axis in VARIABLE_ORDER:
-        p = candidate.coords[v]
-        vec.append(ctx.mpf(p.x if axis == 0 else p.y))
-    return vec
+    return {v: Point2(p[v].x + t * n[v].x, p[v].y + t * n[v].y) for v in DEPENDENT_VERTICES}
 
 
 def newton_polish(
     candidate: EmbeddingCandidate, digits: int, trace: list | None = None
 ) -> EmbeddingCandidate:
-    """Newton's method at ``digits`` precision on the 16-equation system.
+    """Newton's method at ``digits`` precision on the 16-equation system,
+    in the positions of the eight dependent vertices.
 
-    Iterates until the maximum equation residual drops below
-    10^(4 - digits).  Expects a seed already near a solution (closure
-    residual well below 1e-10).  When ``trace`` is a list, the infinity
-    norms of the Newton steps are appended to it, giving the quadratic
-    convergence record.
+    Starts from the pinned rectangle and the candidate's dependent
+    vertices rounded to ``digits``, and iterates until the maximum
+    equation residual drops below 10^(4 - digits); a seed already that
+    close is only rounded.  Expects a seed near a solution (closure
+    residual well below 1e-10).  When ``trace`` is a list, the largest
+    coordinate move of each Newton step is appended to it, giving the
+    quadratic convergence record.
 
     Each step is solved along the construction chain by ``_chain_step``.
     Raises :class:`SingularJacobian` when that walk finds the Jacobian
@@ -407,23 +384,26 @@ def newton_polish(
     residual target is not met within ``NEWTON_MAX_ITER`` iterations.
     """
     ctx = RealContext(digits)
-    vec = _candidate_vector(ctx, candidate)
+    pos = fixed_points(ctx)
+    for v in DEPENDENT_VERTICES:
+        pos[v] = ctx.point(*candidate.coords[v])
     target = ctx.pow10(4 - digits)
 
     for _ in range(NEWTON_MAX_ITER):
-        residuals = system_residuals(ctx, vec)
+        residuals = system_residuals(pos)
         if max(abs(r) for r in residuals) < target:
             break
         try:
-            step = _chain_step(ctx, vec, residuals)
+            step = _chain_step(ctx, pos, residuals)
         except ZeroDivisionError as exc:
             raise SingularJacobian(f"Jacobian is numerically singular: {exc}") from exc
         if trace is not None:
-            trace.append(max(abs(s) for s in step))
-        vec = [v + s for v, s in zip(vec, step)]
+            trace.append(max(max(abs(d.x), abs(d.y)) for d in step.values()))
+        for v, d in step.items():
+            pos[v] = Point2(pos[v].x + d.x, pos[v].y + d.y)
     else:
         raise NoConvergence(f"no convergence after {NEWTON_MAX_ITER} Newton iterations")
-    return candidate_from_coords(_positions(ctx, vec), digits)
+    return candidate_from_coords(pos, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -463,26 +443,27 @@ def dedupe_candidates(candidates: Sequence[EmbeddingCandidate], tol) -> list:
 
 
 def solve_all(config: SolveConfig | None = None) -> list:
-    """All real embeddings at the final precision stage, sorted by the
-    coordinates of l4; expected cardinality is eleven.
+    """All real embeddings at ``config.digits``, sorted by the coordinates
+    of l4; expected cardinality is eleven.
 
-    Pipeline: float sweep -> bisection refinement at the first precision
-    stage -> degeneracy filter -> Newton polish through the remaining
-    stages -> coordinate-wise dedupe -> sort.
+    Pipeline: float sweep -> bisection refinement at ``BISECTION_DIGITS``
+    -> degeneracy filter -> Newton polish at ``BISECTION_DIGITS`` and then
+    at ``config.digits`` -> coordinate-wise dedupe -> sort.  Below
+    ``BISECTION_DIGITS`` the second Newton pass takes no step; it only
+    rounds the 30-digit solution.
     """
     config = config or SolveConfig()
-    stage0 = config.precision_stages[0]
     tol = RealContext(config.digits).mpf(DEDUPE_TOL)
 
     polished = []
     for bracket in sweep(config):
         try:
-            cand = refine_bracket(bracket, stage0)
+            cand = refine_bracket(bracket, BISECTION_DIGITS)
         except LostBracket:
             continue
         if min_vertex_separation(cand) < config.min_vertex_separation:
             continue  # coincident vertices: a degenerate zero, not an embedding
-        for digits in config.precision_stages:
+        for digits in (BISECTION_DIGITS, config.digits):
             cand = newton_polish(cand, digits)
         polished.append(cand)
 

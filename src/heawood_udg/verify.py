@@ -5,8 +5,10 @@ alone, so certification does not depend on how the candidate was produced.
 A certificate records the worst unit-distance (flag) residual, the residual
 of the collinearity restriction on l4, P4, l5, an exact-arithmetic sign
 change of the coordinate polynomial across a tight rational bracket around
-x_l4, the regularity margin (no vertex may lie on a non-incident edge), and
-which reference table the candidate reproduces.
+x_l4 (as wide as the residual tolerance of the candidate's precision, and
+at most 10^-20 wide from 24 digits up), the regularity margin (no vertex
+may lie on a non-incident edge), and which reference table the candidate
+reproduces.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Sequence
 
 from .chain import L4, P4, EmbeddingCandidate
 from .charpoly import BigPoly, sign_at
-from .geom import Point2, RealContext, distance_squared
+from .geom import MIN_DIGITS, Point2, RealContext, distance_squared
 from .incidence import HEAWOOD_FLAGS, VertexLabel
 from .refdata import TABLE_VERTICES
 
@@ -45,9 +47,14 @@ class Certificate:
 
     @property
     def passes(self) -> bool:
+        """Every check holds: the flag and collinearity residuals are below
+        10^(4 - precision), the tolerance of Newton's polish, x_l4's bracket
+        shows a sign change, the margin is positive, and the precision is
+        at least ``MIN_DIGITS``."""
         bound = RealContext(self.precision).pow10(4 - self.precision)
         return (
-            self.max_flag_residual < bound
+            self.precision >= MIN_DIGITS
+            and self.max_flag_residual < bound
             and self.collinearity_residual < bound
             and self.charpoly_bracket_ok
             and self.regularity_margin > 0
@@ -125,10 +132,17 @@ def _mpf_to_fraction(ctx: RealContext, x) -> Fraction:
     return Fraction(Decimal(ctx.nstr(x)))
 
 
-def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fraction = Fraction(1, 10 ** 20)):
+def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fraction | None = None):
     """Exact rational bracket of the stated width centered at the
-    candidate's x_l4; returns (lo, hi, sign_change_ok)."""
+    candidate's x_l4; returns (lo, hi, sign_change_ok).
+
+    The default width is max(10^-20, 10^(4 - precision)): the tolerance of
+    Newton's polish and of :attr:`Certificate.passes`, so that it spans
+    the last printed digits of x_l4 below 24 digits, and 10^-20 above.
+    """
     ctx = candidate.context()
+    if width is None:
+        width = Fraction(10) ** max(-20, 4 - candidate.precision)
     center = _mpf_to_fraction(ctx, candidate.coords[L4].x)
     lo = center - width / 2
     hi = center + width / 2

@@ -87,6 +87,12 @@ def solutions():
 
 
 @pytest.fixture(scope="session")
+def low_precision_solutions():
+    """Default solves at 15 and at 20 digits, keyed by digits."""
+    return {digits: solver.solve_all(solver.SolveConfig(digits=digits)) for digits in (15, 20)}
+
+
+@pytest.fixture(scope="session")
 def polished_seeds(table_seeds):
     """Newton refinements of the reference rows: the independent oracle
     route against which the sweep-based solve is compared."""

@@ -11,10 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from heawood_udg.chain import CHAIN_STEPS, L4, P4, RECTANGLE_CYCLE, EmbeddingCandidate
-from heawood_udg.geom import RealContext, distance_squared
+from heawood_udg.chain import (
+    CHAIN_STEPS,
+    DEPENDENT_VERTICES,
+    L4,
+    P4,
+    RECTANGLE_CYCLE,
+    EmbeddingCandidate,
+    fixed_points,
+)
+from heawood_udg.geom import Point2, RealContext, distance_squared
 from heawood_udg.incidence import VertexLabel
-from heawood_udg.solver import _CIRCLE_PAIRS, VARIABLE_ORDER, _positions
+from heawood_udg.solver import _CIRCLE_PAIRS
 
 
 @dataclass(frozen=True)
@@ -66,14 +74,31 @@ def closure_residual(candidate: EmbeddingCandidate) -> Any:
     return distance_squared(candidate["P1"], candidate["l1"]) - 1
 
 
+# the Jacobian's columns: the 16 unknowns in construction order, x before y
+VARIABLE_ORDER = tuple((v, axis) for v in DEPENDENT_VERTICES for axis in (0, 1))
 _VAR_INDEX = {va: k for k, va in enumerate(VARIABLE_ORDER)}
 
 
+def to_vector(ctx: RealContext, pos) -> list:
+    """The unknowns of the positions ``pos`` in column order, at ``ctx``'s
+    precision; also flattens a step of ``solver._chain_step``."""
+    return [ctx.mpf(pos[v].x if axis == 0 else pos[v].y) for v, axis in VARIABLE_ORDER]
+
+
+def to_positions(ctx: RealContext, vec: Sequence) -> dict:
+    """The pinned rectangle plus the dependent vertices of the 16-vector
+    ``vec``, the inverse of :func:`to_vector`."""
+    pos = fixed_points(ctx)
+    for k in range(0, len(vec), 2):
+        pos[VARIABLE_ORDER[k][0]] = Point2(vec[k], vec[k + 1])
+    return pos
+
+
 def system_jacobian(ctx: RealContext, vec: Sequence) -> list:
-    """Analytic Jacobian of :func:`heawood_udg.solver.system_residuals`: 16
-    sparse rows, each a ``{column: value}`` dict holding its non-zero
-    entries (at most 4)."""
-    pos = _positions(ctx, vec)
+    """Analytic Jacobian of :func:`heawood_udg.solver.system_residuals` at
+    the 16-vector ``vec``: 16 sparse rows, each a ``{column: value}`` dict
+    holding its non-zero entries (at most 4)."""
+    pos = to_positions(ctx, vec)
     l4 = pos[L4]
     half = ctx.mpf(1) / 2
     one = ctx.mpf(1)

@@ -14,7 +14,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import dps_to_prec
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
-from equations import system_jacobian
+from equations import system_jacobian, to_positions, to_vector
 
 from heawood_udg import geom, solver, verify
 from heawood_udg.chain import (
@@ -74,7 +74,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="between 1000 and 10000000"):
         SolveConfig(grid_points=solver.MAX_GRID_POINTS + 1)
     assert SolveConfig(grid_points=solver.MAX_GRID_POINTS).grid_points == 10 ** 7
-    # below 15 digits degenerate zeros pass the separation filter
+    # 15 digits is the precision of the reference tables
     for digits in (14, 6, 2, 0, -1):
         with pytest.raises(ValueError, match=">= 15"):
             SolveConfig(digits=digits)
@@ -83,11 +83,7 @@ def test_config_validation():
         with pytest.raises(ValueError, match="<= 10000"):
             SolveConfig(digits=digits)
     assert SolveConfig(digits=solver.MAX_DIGITS).digits == 10_000
-    assert SolveConfig(digits=15).precision_stages == (15,)
-    assert SolveConfig(digits=20).precision_stages == (20,)
-    assert SolveConfig(digits=300).precision_stages == (30, 300)
     assert SolveConfig().digits == 60
-    assert SolveConfig().precision_stages == (30, 60)
 
 
 def test_bracket_requires_sign_change():
@@ -359,10 +355,7 @@ def test_bisection_estimate_is_confirmed_or_dropped():
 def test_system_residuals_vanish_on_solutions(solutions):
     ctx = RealContext(60)
     for cand in solutions:
-        vec = []
-        for name in ("l4", "P4", "P3", "P6", "l2", "l1", "l6", "P1"):
-            vec.extend([ctx.mpf(cand[name].x), ctx.mpf(cand[name].y)])
-        res = system_residuals(ctx, vec)
+        res = system_residuals(cand.coords)
         assert len(res) == 16
         assert max(abs(r) for r in res) < ctx.pow10(-56)
 
@@ -370,18 +363,16 @@ def test_system_residuals_vanish_on_solutions(solutions):
 def test_jacobian_matches_finite_differences():
     ctx = RealContext(40)
     cand = build_chain("2.5", BranchVector.from_string("101100"), 40)
-    vec = []
-    for name in ("l4", "P4", "P3", "P6", "l2", "l1", "l6", "P1"):
-        vec.extend([cand[name].x, cand[name].y])
+    vec = to_vector(ctx, cand.coords)
     J = system_jacobian(ctx, vec)
     assert len(J) == 16
     assert all(1 <= len(row) <= 4 for row in J)
     h = ctx.pow10(-20)
-    base = system_residuals(ctx, vec)
+    base = system_residuals(to_positions(ctx, vec))
     for col in range(16):
         bumped = list(vec)
         bumped[col] = bumped[col] + h
-        res = system_residuals(ctx, bumped)
+        res = system_residuals(to_positions(ctx, bumped))
         for row in range(16):
             fd = (res[row] - base[row]) / h
             assert abs(J[row].get(col, 0) - fd) < ctx.pow10(-18)
@@ -391,10 +382,7 @@ def test_newton_polish_from_reference_seed(table_seeds):
     trace: list = []
     polished = newton_polish(table_seeds[0], 60, trace=trace)
     ctx = RealContext(60)
-    vec = []
-    for name in ("l4", "P4", "P3", "P6", "l2", "l1", "l6", "P1"):
-        vec.extend([ctx.mpf(polished[name].x), ctx.mpf(polished[name].y)])
-    assert max(abs(r) for r in system_residuals(ctx, vec)) < ctx.pow10(-56)
+    assert max(abs(r) for r in system_residuals(polished.coords)) < ctx.pow10(-56)
     assert 1 <= len(trace) <= 5  # quadratic convergence from a 15-digit seed
 
 
@@ -447,12 +435,13 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
         newton_polish(broken, 60)
     # mpmath's dense solve gives up on the same Jacobian
     ctx = RealContext(60)
-    vec = solver._candidate_vector(ctx, broken)
-    residuals = system_residuals(ctx, vec)
+    vec = to_vector(ctx, broken.coords)
+    pos = to_positions(ctx, vec)
+    residuals = system_residuals(pos)
     rhs = [-r for r in residuals]
     assert _dense_lu_solve(ctx, system_jacobian(ctx, vec), rhs) is ZeroDivisionError
     with pytest.raises(ZeroDivisionError):
-        solver._chain_step(ctx, vec, residuals)
+        solver._chain_step(ctx, pos, residuals)
 
 
 def test_newton_singular_jacobian_when_p3_lies_on_its_centre_line(solutions):
@@ -500,11 +489,12 @@ def test_chain_step_agrees_with_mpmath(solutions, digits):
     ctx = RealContext(digits)
     rng = random.Random(digits)
     for cand in solutions:
-        exact = solver._candidate_vector(ctx, cand)
+        exact = to_vector(ctx, cand.coords)
         for size in ("1e-3", "1e-10", "1e-25"):
             vec = [v + ctx.mpf(size) * rng.uniform(-1, 1) for v in exact]
-            residuals = system_residuals(ctx, vec)
-            step = solver._chain_step(ctx, vec, residuals)
+            pos = to_positions(ctx, vec)
+            residuals = system_residuals(pos)
+            step = to_vector(ctx, solver._chain_step(ctx, pos, residuals))
             ref = _dense_lu_solve(ctx, system_jacobian(ctx, vec), [-r for r in residuals])
             assert ref is not ZeroDivisionError
             bound = ctx.pow10(4 - digits) * max(abs(r) for r in ref)
@@ -613,12 +603,14 @@ def test_determinism_bit_identical_runs():
     assert dump_candidates(a) == dump_candidates(b)
 
 
-def test_low_precision_stage_gives_same_solutions(solutions):
-    low = solve_all(SolveConfig(digits=15))
+def test_low_precision_stage_gives_same_solutions(low_precision_solutions, solutions):
+    # bisection and a first Newton pass run at 30 digits at every precision,
+    # so a 15-digit solve is the 60-digit one correct to its last digit
+    low = low_precision_solutions[15]
     assert len(low) == 11
     for lo, hi in zip(low, solutions):
-        assert abs(float(lo["l4"].x) - float(hi["l4"].x)) < 1e-9
-        assert abs(float(lo["l4"].y) - float(hi["l4"].y)) < 1e-9
+        assert abs(float(lo["l4"].x) - float(hi["l4"].x)) < 1e-14
+        assert abs(float(lo["l4"].y) - float(hi["l4"].y)) < 1e-14
 
 
 def test_default_solve_work(monkeypatch):
