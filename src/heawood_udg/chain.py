@@ -55,6 +55,18 @@ L1 = VertexLabel.parse("l1")
 DEPENDENT_VERTICES = (L4, P4) + tuple(step[0] for step in CHAIN_STEPS)
 
 
+def _step_bits() -> tuple:
+    # a chain vertex depends on its own branch bit and on its centres' bits
+    bits: dict = {}
+    for k, (vertex, ca, cb) in enumerate(CHAIN_STEPS):
+        bits[vertex] = {k} | bits.get(ca, set()) | bits.get(cb, set())
+    return tuple(tuple(sorted(bits[vertex])) for vertex, _, _ in CHAIN_STEPS)
+
+
+# the branch bits that decide each step's vertex, in CHAIN_STEPS order
+STEP_BITS = _step_bits()
+
+
 class ChainBroken(Exception):
     """A construction step failed; identifies the first failing vertex."""
 
@@ -143,23 +155,32 @@ def place_l4(ctx: Any, theta: Any) -> Point2:
     return Point2(1 + 2 * ctx.cos(theta), 2 * ctx.sin(theta))
 
 
-def construct(l4: Point2, branch: BranchVector, fixed: Mapping, intersect: Callable) -> tuple:
+def construct(
+    l4: Point2, branch: BranchVector, fixed: Mapping, intersect: Callable, memo: dict | None = None
+) -> tuple:
     """Walk the chain from l4; returns ``(coords, closure)``.
 
     ``fixed`` holds the pinned rectangle and ``intersect(c1, c2, bit)`` is
     the unit-circle step, so the same walk runs on mpf scalars and on
     float64 arrays.  A :class:`GeometryError` from a step is raised as
-    :class:`ChainBroken` naming that step's vertex.
+    :class:`ChainBroken` naming that step's vertex.  Walks of several
+    branch vectors from the same ``l4`` may share a ``memo``: it keeps each
+    step's vertex under the values of the step's ``STEP_BITS``, so no
+    circle step is computed twice.
     """
+    memo = {} if memo is None else memo
     coords = dict(fixed)
     coords[L4] = l4
     # exact halving: P4 is the midpoint of l4 and l5 by definition
     coords[P4] = Point2((l4.x + 1) / 2, l4.y / 2)
-    for bit, (vertex, ca, cb) in zip(branch, CHAIN_STEPS):
-        try:
-            coords[vertex] = intersect(coords[ca], coords[cb], bit)
-        except GeometryError as exc:
-            raise ChainBroken(vertex, exc) from exc
+    for k, (vertex, ca, cb) in enumerate(CHAIN_STEPS):
+        key = (k, *(branch.bits[i] for i in STEP_BITS[k]))
+        if key not in memo:
+            try:
+                memo[key] = intersect(coords[ca], coords[cb], branch.bits[k])
+            except GeometryError as exc:
+                raise ChainBroken(vertex, exc) from exc
+        coords[vertex] = memo[key]
     return coords, _closure_from_coords(coords)
 
 

@@ -4,7 +4,10 @@ The construction chain makes every dependent vertex an explicit function of
 the angle parameter and the branch bits, so root finding is one-dimensional
 per branch vector: only the closure residual d(P1, l1)^2 - 1 remains.  The
 sweep scans a dense angle grid over all 64 branch vectors in hardware
-floats, bracketing sign changes; brackets are then bisected at 30 digits
+floats, bracketing sign changes.  Each chain vertex depends on only a few
+branch bits (``chain.STEP_BITS``), so the 64 walks share their circle
+steps: 30 array steps per block of the grid serve all of them, where a
+walk per branch vector takes 384.  Brackets are then bisected at 30 digits
 and polished with Newton's method on the square 16-equation system in the
 positions of the eight dependent vertices, at 30 digits and then at the
 requested precision.  The Jacobian is the linearization of the chain, so
@@ -19,20 +22,18 @@ drops those by a minimum vertex-separation check.  Sign changes caused by
 the branch discontinuity where l4 meets l7 (concentric construction
 circles) are not zeros at all and are rejected during bisection.
 
-The sweep domain (branch vector x angle subinterval) is embarrassingly
-parallel and all functions here are pure; the implementation is
-single-threaded.  Bisection dominates the mpf run time, so it is cut
-short without changing a bit of its result: an Illinois-secant estimate of
-the root lets it skip to its final cell.
+All functions here are pure and single-threaded, and only the float
+sweep imports numpy, so commands that never sweep do not pay for it.
+Bisection dominates the mpf run time, so it is cut short without changing
+a bit of its result: an Illinois-secant estimate of the root lets it skip
+to its final cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 
 from .chain import (
     CHAIN_STEPS,
@@ -55,12 +56,20 @@ from .chain import (
 from .geom import MAX_DIGITS, MIN_DIGITS, Point2, RealContext, bisect_sign_change, distance_squared
 from .incidence import ALL_VERTICES
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TWO_PI = 2 * math.pi
 BISECTION_DIGITS = 30
 MAX_GRID_POINTS = 10 ** 7
+# grid cells per sweep block: only one block's shared circle steps are held
+# at a time, which keeps the sweep's peak memory at that of one chain walk
+SWEEP_BLOCK = 2048
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
 SECANT_MAX_STEPS = 12
+# inward steps tried at a bracket end point where the chain breaks
+ENDPOINT_STEPS = 8
 
 
 class SolverError(Exception):
@@ -111,7 +120,7 @@ class SolveConfig:
     min_vertex_separation: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        # the sweep holds about 250 bytes per grid point
+        # the sweep holds about 32 bytes per grid point
         if not 1000 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must be between 1000 and {MAX_GRID_POINTS}, got {self.grid_points}"
@@ -130,6 +139,8 @@ _FIXED_F = {v: Point2(float(x), float(y)) for v, (x, y) in FIXED_POSITIONS.items
 
 def _cci_grid(c1: Point2, c2: Point2, bit: int) -> Point2:
     # unit-circle intersection, NaN where the circles miss
+    import numpy as np
+
     dx = c2.x - c1.x
     dy = c2.y - c1.y
     d2 = dx * dx + dy * dy
@@ -152,8 +163,11 @@ def closure_grid(thetas: np.ndarray, branch: BranchVector) -> np.ndarray:
     The sweep's fast path: the chain walk of :func:`chain.construct` on
     float64 arrays, with a circle step that returns NaN where the circles
     miss instead of raising, so NaN marks angles where the chain breaks.
-    Tests cross-check it pointwise against :func:`chain.build_chain`.
+    Tests cross-check it pointwise against :func:`chain.build_chain`, and
+    :func:`sweep` against it.
     """
+    import numpy as np
+
     thetas = np.asarray(thetas, dtype=float)
     _, closure = construct(place_l4(np, thetas), branch, _FIXED_F, _cci_grid)
     return closure
@@ -164,24 +178,38 @@ def sweep(config: SolveConfig | None = None) -> list:
 
     Scans ``grid_points`` angles over [0, 2 pi) for each of the 64 branch
     vectors, the wrap-around pair included; grid cells where the chain
-    breaks are skipped.
+    breaks are skipped.  Brackets come branch by branch, each branch's in
+    order of angle.
+
+    The grid is walked in blocks of ``SWEEP_BLOCK`` cells.  Within a block
+    the 64 chain walks share one memo, so each circle step is computed
+    once per value of the branch bits it depends on: 30 steps, not 384.
     """
+    import numpy as np
+
     config = config or SolveConfig()
     n = config.grid_points
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    # upper end of each grid cell; the last cell wraps around to 2 pi
-    upper = np.append(thetas[1:], TWO_PI)
-    brackets = []
-    for branch in all_branch_vectors():
-        res = closure_grid(thetas, branch)
-        nxt = np.roll(res, -1)
-        with np.errstate(invalid="ignore"):
-            hits = np.isfinite(res) & np.isfinite(nxt) & (res * nxt < 0)
-        brackets.extend(
-            Bracket(branch, float(thetas[i]), float(upper[i]), float(res[i]), float(nxt[i]))
-            for i in np.flatnonzero(hits)
-        )
-    return brackets
+    l4 = place_l4(np, thetas)
+    # cell i is [edges[i], edges[i + 1]]; the last one wraps around to 2 pi
+    edges = np.append(thetas, TWO_PI)
+    found: dict = {branch: [] for branch in all_branch_vectors()}
+    for start in range(0, n, SWEEP_BLOCK):
+        stop = min(start + SWEEP_BLOCK, n)
+        # the block's cells and the point that ends its last cell
+        ends = np.arange(start, stop + 1) % n
+        block_l4 = Point2(l4.x[ends], l4.y[ends])
+        memo: dict = {}
+        for branch, out in found.items():
+            _, res = construct(block_l4, branch, _FIXED_F, _cci_grid, memo)
+            lo, hi = res[:-1], res[1:]
+            with np.errstate(invalid="ignore"):
+                hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
+            out.extend(
+                Bracket(branch, float(edges[start + i]), float(edges[start + i + 1]), float(lo[i]), float(hi[i]))
+                for i in np.flatnonzero(hits)
+            )
+    return [bracket for out in found.values() for bracket in out]
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +261,32 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
 
     Raises :class:`LostBracket` when the sign change is not backed by an
     actual zero: the endpoints agree in sign at working precision, the
-    chain breaks during bisection, or the refined midpoint's closure
-    residual stays above 10^(-digits/2) (a jump of the branch structure,
-    not a root).
+    chain breaks during bisection or at an end point and ``ENDPOINT_STEPS``
+    points stepped inward from it (by 1/1024 of the bracket, doubling), or
+    the refined midpoint's closure residual stays above 10^(-digits/2) (a
+    jump of the branch structure, not a root).
     """
     ctx = RealContext(digits)
 
     def closure_at(theta):
         return build_chain(theta, bracket.branch, digits).closure
 
+    def end_point(theta, step):
+        # a grid point can land where the chain breaks (at 5 pi / 6 P6's
+        # circles are tangent) while the root lies well inside the cell
+        for _ in range(ENDPOINT_STEPS):
+            try:
+                return theta, closure_at(theta)
+            except ChainBroken as exc:
+                broken = exc
+            theta, step = theta + step, 2 * step
+        raise LostBracket(f"chain breaks at a bracket endpoint: {broken}") from broken
+
     lo = ctx.mpf(bracket.theta_lo)
     hi = ctx.mpf(bracket.theta_hi)
-    try:
-        f_lo = closure_at(lo)
-        f_hi = closure_at(hi)
-    except ChainBroken as exc:
-        raise LostBracket(f"chain breaks at a bracket endpoint: {exc}") from exc
+    step = (hi - lo) / 1024
+    lo, f_lo = end_point(lo, step)
+    hi, f_hi = end_point(hi, -step)
     if f_lo == 0:
         return build_chain(lo, bracket.branch, digits)
     if f_hi == 0:

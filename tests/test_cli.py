@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,9 @@ from heawood_udg.chain import BranchVector, build_chain, dump_candidates, load_c
 from heawood_udg.cli import run
 from heawood_udg.geom import MAX_DIGITS
 
-BENCHMARK_ROOTS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "roots60.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_ROOTS = ROOT / "perfbench" / "data" / "roots60.json"
+BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
 
 
 def test_incidence_subcommand(capsys):
@@ -207,3 +211,18 @@ def test_cli_output_deterministic(tmp_path):
     run(["solve", "--grid", "2000", "--digits", "30", "--json", str(out1)])
     run(["solve", "--grid", "2000", "--digits", "30", "--json", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_does_not_import_numpy():
+    # only the float sweep needs numpy; a fresh interpreter shows whether
+    # a command that never sweeps pays for importing it
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from heawood_udg import cli\n"
+        f"status = cli.run(['verify', '--json', {str(BENCHMARK_EMBEDDINGS)!r}])\n"
+        "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy loaded: False" in proc.stderr

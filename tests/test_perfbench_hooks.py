@@ -1,13 +1,24 @@
 """The benchmark's tracer wraps public names of the package by attribute;
-installing it must keep working as the package changes."""
+installing it, and the self-check of a traced request, must keep working as
+the package changes."""
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _benchmark_runner(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_installs_on_the_package():
@@ -22,3 +33,22 @@ def test_tracer_installs_on_the_package():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_solve_passes_the_benchmark_self_check(tmp_path, monkeypatch):
+    # one traced request as the benchmark runs it: its bracket funnel must
+    # add up and its spans must nest and cover the request
+    runner = _benchmark_runner(monkeypatch)
+    spec = {
+        "request_id": 1,
+        "src": str(ROOT / "src"),
+        "steps": [["solve", "--digits", "30", "--grid", "5000", "--json", str(tmp_path / "emb.json")]],
+        "trace": True,
+        "result": str(tmp_path / "result.json"),
+    }
+    raw = runner.run_child(spec, tmp_path, timeout=120)
+    assert raw["exit"] == 0, raw["stderr"]
+    layers, errors = runner.layer_metrics(raw["child"]["trace"], raw["start"], raw["end"])
+    assert errors == []
+    assert layers["solver.brackets_kept"] == 11
+    assert layers["solver.brackets"] > layers["solver.brackets_kept"]

@@ -69,7 +69,7 @@ def _bracket_around(theta: float, branch_str: str, half_width: float = 2e-4) -> 
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(grid_points=999)
-    # the sweep needs about 250 bytes per grid point; building the config
+    # the sweep needs about 32 bytes per grid point; building the config
     # allocates nothing
     with pytest.raises(ValueError, match="between 1000 and 10000000"):
         SolveConfig(grid_points=solver.MAX_GRID_POINTS + 1)
@@ -189,18 +189,19 @@ def test_doubled_grid_brackets_cover_original_cells():
 
 
 def _scalar_sweep(grid_points: int, residuals) -> list:
-    """The sweep's pair scan as a per-pair loop, the reference for the
-    vectorised scan; ``residuals(thetas, branch)`` gives the closure."""
+    """The sweep's pair scan as a per-pair loop over one chain walk per
+    branch vector, the reference for the blocked sweep;
+    ``residuals(thetas, branch)`` gives the closure."""
     thetas = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
     brackets = []
     for branch in all_branch_vectors():
-        res = residuals(thetas, branch)
+        res = residuals(thetas, branch).tolist()
         for i in range(grid_points):
             j = (i + 1) % grid_points
             a, b = res[i], res[j]
-            if np.isfinite(a) and np.isfinite(b) and a * b < 0:
+            if math.isfinite(a) and math.isfinite(b) and a * b < 0:
                 t_hi = thetas[j] if j != 0 else TWO_PI
-                brackets.append(Bracket(branch, float(thetas[i]), float(t_hi), float(a), float(b)))
+                brackets.append(Bracket(branch, float(thetas[i]), float(t_hi), a, b))
     return brackets
 
 
@@ -211,7 +212,8 @@ def _bracket_bits(brackets) -> list:
     ]
 
 
-@pytest.mark.parametrize("grid_points", [1000, 5000, 20000])
+# grids on and around the edges of the sweep's blocks
+@pytest.mark.parametrize("grid_points", [1000, 2048, 2049, 4096, 5000, 20000])
 def test_sweep_equals_scalar_pair_scan(grid_points):
     expected = _scalar_sweep(grid_points, closure_grid)
     assert expected
@@ -220,19 +222,53 @@ def test_sweep_equals_scalar_pair_scan(grid_points):
 
 def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
     # the real closure is NaN near theta = 0, so its wrap-around pair never
-    # brackets; a synthetic residual with a sign change across 2 pi, NaN
-    # and infinite cells checks the scan's edge cases against the loop
+    # brackets; a synthetic residual with sign changes across 2 pi and in
+    # the last cell of a block, NaN and infinite cells, drives the sweep's
+    # own scan and is checked against the pair loop
+    n = 5000
+    edge = solver.SWEEP_BLOCK  # the point that ends the first block
+
     def synthetic(thetas, branch):
         k = int(str(branch), 2)
-        res = np.sin(4 * thetas) + thetas - 1 - 0.07 * k
-        res[k :: 97] = np.nan
-        res[2 * k + 1 :: 89] = np.inf if k % 2 else -np.inf
+        i = np.rint(thetas * n / TWO_PI).astype(int)
+        if k % 4 == 0:
+            res = (i - edge + 0.5) * (k + 1)
+        else:
+            res = np.sin(4 * thetas) + thetas - 1 - 0.07 * k
+        res[i % 97 == k] = np.nan
+        res[i % 89 == (2 * k + 1) % 89] = np.inf if k % 2 else -np.inf
+        if k == 8:
+            res[i == edge] = np.nan
+        if k == 12:
+            res[i == edge - 1] = np.inf
         return res
 
-    expected = _scalar_sweep(1000, synthetic)
+    expected = _scalar_sweep(n, synthetic)
+    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    across = {int(str(b.branch), 2) for b in expected if b.theta_lo == thetas[edge - 1]}
+    assert across and not across & {8, 12}
     assert any(b.theta_hi == TWO_PI for b in expected)
-    monkeypatch.setattr(solver, "closure_grid", synthetic)
-    assert _bracket_bits(sweep(SolveConfig(grid_points=1000))) == _bracket_bits(expected)
+    # l4 carries the angle itself, and the chain walk returns the residual
+    monkeypatch.setattr(solver, "place_l4", lambda ctx, t: Point2(t, t))
+    monkeypatch.setattr(
+        solver, "construct", lambda l4, branch, fixed, intersect, memo=None: (None, synthetic(l4.x, branch))
+    )
+    assert _bracket_bits(sweep(SolveConfig(grid_points=n))) == _bracket_bits(expected)
+
+
+@pytest.mark.parametrize("grid_points, blocks", [(1000, 1), (2048, 1), (2049, 2), (5000, 3)])
+def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blocks):
+    # P3, P6 and l2 depend on one branch bit each, l1 and l6 on two and P1
+    # on four: 2 + 2 + 2 + 4 + 4 + 16 circle steps serve all 64 branches
+    calls = []
+
+    def counted(c1, c2, bit):
+        calls.append(bit)
+        return _cci_grid(c1, c2, bit)
+
+    monkeypatch.setattr(solver, "_cci_grid", counted)
+    sweep(SolveConfig(grid_points=grid_points))
+    assert len(calls) == 30 * blocks
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +294,18 @@ def test_refine_bracket_narrow_input_returns_midpoint():
     cand = refine_bracket(bracket, 20)
     assert abs(float(cand.theta) - theta) < 2e-13
     assert float(cand.theta) == (bracket.theta_lo + bracket.theta_hi) / 2
+
+
+def test_refine_bracket_steps_inward_from_a_broken_end_point():
+    # at grid 3,000 the bracket of branch 011000 ends at the grid point
+    # 5 pi / 6, where d(l4, l7) = 2 and P6's circles are tangent, so the
+    # 30-digit chain breaks there; the root lies well inside the cell
+    (bracket,) = [b for b in sweep(SolveConfig(grid_points=3000)) if str(b.branch) == "011000"]
+    assert abs(bracket.theta_hi - 5 * math.pi / 6) < 1e-15
+    with pytest.raises(ChainBroken):
+        build_chain(bracket.theta_hi, bracket.branch, 30)
+    assert abs(float(refine_bracket(bracket, 30).theta) - 2.6160704) < 1e-7
+    assert len(solve_all(SolveConfig(grid_points=3000, digits=30))) == 11
 
 
 def test_refine_bracket_rejects_junk_near_half_pi():
