@@ -8,8 +8,8 @@ arithmetic makes its real-root count a theorem rather than a floating-point
 observation: exactly eleven real roots, one per embedding.  Bisection
 tested by Descartes' rule of signs then isolates each root in a rational
 interval without the Sturm sequence, and refinement narrows each one to any
-number of digits: Newton's method names the final interval of exact
-bisection and exact signs confirm it.
+number of digits: an Illinois estimate of the root names the final
+interval of exact bisection, and exact signs confirm it.
 """
 
 import time

@@ -31,8 +31,6 @@ FIXED_POSITIONS = {
     VertexLabel.parse("l3"): (0, 1),
 }
 
-RECTANGLE_CYCLE = tuple(FIXED_POSITIONS)
-
 # Construction order: (new vertex, first center, second center).  Each step
 # intersects the unit circles around the two centers.
 CHAIN_STEPS = tuple(
@@ -67,7 +65,7 @@ def _step_bits() -> tuple:
 STEP_BITS = _step_bits()
 
 
-class ChainBroken(Exception):
+class ChainBroken(GeometryError):
     """A construction step failed; identifies the first failing vertex."""
 
     def __init__(self, step: VertexLabel, reason: GeometryError):
@@ -270,11 +268,15 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
 
 def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
-    precision is not a JSON integer up to ``MAX_DIGITS`` or a number is not
+    precision is not a JSON integer up to ``MAX_DIGITS``, the branch is not
+    a list of JSON integers 0 or 1, one per chain step, or a number is not
     finite."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
+    branch = data["branch"]
+    if type(branch) is not list or any(type(b) is not int for b in branch):
+        raise ValueError(f"branch must be a list of JSON integers, got {branch!r}")
     if precision > MAX_DIGITS:
         raise ValueError(f"precision must be <= {MAX_DIGITS}, got {precision}")
     ctx = RealContext(precision)
@@ -292,7 +294,7 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     return EmbeddingCandidate(
         coords=coords,
         theta=finite(data["theta"]),
-        branch=BranchVector(tuple(data["branch"])),
+        branch=BranchVector(tuple(branch)),
         closure=finite(data["closure"]),
         precision=precision,
     )

@@ -8,10 +8,10 @@ Exact integer arithmetic isolates its real roots, which certifies the
 solver's embeddings independently of the floating-point path that found
 them: bisection tested by Descartes' rule of signs (Collins and Akritas,
 1976) isolates each root, and :func:`refine_root` narrows it to any number
-of digits, landing by Newton's method on the interval that exact bisection
-would reach and confirming it by exact signs.  A Sturm chain counts the real
-roots in any interval as an independent check.  Counting and isolation
-require a squarefree polynomial, as this one is, and raise
+of digits: an Illinois estimate of the root names the interval that exact
+bisection would reach, and exact signs confirm it.  A Sturm chain counts
+the real roots in any interval as an independent check.  Counting and
+isolation require a squarefree polynomial, as this one is, and raise
 :class:`NotSquarefree` otherwise.
 
 Coefficients are stored as decimal strings in one table and parsed at load
@@ -24,11 +24,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .geom import RealContext, bisect_sign_change
+from mpmath.libmp import to_rational
+
+from .geom import RealContext, bisect_sign_change, illinois_estimate
 
 
 class NotSquarefree(Exception):
@@ -128,13 +130,12 @@ _XL4_DEGREE = 79
 # gcd(p, p') is taken modulo this prime (2^61 - 1) to prove squarefreeness.
 _SQUAREFREE_PRIME = 2 ** 61 - 1
 
-# refine_root bisects exactly to this width, then runs Newton's method with
+# refine_root bisects exactly to this width, then estimates the root with
 # this many digits beyond the requested ones (10 were too few to land in the
 # final cell: evaluating the degree-79 polynomial near its roots cancels up
-# to 26 digits) and at most this many steps.
-_NEWTON_START_WIDTH = Fraction(1, 10 ** 8)
-_NEWTON_GUARD_DIGITS = 40
-_NEWTON_MAX_STEPS = 64
+# to 26 digits)
+_ESTIMATE_START_WIDTH = Fraction(1, 10 ** 8)
+_ESTIMATE_GUARD_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -488,65 +489,30 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     """The midpoint, at a matching working precision, of the interval that
     halving ``interval`` until its width is below 10^-digits reaches.
 
-    Exact bisection narrows the root to width 1e-8; Newton's method in
-    mpf at ``digits`` plus guard digits then names the final cell, which
-    two exact signs confirm.  An unconfirmed cell falls back to bisection,
-    so the result is always the bisection's.
+    Exact bisection narrows the root to width 1e-8; an Illinois estimate of
+    the root in mpf at ``digits`` plus guard digits then names the final
+    cell, which two exact signs confirm.  An unconfirmed cell falls back to
+    bisection, so the result is always the bisection's.
     """
     if digits < 1:
         raise ValueError(f"digits must be at least 1, got {digits}")
+    sign = partial(sign_at, p)
     lo, hi = interval.lo, interval.hi
-    s_lo = sign_at(p, lo)
-    s_hi = sign_at(p, hi)
+    s_lo, s_hi = sign(lo), sign(hi)
     if s_lo == 0 or s_hi == 0:
         raise ValueError("interval endpoint is an exact root; shrink the interval")
     if s_lo == s_hi:
         raise ValueError("no sign change over the interval; not an isolating interval")
-
-    def sign(t):
-        return sign_at(p, t)
-
     width = Fraction(1, 10 ** digits)
-    lo, hi = bisect_sign_change(sign, lo, hi, s_lo, max(width, _NEWTON_START_WIDTH))
+    lo, hi = bisect_sign_change(sign, lo, hi, s_lo, max(width, _ESTIMATE_START_WIDTH))
     if hi - lo >= width:
-        lo, hi = _newton_cell(p, lo, hi, s_lo, width, digits) or bisect_sign_change(sign, lo, hi, s_lo, width)
+        mp = RealContext(digits + _ESTIMATE_GUARD_DIGITS).mp
+        value = partial(mp.polyval, [mp.mpf(c) for c in reversed(p.coefficients)])
+        a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, width / 1000))
+        x = illinois_estimate(value, a, b, value(a), value(b), tol)
+        # the exact value of x, sign included, which ``man_exp`` drops
+        estimate = None if x is None else Fraction(*to_rational(x._mpf_))
+        lo, hi = bisect_sign_change(sign, lo, hi, s_lo, width, estimate=estimate)
     ctx = RealContext(max(digits + 5, 15))
     mid = (lo + hi) / 2
     return ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)
-
-
-def _newton_cell(p: BigPoly, lo: Fraction, hi: Fraction, s_lo: int, width: Fraction, digits: int):
-    """The cell ``(a, b)`` that halving (lo, hi) until the width is below
-    ``width`` ends in, named by Newton's method and confirmed by the exact
-    signs at its end points; None when the signs do not confirm it."""
-    cell = hi - lo
-    cells = 1
-    while cell >= width:
-        cell /= 2
-        cells *= 2
-    mp = RealContext(digits + _NEWTON_GUARD_DIGITS).mp
-
-    def to_mpf(t: Fraction):
-        return mp.mpf(t.numerator) / t.denominator
-
-    coeffs = [mp.mpf(c) for c in reversed(p.coefficients)]
-    x = to_mpf((lo + hi) / 2)
-    tolerance = to_mpf(cell) / 10 ** 10
-    for _ in range(_NEWTON_MAX_STEPS):
-        value, slope = mp.polyval(coeffs, x, derivative=True)
-        if not slope:
-            return None
-        step = value / slope
-        x -= step
-        if abs(step) < tolerance:
-            break
-    if not mp.isfinite(x):
-        return None
-    k = int(mp.floor((x - to_mpf(lo)) / to_mpf(cell)))
-    if not 0 <= k < cells:
-        return None
-    a = lo + k * cell
-    b = a + cell
-    if sign_at(p, a) != s_lo or sign_at(p, b) != -s_lo:
-        return None
-    return a, b

@@ -2,8 +2,9 @@
 
 Provides an explicit-precision real arithmetic context (no ambient global
 precision state), 2D points, and the two-valued circle-circle intersection
-that drives the compass-and-ruler construction chain, and the sign-change
-bisection shared by the solver and the exact root refinement.
+that drives the compass-and-ruler construction chain, and the root estimate
+and sign-change bisection shared by the solver and the exact root
+refinement.
 
 Every mpmath context comes from one read-only cache keyed by binary
 precision, which serves :class:`RealContext`.
@@ -25,6 +26,9 @@ MIN_DIGITS = 15
 # the largest precision a command accepts: at 10,000 digits `roots` already
 # takes about 84 s, and at 10^8 digits reading one number takes seconds
 MAX_DIGITS = 10_000
+# the step cap of :func:`illinois_estimate`: a solver bracket takes up to 9
+# steps, a root of the exact side refined to 6,000 digits 20
+ESTIMATE_MAX_STEPS = 64
 
 
 class GeometryError(Exception):
@@ -187,6 +191,45 @@ def circle_circle_intersect(
     return Point2(mx + h * uy, my - h * ux)
 
 
+def illinois_estimate(value: Callable[[Any], Any], lo: Any, hi: Any, f_lo: Any, f_hi: Any, tol: Any):
+    """Estimate the root of ``value`` in ``[lo, hi]``, where it takes the
+    opposite signs ``f_lo`` and ``f_hi``, by Illinois-modified regula falsi
+    (Dowell & Jarratt, BIT 1971).
+
+    Stops once the sign change is narrowed below ``tol`` or a step falls
+    below the working precision.  None when a step leaves the bracket,
+    ``value`` raises :class:`GeometryError`, or ``ESTIMATE_MAX_STEPS``
+    steps do not converge.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    side = 0
+    for _ in range(ESTIMATE_MAX_STEPS):
+        x = b - fb * (b - a) / (fb - fa)
+        if not a <= x <= b:
+            return None
+        if x == a or x == b:
+            return x  # the step is below the working precision
+        try:
+            fx = value(x)
+        except GeometryError:
+            return None
+        if fx == 0:
+            return x
+        if (fx < 0) == (fb < 0):
+            b, fb = x, fx
+            if side == 1:
+                fa /= 2  # the same end kept twice: halve its weight
+            side = 1
+        else:
+            a, fa = x, fx
+            if side == -1:
+                fb /= 2
+            side = -1
+        if b - a < tol:
+            return x
+    return None
+
+
 def bisect_sign_change(
     sign: Callable[[Any], Any], lo: Any, hi: Any, sign_lo: Any, width: Any, estimate: Any = None
 ) -> tuple:
@@ -199,22 +242,23 @@ def bisect_sign_change(
     Returns the final ``(lo, hi)``, or ``(mid, mid)`` when ``sign(mid)`` is
     exactly zero.
 
-    Given an ``estimate`` of the root, each midpoint goes to the side of
-    the estimate without being evaluated, and only the two end points of
-    the final cell are: the cell is returned when they show the sign
-    change, and the plain halving runs when they do not.  When the
-    function changes sign once in ``[lo, hi]`` both routes end in the same
-    cell.
+    Given an ``estimate`` of the root in ``[lo, hi]``, the final cells are
+    the ``hi - lo`` halved until below ``width`` side by side, and the one
+    holding the estimate is named by its index; only its two end points are
+    evaluated.  It is returned when they show the sign change, and the
+    plain halving runs when they do not or the estimate lies outside
+    ``[lo, hi]``.  When the function changes sign once in ``[lo, hi]`` and
+    the end points ``lo + k (hi - lo) / 2^n`` are exact, as for Fractions,
+    both routes end in the same cell.
     """
     negative_lo = sign_lo < 0
-    if estimate is not None:
-        a, b = lo, hi
-        while b - a >= width:
-            mid = (a + b) / 2
-            if mid < estimate:
-                a = mid
-            else:
-                b = mid
+    if estimate is not None and lo <= estimate <= hi:
+        cell, cells = hi - lo, 1
+        while cell >= width:
+            cell /= 2
+            cells *= 2
+        k = min(int((estimate - lo) / cell), cells - 1)
+        a, b = lo + k * cell, lo + (k + 1) * cell
         s_a = sign(a)
         s_b = sign(b)
         if s_a != 0 and s_b != 0 and (s_a < 0) == negative_lo and (s_b < 0) != negative_lo:

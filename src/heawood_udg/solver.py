@@ -25,8 +25,8 @@ circles) are not zeros at all and are rejected during bisection.
 All functions here are pure and single-threaded, and only the float
 sweep imports numpy, so commands that never sweep do not pay for it.
 Bisection dominates the mpf run time, so it is cut short without changing
-a bit of its result: an Illinois-secant estimate of the root lets it skip
-to its final cell.
+a bit of its result: an Illinois estimate of the root names its final
+cell.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from .chain import (
     fixed_points,
     place_l4,
 )
-from .geom import MAX_DIGITS, MIN_DIGITS, Point2, RealContext, bisect_sign_change, distance_squared
+from .geom import MAX_DIGITS, MIN_DIGITS, Point2, RealContext, distance_squared
+from .geom import bisect_sign_change, illinois_estimate
 from .incidence import ALL_VERTICES
 
 if TYPE_CHECKING:
@@ -67,7 +68,6 @@ MAX_GRID_POINTS = 10 ** 7
 SWEEP_BLOCK = 2048
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
-SECANT_MAX_STEPS = 12
 # inward steps tried at a bracket end point where the chain breaks
 ENDPOINT_STEPS = 8
 
@@ -216,47 +216,12 @@ def sweep(config: SolveConfig | None = None) -> list:
 # High-precision refinement
 
 
-def _secant_estimate(closure_at, lo, hi, f_lo, f_hi, tol):
-    """Estimate the root in ``[lo, hi]`` by Illinois-modified regula falsi
-    (Dowell & Jarratt, BIT 1971), stopping once the sign change is narrowed
-    below ``tol`` or a step falls below the working precision.  None when
-    a step leaves the bracket, the chain breaks, or ``SECANT_MAX_STEPS``
-    steps do not converge."""
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    side = 0
-    for _ in range(SECANT_MAX_STEPS):
-        x = b - fb * (b - a) / (fb - fa)
-        if not a <= x <= b:
-            return None
-        if x == a or x == b:
-            return x  # the step is below the working precision
-        try:
-            fx = closure_at(x)
-        except ChainBroken:
-            return None
-        if fx == 0:
-            return x
-        if (fx < 0) == (fb < 0):
-            b, fb = x, fx
-            if side == 1:
-                fa /= 2  # the same end kept twice: halve its weight
-            side = 1
-        else:
-            a, fa = x, fx
-            if side == -1:
-                fb /= 2
-            side = -1
-        if b - a < tol:
-            return x
-    return None
-
-
 def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     """Bisect the bracket at ``digits`` working precision down to an angle
     interval below 10^(-digits/2) and return the chain at its midpoint.
 
-    An Illinois-secant estimate of the root lets the bisection skip to its
-    final cell, which two chain evaluations confirm; without an estimate,
+    An Illinois estimate of the root names the bisection's final cell,
+    which two chain evaluations confirm; without an estimate,
     or when they do not confirm it, every midpoint is evaluated.
 
     Raises :class:`LostBracket` when the sign change is not backed by an
@@ -298,7 +263,7 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     # the 10^(-digits/2) bound even for steep crossings
     width_target = ctx.pow10(-(digits // 2) - 2)
     residual_bound = ctx.pow10(-(digits // 2))
-    estimate = _secant_estimate(closure_at, lo, hi, f_lo, f_hi, width_target / 1000)
+    estimate = illinois_estimate(closure_at, lo, hi, f_lo, f_hi, width_target / 1000)
     try:
         lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target, estimate=estimate)
     except ChainBroken as exc:

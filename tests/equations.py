@@ -14,15 +14,18 @@ from typing import Any, Sequence
 from heawood_udg.chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
+    FIXED_POSITIONS,
     L4,
     P4,
-    RECTANGLE_CYCLE,
     EmbeddingCandidate,
     fixed_points,
 )
 from heawood_udg.geom import Point2, RealContext, distance_squared
 from heawood_udg.incidence import VertexLabel
 from heawood_udg.solver import _CIRCLE_PAIRS
+
+# the pinned rectangle in cycle order: FIXED_POSITIONS lists it that way
+RECTANGLE_CYCLE = tuple(FIXED_POSITIONS)
 
 
 @dataclass(frozen=True)

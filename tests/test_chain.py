@@ -5,12 +5,11 @@ import math
 
 import pytest
 
-from equations import closure_residual, equation_registry, registry_flags
+from equations import RECTANGLE_CYCLE, closure_residual, equation_registry, registry_flags
 
 from heawood_udg.chain import (
     CHAIN_STEPS,
     FIXED_POSITIONS,
-    RECTANGLE_CYCLE,
     BranchVector,
     ChainBroken,
     all_branch_vectors,

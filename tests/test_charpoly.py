@@ -315,14 +315,35 @@ def test_refine_falls_back_to_bisection_on_a_root_at_a_cell_edge(monkeypatch):
     # the exact signs cannot confirm a cell, and bisection stops at the root
     calls = []
 
-    def recording(*args):
-        calls.append(args)
-        return bisect_sign_change(*args)
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return bisect_sign_change(*args, **kwargs)
 
     monkeypatch.setattr(charpoly, "bisect_sign_change", recording)
     root = refine_root(BigPoly((-1, 2 ** 40)), IsolatingInterval(0, 1), 20)
     assert root == mpmath.mpf(2) ** -40
     assert len(calls) == 2
+    assert calls[1].get("estimate") is not None
+
+
+def test_refine_confirms_the_estimated_cell_for_every_root(poly, monkeypatch):
+    # an estimate that misses its cell still gives the bisection's bytes but
+    # falls back to halving to 10^-digits; only the count of exact signs
+    # shows it (an estimate with its sign dropped misses every negative root)
+    intervals = isolate_real_roots(poly)
+    assert any(iv.hi < 0 for iv in intervals)
+    calls = []
+
+    def counted(p, t):
+        calls.append(t)
+        return sign_at(p, t)
+
+    monkeypatch.setattr(charpoly, "sign_at", counted)
+    for digits in (60, 300):
+        calls.clear()
+        for iv in intervals:
+            refine_root(poly, iv, digits)
+        assert len(calls) <= 280, digits
 
 
 def test_isolating_interval_end_points_become_fractions():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from heawood_udg.geom import MAX_DIGITS
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_ROOTS = ROOT / "perfbench" / "data" / "roots60.json"
 BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
+# SHA-256 of the stdout of `roots --digits 300`
+ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
 
 
 def test_incidence_subcommand(capsys):
@@ -60,19 +63,23 @@ def test_usage_error_exit_code(tmp_path, capsys):
         figs = tmp_path / f"figs_{scale}"
         assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
         assert not figs.exists()
-    # a non-finite coordinate or a precision that is not a JSON integer
-    # is a usage error for both commands, not a traceback or a NaN drawing
+    # a non-finite coordinate, a precision that is not a JSON integer or
+    # branch bits that are not JSON integers is a usage error for both
+    # commands, not a traceback, a NaN drawing or silently truncated bits
     for name, field, value in [
         ("inf_x", "x", "inf"),
         ("nan_x", "x", "nan"),
         ("inf_precision", "precision", float("inf")),
         ("fractional_precision", "precision", 60.7),
+        ("fractional_branch", "branch", [0.7, 1.2, 0, 1, 0, 1]),
+        ("string_branch", "branch", "110110"),
+        ("boolean_branch", "branch", [True, False, True, False, True, False]),
     ]:
         data = json.loads(one.read_text())
         if field == "x":
             data[0]["vertices"]["l4"][0] = value
         else:
-            data[0]["precision"] = value
+            data[0][field] = value
         bad = tmp_path / f"{name}.json"
         bad.write_text(json.dumps(data))
         figs = tmp_path / f"figs_{name}"
@@ -158,6 +165,13 @@ def test_roots_subcommand(capsys):
     # interval endpoints are exact rationals
     num, den = first["lo"].split("/")
     assert int(den) > 0
+
+
+def test_deep_roots_bytes_unchanged(capsys):
+    # nothing else pins the exact side's output above 60 digits
+    assert run(["roots", "--digits", "300"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ROOTS300_SHA256
 
 
 def test_verify_subcommand_passes(tmp_path, capsys, solutions):

@@ -4,15 +4,19 @@ import random
 
 import pytest
 
+from heawood_udg.chain import ChainBroken
 from heawood_udg.geom import (
     ConcentricCircles,
+    GeometryError,
     NoIntersection,
     Point2,
     RealContext,
     Tangent,
     circle_circle_intersect,
     distance_squared,
+    illinois_estimate,
 )
+from heawood_udg.incidence import VertexLabel
 
 
 def test_decimal_round_trip_at_60_digits():
@@ -162,3 +166,34 @@ def test_determinism_bit_identical():
         )
         results.append((ctx.nstr(q.x), ctx.nstr(q.y)))
     assert results[0] == results[1]
+
+
+def test_illinois_estimate_converges_on_sqrt_two():
+    ctx = RealContext(50)
+    calls = []
+
+    def value(t):
+        calls.append(t)
+        return t * t - 2
+
+    lo, hi = ctx.mpf(1), ctx.mpf(2)
+    tol = ctx.pow10(-40)
+    x = illinois_estimate(value, lo, hi, value(lo), value(hi), tol)
+    assert abs(x - ctx.sqrt(2)) < tol
+    # superlinear: a dozen steps, not the 133 of halving to 1e-40
+    assert len(calls) - 2 <= 12
+
+
+@pytest.mark.parametrize(
+    "error",
+    [NoIntersection("the circles miss"), ChainBroken(VertexLabel.parse("P3"), Tangent("touching"))],
+)
+def test_illinois_estimate_is_none_where_the_function_breaks(error):
+    # a broken construction chain is a geometry error like a failed step
+    assert isinstance(error, GeometryError)
+    ctx = RealContext(30)
+
+    def value(t):
+        raise error
+
+    assert illinois_estimate(value, ctx.mpf(1), ctx.mpf(2), ctx.mpf(-1), ctx.mpf(2), ctx.pow10(-20)) is None

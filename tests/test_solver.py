@@ -360,16 +360,16 @@ def test_refine_bracket_equals_plain_halving(monkeypatch, grid_points):
     # the LostBracket message, is the one that halving without it gives
     brackets = sweep(SolveConfig(grid_points=grid_points))
     guided = [_refine_outcome(b) for b in brackets]
-    monkeypatch.setattr(solver, "_secant_estimate", lambda *args: None)
+    monkeypatch.setattr(solver, "illinois_estimate", lambda *args: None)
     plain = [_refine_outcome(b) for b in brackets]
     assert guided == plain
     assert sum(isinstance(o, str) for o in plain) == 2
 
     # a wrong estimate must cost evaluations, never change the result
-    def off_by_a_third(closure_at, lo, hi, f_lo, f_hi, tol):
+    def off_by_a_third(value, lo, hi, f_lo, f_hi, tol):
         return lo + (hi - lo) / 3
 
-    monkeypatch.setattr(solver, "_secant_estimate", off_by_a_third)
+    monkeypatch.setattr(solver, "illinois_estimate", off_by_a_third)
     assert [_refine_outcome(b) for b in brackets] == plain
 
 
@@ -386,8 +386,16 @@ def test_bisection_estimate_is_confirmed_or_dropped():
     width = Fraction(1, 2 ** 40)
     plain = bisect_sign_change(sign, Fraction(0), Fraction(1), -1, width)
     assert len(calls) == 41
-    # the first two lie in the root's final cell, the last two do not
-    for estimate, evaluations in ((root, 2), (root + width / 8, 2), (Fraction(1, 4), 43), (Fraction(9, 10), 43)):
+    # the first two lie in the root's final cell, the next two do not, and
+    # the last two lie outside [0, 1], which costs no evaluation
+    for estimate, evaluations in (
+        (root, 2),
+        (root + width / 8, 2),
+        (Fraction(1, 4), 43),
+        (Fraction(9, 10), 43),
+        (Fraction(-1), 41),
+        (Fraction(2), 41),
+    ):
         calls.clear()
         assert bisect_sign_change(sign, Fraction(0), Fraction(1), -1, width, estimate=estimate) == plain
         assert len(calls) == evaluations
@@ -662,7 +670,7 @@ def test_low_precision_stage_gives_same_solutions(low_precision_solutions, solut
 
 
 def test_default_solve_work(monkeypatch):
-    # the secant estimate and the chain step are what keep the default
+    # the Illinois estimate and the chain step are what keep the default
     # solve fast: few chain evaluations and no dense mpmath solve
     counts = {"build_chain": 0, "brackets": 0, "lost": 0, "degenerate": 0}
 
