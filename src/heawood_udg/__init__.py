@@ -30,7 +30,6 @@ from .geom import (
     ConcentricCircles,
     NoIntersection,
     Point2,
-    RealContext,
     Tangent,
     circle_circle_intersect,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "NoIntersection",
     "NotSquarefree",
     "Point2",
-    "RealContext",
     "SingularJacobian",
     "SolveConfig",
     "Tangent",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
 
-from .geom import MAX_DIGITS, GeometryError, Point2, RealContext
+from .geom import MAX_DIGITS, GeometryError, MPContext, Point2, context
 from .geom import circle_circle_intersect, distance_squared
 from .incidence import ALL_VERTICES, VertexLabel
 
@@ -135,20 +135,20 @@ class EmbeddingCandidate:
             label = VertexLabel.parse(label)
         return self.coords[label]
 
-    def context(self) -> RealContext:
-        return RealContext(self.precision)
+    def context(self) -> MPContext:
+        return context(self.precision)
 
 
-def fixed_points(ctx: RealContext) -> dict:
+def fixed_points(ctx: MPContext) -> dict:
     """The pinned rectangle at the context's precision (exact values)."""
-    return {v: ctx.point(x, y) for v, (x, y) in FIXED_POSITIONS.items()}
+    return {v: Point2(ctx.mpf(x), ctx.mpf(y)) for v, (x, y) in FIXED_POSITIONS.items()}
 
 
 def place_l4(ctx: Any, theta: Any) -> Point2:
     """Place l4 on the radius-2 circle around l5 = (1, 0) at angle theta.
 
-    ``ctx`` supplies ``cos`` and ``sin``: a :class:`RealContext`, or numpy
-    for a float64 array of angles.
+    ``ctx`` supplies ``cos`` and ``sin``: the mpmath context of ``theta``,
+    or numpy for a float64 array of angles.
     """
     return Point2(1 + 2 * ctx.cos(theta), 2 * ctx.sin(theta))
 
@@ -188,7 +188,7 @@ def build_chain(theta: Any, branch: BranchVector, precision: int = 60) -> Embedd
     Raises :class:`ChainBroken` naming the first vertex whose defining
     circles fail to intersect cleanly.
     """
-    ctx = RealContext(precision)
+    ctx = context(precision)
     t = ctx.mpf(theta)
     coords, closure = construct(
         place_l4(ctx, t),
@@ -224,7 +224,7 @@ def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate
     from the coordinates; pinned vertices may be omitted and are filled in
     exactly.
     """
-    ctx = RealContext(precision)
+    ctx = context(precision)
     full = fixed_points(ctx)
     for label, value in coords.items():
         if isinstance(label, str):
@@ -253,37 +253,39 @@ _VERTEX_ORDER = tuple(sorted(ALL_VERTICES, key=lambda v: (v.kind, v.index)))
 def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
     """Schema: theta/closure as decimal strings, branch as a bit array,
     vertices as full-precision decimal string pairs keyed "P1".."l7"."""
-    ctx = candidate.context()
+    ctx, digits = candidate.context(), candidate.precision
     return {
-        "theta": ctx.nstr(candidate.theta),
+        "theta": ctx.nstr(candidate.theta, digits),
         "branch": list(candidate.branch),
-        "precision": candidate.precision,
+        "precision": digits,
         "vertices": {
-            str(v): [ctx.nstr(candidate.coords[v].x), ctx.nstr(candidate.coords[v].y)]
+            str(v): [ctx.nstr(candidate.coords[v].x, digits), ctx.nstr(candidate.coords[v].y, digits)]
             for v in _VERTEX_ORDER
         },
-        "closure": ctx.nstr(candidate.closure),
+        "closure": ctx.nstr(candidate.closure, digits),
     }
 
 
 def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
-    precision is not a JSON integer up to ``MAX_DIGITS``, the branch is not
-    a list of JSON integers 0 or 1, one per chain step, or a number is not
-    finite."""
+    precision is not a JSON integer from 3 to ``MAX_DIGITS``, the branch is
+    not a list of JSON integers 0 or 1, one per chain step, or a number is
+    a JSON boolean or not finite."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
     branch = data["branch"]
     if type(branch) is not list or any(type(b) is not int for b in branch):
         raise ValueError(f"branch must be a list of JSON integers, got {branch!r}")
-    if precision > MAX_DIGITS:
-        raise ValueError(f"precision must be <= {MAX_DIGITS}, got {precision}")
-    ctx = RealContext(precision)
+    if not 3 <= precision <= MAX_DIGITS:
+        raise ValueError(f"precision must be between 3 and {MAX_DIGITS}, got {precision}")
+    ctx = context(precision)
 
     def finite(value):
+        if type(value) is bool:
+            raise ValueError(f"boolean {value!r} in embeddings file is not a number")
         x = ctx.mpf(value)
-        if not ctx.mp.isfinite(x):
+        if not ctx.isfinite(x):
             raise ValueError(f"non-finite number {value!r} in embeddings file")
         return x
 

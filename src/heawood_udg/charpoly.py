@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from mpmath.libmp import to_rational
 
-from .geom import RealContext, bisect_sign_change, illinois_estimate
+from .geom import bisect_sign_change, context, illinois_estimate
 
 
 class NotSquarefree(Exception):
@@ -506,13 +506,13 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     width = Fraction(1, 10 ** digits)
     lo, hi = bisect_sign_change(sign, lo, hi, s_lo, max(width, _ESTIMATE_START_WIDTH))
     if hi - lo >= width:
-        mp = RealContext(digits + _ESTIMATE_GUARD_DIGITS).mp
+        mp = context(digits + _ESTIMATE_GUARD_DIGITS)
         value = partial(mp.polyval, [mp.mpf(c) for c in reversed(p.coefficients)])
         a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, width / 1000))
         x = illinois_estimate(value, a, b, value(a), value(b), tol)
         # the exact value of x, sign included, which ``man_exp`` drops
         estimate = None if x is None else Fraction(*to_rational(x._mpf_))
         lo, hi = bisect_sign_change(sign, lo, hi, s_lo, width, estimate=estimate)
-    ctx = RealContext(max(digits + 5, 15))
+    ctx = context(max(digits + 5, 15))
     mid = (lo + hi) / 2
     return ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)

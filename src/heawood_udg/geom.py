@@ -1,13 +1,13 @@
 """Extended-precision planar geometry kernel.
 
-Provides an explicit-precision real arithmetic context (no ambient global
+Provides the mpmath context of each precision (no ambient global
 precision state), 2D points, and the two-valued circle-circle intersection
 that drives the compass-and-ruler construction chain, and the root estimate
 and sign-change bisection shared by the solver and the exact root
 refinement.
 
-Every mpmath context comes from one read-only cache keyed by binary
-precision, which serves :class:`RealContext`.
+Every mpmath context comes from one read-only cache keyed by decimal
+precision, :func:`context`; every mpf carries its own as ``x.context``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec
 
-DEFAULT_DPS = 60
 # the smallest precision of a solve or a passing certificate: the 15 printed
 # digits of the reference tables
 MIN_DIGITS = 15
@@ -51,79 +49,21 @@ class ConcentricCircles(GeometryError):
     """The two centers coincide within tolerance; the branch is undefined."""
 
 
-# building an MPContext costs about as much as a 30-digit construction chain;
-# callers share the context of one precision and must not change it
+# building an MPContext costs about as much as a 30-digit construction chain
 @functools.lru_cache(maxsize=32)
-def _mp_context(prec: int) -> MPContext:
+def context(dps: int) -> MPContext:
+    """The shared mpmath context of ``dps`` digits; its values round-trip
+    exactly through ``nstr(x, dps)``.  Nothing may set its precision or
+    call on it an mpmath routine that changes the precision while it runs."""
     mp = MPContext()
-    mp.prec = prec
+    mp.dps = dps
     return mp
-
-
-class RealContext:
-    """Real arithmetic at a fixed decimal precision.
-
-    Instances of one precision share the cached context of
-    ``dps_to_prec(dps)`` bits, whose ``dps`` is ``dps``.  It must not be
-    mutated, so nothing may set its precision or call on it an mpmath
-    routine that changes the precision while it runs.  Values produced
-    under a context round-trip exactly through decimal strings of ``dps``
-    significant digits.
-    """
-
-    def __init__(self, dps: int = DEFAULT_DPS):
-        if dps < 3:
-            raise ValueError(f"precision must be at least 3 digits, got {dps}")
-        self.dps = int(dps)
-        self.mp = _mp_context(dps_to_prec(self.dps))
-
-    def __repr__(self) -> str:
-        return f"RealContext(dps={self.dps})"
-
-    def mpf(self, value: Any):
-        """Convert a number, decimal string or foreign mpf to this precision."""
-        return self.mp.mpf(value)
-
-    def point(self, x: Any, y: Any) -> "Point2":
-        return Point2(self.mpf(x), self.mpf(y))
-
-    def nstr(self, value: Any, digits: int | None = None) -> str:
-        """Decimal string with ``digits`` significant digits (default dps)."""
-        return self.mp.nstr(self.mpf(value), digits or self.dps)
-
-    def sqrt(self, value: Any):
-        return self.mp.sqrt(self.mpf(value))
-
-    def cos(self, value: Any):
-        return self.mp.cos(self.mpf(value))
-
-    def sin(self, value: Any):
-        return self.mp.sin(self.mpf(value))
-
-    def atan2(self, y: Any, x: Any):
-        return self.mp.atan2(self.mpf(y), self.mpf(x))
-
-    @property
-    def pi(self):
-        return +self.mp.pi
-
-    def pow10(self, exponent: int):
-        """Exact power of ten, e.g. ``pow10(2 - dps)`` for residual bounds."""
-        return self.mp.mpf(10) ** exponent
-
-    @property
-    def default_tol(self):
-        """Tangency/degeneracy tolerance of the intersection, ``10^(-dps/2)``.
-
-        The intersection discriminant loses about half the working digits
-        near tangency, so half precision is the natural cutoff.
-        """
-        return self.mp.mpf(10) ** (-(self.dps // 2))
 
 
 @dataclass(frozen=True)
 class Point2:
-    """A point in the plane; both components live in one precision context."""
+    """A point in the plane; both components are mpf of one :func:`context`,
+    or float64 arrays in the sweep."""
 
     x: Any
     y: Any
@@ -140,7 +80,7 @@ def distance_squared(p: Point2, q: Point2):
 
 
 def circle_circle_intersect(
-    ctx: RealContext,
+    ctx: MPContext,
     c1: Point2,
     r1: Any,
     c2: Point2,
@@ -154,13 +94,15 @@ def circle_circle_intersect(
     The orientation convention is stable under translation and rotation and
     independent of coordinate magnitudes.
 
+    The tolerance is 10^(-dps/2) at the precision of the context ``ctx``:
+    the discriminant loses about half the working digits near tangency.
     Raises :class:`ConcentricCircles` when the centers coincide within
-    ``ctx.default_tol``, :class:`Tangent` when the discriminant vanishes
-    within it and :class:`NoIntersection` when it is negative beyond it.
+    it, :class:`Tangent` when the discriminant vanishes within it and
+    :class:`NoIntersection` when it is negative beyond it.
     """
     if bit not in (0, 1):
         raise ValueError(f"branch bit must be 0 or 1, got {bit!r}")
-    tol = ctx.default_tol
+    tol = ctx.mpf(10) ** -(ctx.dps // 2)
     r1 = ctx.mpf(r1)
     r2 = ctx.mpf(r2)
     if r1 <= 0 or r2 <= 0:
@@ -253,11 +195,16 @@ def bisect_sign_change(
     """
     negative_lo = sign_lo < 0
     if estimate is not None and lo <= estimate <= hi:
-        cell, cells = hi - lo, 1
-        while cell >= width:
-            cell /= 2
-            cells *= 2
-        k = min(int((estimate - lo) / cell), cells - 1)
+        # the fewest halvings that take the span below width, checked exactly:
+        # a rounded mpf ratio can put n one off
+        span = hi - lo
+        n = int(span / width).bit_length()
+        if span / 2**n >= width:
+            n += 1
+        elif n and span / 2 ** (n - 1) < width:
+            n -= 1
+        cell = span / 2**n
+        k = min(int((estimate - lo) / cell), 2**n - 1)
         a, b = lo + k * cell, lo + (k + 1) * cell
         s_a = sign(a)
         s_b = sign(b)

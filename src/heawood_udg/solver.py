@@ -53,7 +53,7 @@ from .chain import (
     fixed_points,
     place_l4,
 )
-from .geom import MAX_DIGITS, MIN_DIGITS, Point2, RealContext, distance_squared
+from .geom import MAX_DIGITS, MIN_DIGITS, MPContext, Point2, context, distance_squared
 from .geom import bisect_sign_change, illinois_estimate
 from .incidence import ALL_VERTICES
 
@@ -231,7 +231,7 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     the refined midpoint's closure residual stays above 10^(-digits/2) (a
     jump of the branch structure, not a root).
     """
-    ctx = RealContext(digits)
+    ctx = context(digits)
 
     def closure_at(theta):
         return build_chain(theta, bracket.branch, digits).closure
@@ -261,8 +261,8 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
 
     # extra factor 100 of interval width keeps the midpoint residual under
     # the 10^(-digits/2) bound even for steep crossings
-    width_target = ctx.pow10(-(digits // 2) - 2)
-    residual_bound = ctx.pow10(-(digits // 2))
+    width_target = ctx.mpf(10) ** (-(digits // 2) - 2)
+    residual_bound = ctx.mpf(10) ** -(digits // 2)
     estimate = illinois_estimate(closure_at, lo, hi, f_lo, f_hi, width_target / 1000)
     try:
         lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target, estimate=estimate)
@@ -313,7 +313,7 @@ def _gradient(u: Point2, v: Point2) -> Point2:
     return Point2(2 * (u.x - v.x), 2 * (u.y - v.y))
 
 
-def _chain_step(ctx: RealContext, pos: Mapping, residuals: Sequence) -> dict:
+def _chain_step(ctx: MPContext, pos: Mapping, residuals: Sequence) -> dict:
     """Newton's step: solve J·δ = −``residuals`` for the Jacobian J of
     :func:`system_residuals` at the positions ``pos`` by walking the
     construction chain.  Returns each dependent vertex's move as a
@@ -332,7 +332,7 @@ def _chain_step(ctx: RealContext, pos: Mapping, residuals: Sequence) -> dict:
     row's coefficient of t, is at most ``eps`` times the product of the
     1-norms of the two vectors it is formed from.
     """
-    eps = ctx.mp.eps
+    eps = ctx.eps
     rows = iter(residuals)
     l4 = pos[L4]
     g = Point2(2 * (l4.x - 1), 2 * l4.y)
@@ -386,11 +386,11 @@ def newton_polish(
     epsilon of ``digits`` precision) and :class:`NoConvergence` when the
     residual target is not met within ``NEWTON_MAX_ITER`` iterations.
     """
-    ctx = RealContext(digits)
+    ctx = context(digits)
     pos = fixed_points(ctx)
     for v in DEPENDENT_VERTICES:
-        pos[v] = ctx.point(*candidate.coords[v])
-    target = ctx.pow10(4 - digits)
+        pos[v] = Point2(ctx.mpf(candidate.coords[v].x), ctx.mpf(candidate.coords[v].y))
+    target = ctx.mpf(10) ** (4 - digits)
 
     for _ in range(NEWTON_MAX_ITER):
         residuals = system_residuals(pos)
@@ -456,7 +456,7 @@ def solve_all(config: SolveConfig | None = None) -> list:
     rounds the 30-digit solution.
     """
     config = config or SolveConfig()
-    tol = RealContext(config.digits).mpf(DEDUPE_TOL)
+    tol = context(config.digits).mpf(DEDUPE_TOL)
 
     polished = []
     for bracket in sweep(config):

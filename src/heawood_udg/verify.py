@@ -14,13 +14,14 @@ reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Sequence
 
+from mpmath.libmp import to_rational
+
 from .chain import L4, P4, EmbeddingCandidate
 from .charpoly import BigPoly, sign_at
-from .geom import MIN_DIGITS, Point2, RealContext, distance_squared
+from .geom import MIN_DIGITS, MPContext, Point2, context, distance_squared
 from .incidence import HEAWOOD_FLAGS, VertexLabel
 from .refdata import TABLE_VERTICES
 
@@ -51,7 +52,7 @@ class Certificate:
         10^(4 - precision), the tolerance of Newton's polish, x_l4's bracket
         shows a sign change, the margin is positive, and the precision is
         at least ``MIN_DIGITS``."""
-        bound = RealContext(self.precision).pow10(4 - self.precision)
+        bound = context(self.precision).mpf(10) ** (4 - self.precision)
         return (
             self.precision >= MIN_DIGITS
             and self.max_flag_residual < bound
@@ -61,7 +62,7 @@ class Certificate:
         )
 
     def to_json_dict(self) -> dict:
-        ctx = RealContext(self.precision)
+        ctx = context(self.precision)
         return {
             "pass": self.passes,
             "max_flag_residual": ctx.nstr(self.max_flag_residual, 8),
@@ -100,7 +101,7 @@ def collinearity_residual(candidate: EmbeddingCandidate):
     return max(abs(cross), abs(spacing), abs(mid_x), abs(mid_y))
 
 
-def _point_segment_distance(ctx: RealContext, p: Point2, a: Point2, b: Point2):
+def _point_segment_distance(ctx: MPContext, p: Point2, a: Point2, b: Point2):
     vx = b.x - a.x
     vy = b.y - a.y
     t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / (vx * vx + vy * vy)
@@ -128,10 +129,6 @@ def regularity_check(candidate: EmbeddingCandidate):
     return margin
 
 
-def _mpf_to_fraction(ctx: RealContext, x) -> Fraction:
-    return Fraction(Decimal(ctx.nstr(x)))
-
-
 def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fraction | None = None):
     """Exact rational bracket of the stated width centered at the
     candidate's x_l4; returns (lo, hi, sign_change_ok).
@@ -140,10 +137,9 @@ def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fracti
     Newton's polish and of :attr:`Certificate.passes`, so that it spans
     the last printed digits of x_l4 below 24 digits, and 10^-20 above.
     """
-    ctx = candidate.context()
     if width is None:
         width = Fraction(10) ** max(-20, 4 - candidate.precision)
-    center = _mpf_to_fraction(ctx, candidate.coords[L4].x)
+    center = Fraction(*to_rational(candidate.coords[L4].x._mpf_))
     lo = center - width / 2
     hi = center + width / 2
     ok = sign_at(poly, lo) * sign_at(poly, hi) < 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from mpmath.ctx_mp import MPContext
+
 from heawood_udg.chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
@@ -20,7 +22,7 @@ from heawood_udg.chain import (
     EmbeddingCandidate,
     fixed_points,
 )
-from heawood_udg.geom import Point2, RealContext, distance_squared
+from heawood_udg.geom import Point2, distance_squared
 from heawood_udg.incidence import VertexLabel
 from heawood_udg.solver import _CIRCLE_PAIRS
 
@@ -82,13 +84,13 @@ VARIABLE_ORDER = tuple((v, axis) for v in DEPENDENT_VERTICES for axis in (0, 1))
 _VAR_INDEX = {va: k for k, va in enumerate(VARIABLE_ORDER)}
 
 
-def to_vector(ctx: RealContext, pos) -> list:
+def to_vector(ctx: MPContext, pos) -> list:
     """The unknowns of the positions ``pos`` in column order, at ``ctx``'s
     precision; also flattens a step of ``solver._chain_step``."""
     return [ctx.mpf(pos[v].x if axis == 0 else pos[v].y) for v, axis in VARIABLE_ORDER]
 
 
-def to_positions(ctx: RealContext, vec: Sequence) -> dict:
+def to_positions(ctx: MPContext, vec: Sequence) -> dict:
     """The pinned rectangle plus the dependent vertices of the 16-vector
     ``vec``, the inverse of :func:`to_vector`."""
     pos = fixed_points(ctx)
@@ -97,7 +99,7 @@ def to_positions(ctx: RealContext, vec: Sequence) -> dict:
     return pos
 
 
-def system_jacobian(ctx: RealContext, vec: Sequence) -> list:
+def system_jacobian(ctx: MPContext, vec: Sequence) -> list:
     """Analytic Jacobian of :func:`heawood_udg.solver.system_residuals` at
     the 16-vector ``vec``: 16 sparse rows, each a ``{column: value}`` dict
     holding its non-zero entries (at most 4)."""

@@ -18,7 +18,7 @@ from equations import registry_flags
 
 from heawood_udg import charpoly, solver
 from heawood_udg.chain import candidate_from_coords
-from heawood_udg.geom import RealContext
+from heawood_udg.geom import context
 from heawood_udg.incidence import VertexLabel, girth, verify_fano_axioms
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish, solve_all
@@ -98,8 +98,8 @@ def test_criterion_3_root_coordinate_cross_certification(solutions, poly):
 
 
 def test_criterion_4_residual_escalation(table_seeds):
-    bound60 = RealContext(60).pow10(4 - 60)
-    bound120 = RealContext(120).pow10(4 - 120)
+    bound60 = context(60).mpf(10) ** (4 - 60)
+    bound120 = context(120).mpf(10) ** (4 - 120)
     worst60, worst120 = 0.0, 0.0
     for seed in table_seeds:
         at60 = newton_polish(seed, 60)
@@ -109,7 +109,7 @@ def test_criterion_4_residual_escalation(table_seeds):
         r120 = max_flag_residual(at120)
         assert r120 < bound120, f"120-digit polish left residual {at120.context().nstr(r120, 5)}"
         worst60 = max(worst60, float(r60))
-        worst120 = max(worst120, float(RealContext(15).mp.log10(r120)))
+        worst120 = max(worst120, float(context(15).log10(r120)))
     print(
         f"criterion 4: PASS - all 11 seeds: max flag residual < 1e-56 at 60 digits "
         f"(worst {worst60:.2e}), < 1e-116 at 120 digits (worst 1e{worst120:.0f})"

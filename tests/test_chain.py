@@ -23,7 +23,7 @@ from heawood_udg.chain import (
     load_candidates,
     place_l4,
 )
-from heawood_udg.geom import RealContext, distance_squared
+from heawood_udg.geom import Point2, context, distance_squared
 from heawood_udg.incidence import VertexLabel
 
 V = VertexLabel.parse
@@ -34,7 +34,7 @@ V = VertexLabel.parse
 
 
 def test_fixed_rectangle_unit_sides():
-    ctx = RealContext(30)
+    ctx = context(30)
     pos = fixed_points(ctx)
     cycle = list(RECTANGLE_CYCLE)
     for i, v in enumerate(cycle):
@@ -62,25 +62,25 @@ def test_branch_vector_space_has_64_elements():
 
 
 def test_place_l4_axis_points():
-    ctx = RealContext(60)
+    ctx = context(60)
     east = place_l4(ctx, 0)
     assert east.x == 3 and east.y == 0
     west = place_l4(ctx, ctx.pi)
-    assert abs(west.x + 1) < ctx.pow10(-58)
-    assert abs(west.y) < ctx.pow10(-58)
+    assert abs(west.x + 1) < ctx.mpf(10) ** -58
+    assert abs(west.y) < ctx.mpf(10) ** -58
 
 
 def test_place_l4_inverts_reference_row():
     # recover the angle from the first reference row's l4 and re-place it
-    ctx = RealContext(60)
+    ctx = context(60)
     l4x = ctx.mpf("-0.730124164909779")
     l4y = ctx.mpf("1.003329643733922")
     theta = ctx.atan2(l4y / 2, (l4x - 1) / 2)
     q = place_l4(ctx, theta)
-    assert abs(q.x - l4x) < ctx.pow10(-14)
-    assert abs(q.y - l4y) < ctx.pow10(-14)
+    assert abs(q.x - l4x) < ctx.mpf(10) ** -14
+    assert abs(q.y - l4y) < ctx.mpf(10) ** -14
     # l4 sits on the radius-2 circle around l5
-    assert abs(distance_squared(q, ctx.point(1, 0)) - 4) < ctx.pow10(-57)
+    assert abs(distance_squared(q, Point2(ctx.mpf(1), ctx.mpf(0))) - 4) < ctx.mpf(10) ** -57
 
 
 TABLE1_THETA = "2.616070438111156233404996722814660879937"
@@ -90,20 +90,20 @@ TABLE1_BRANCH = "011000"
 def test_build_chain_reproduces_first_reference_row():
     cand = build_chain(TABLE1_THETA, BranchVector.from_string(TABLE1_BRANCH), 60)
     ctx = cand.context()
-    assert abs(cand["P6"].x - ctx.mpf("0.106134457655163")) < ctx.pow10(-13)
-    assert abs(cand["P6"].y - ctx.mpf("1.551664866189844")) < ctx.pow10(-13)
-    assert abs(cand["l6"].x - ctx.mpf("-0.574170534719569")) < ctx.pow10(-13)
-    assert abs(cand["l6"].y - ctx.mpf("0.818735730904572")) < ctx.pow10(-13)
-    assert abs(cand.closure) < ctx.pow10(-25)
+    assert abs(cand["P6"].x - ctx.mpf("0.106134457655163")) < ctx.mpf(10) ** -13
+    assert abs(cand["P6"].y - ctx.mpf("1.551664866189844")) < ctx.mpf(10) ** -13
+    assert abs(cand["l6"].x - ctx.mpf("-0.574170534719569")) < ctx.mpf(10) ** -13
+    assert abs(cand["l6"].y - ctx.mpf("0.818735730904572")) < ctx.mpf(10) ** -13
+    assert abs(cand.closure) < ctx.mpf(10) ** -25
 
 
 def test_build_chain_reproduces_last_reference_row():
     cand = build_chain("2.130841376482804410259009077561951520304", BranchVector.from_string("001111"), 60)
     ctx = cand.context()
-    assert abs(cand["l4"].x - ctx.mpf("-0.062448731920371")) < ctx.pow10(-13)
-    assert abs(cand["l4"].y - ctx.mpf("1.694462360762491")) < ctx.pow10(-13)
-    assert abs(cand["P4"].x - ctx.mpf("0.468775634039814")) < ctx.pow10(-13)
-    assert abs(cand["P4"].y - ctx.mpf("0.847231180381246")) < ctx.pow10(-13)
+    assert abs(cand["l4"].x - ctx.mpf("-0.062448731920371")) < ctx.mpf(10) ** -13
+    assert abs(cand["l4"].y - ctx.mpf("1.694462360762491")) < ctx.mpf(10) ** -13
+    assert abs(cand["P4"].x - ctx.mpf("0.468775634039814")) < ctx.mpf(10) ** -13
+    assert abs(cand["P4"].y - ctx.mpf("0.847231180381246")) < ctx.mpf(10) ** -13
 
 
 def test_midpoint_is_exact_halving():
@@ -123,14 +123,14 @@ def test_chain_breaks_at_p3_for_theta_zero():
 
 def test_chain_breaks_at_p6_for_theta_half_pi():
     # l4 lands exactly on l7, making P6's two defining circles concentric
-    ctx = RealContext(30)
+    ctx = context(30)
     with pytest.raises(ChainBroken) as err:
         build_chain(ctx.pi / 2, BranchVector.from_string("000000"), 30)
     assert err.value.step == V("P6")
 
 
 def test_chain_satisfies_both_defining_circles_everywhere():
-    bound = RealContext(40).pow10(2 - 40)
+    bound = context(40).mpf(10) ** (2 - 40)
     for theta in ("2.2", "2.45", "2.6"):
         for branch_str in ("000000", "011000", "111111"):
             try:
@@ -275,5 +275,5 @@ def test_json_restores_coordinates_exactly():
     restored = candidate_from_json_dict(candidate_to_json_dict(cand))
     ctx = cand.context()
     for v in cand.coords:
-        assert abs(restored.coords[v].x - cand.coords[v].x) < ctx.pow10(-28)
-        assert abs(restored.coords[v].y - cand.coords[v].y) < ctx.pow10(-28)
+        assert abs(restored.coords[v].x - cand.coords[v].x) < ctx.mpf(10) ** -28
+        assert abs(restored.coords[v].y - cand.coords[v].y) < ctx.mpf(10) ** -28

@@ -19,7 +19,7 @@ from heawood_udg.charpoly import (
     sign_at,
     sturm_chain,
 )
-from heawood_udg.geom import RealContext, bisect_sign_change
+from heawood_udg.geom import bisect_sign_change, context
 
 # independently recomputed from the stored coefficient strings during
 # development: the exact coefficient sum p(1) and alternating sum p(-1)
@@ -301,7 +301,7 @@ def test_refine_rejects_sign_consistent_interval():
 def test_refine_equals_exact_bisection_for_every_root(poly):
     # the Newton jump must land on the cell that halving to 1e-60 ends in
     width = Fraction(1, 10 ** 60)
-    ctx = RealContext(65)
+    ctx = context(65)
     for iv in isolate_real_roots(poly):
         lo, hi = bisect_sign_change(lambda t: sign_at(poly, t), iv.lo, iv.hi, sign_at(poly, iv.lo), width)
         mid = (lo + hi) / 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,20 @@ def test_incidence_subcommand(capsys):
     assert len(payload["lines"]) == 7
     assert len(payload["flags"]) == 21
     assert payload["lines"]["l2"] == ["P1", "P2", "P4"]
+
+
+def test_module_entry_point():
+    # `python -m heawood_udg`, as the README documents it
+    proc = subprocess.run(
+        [sys.executable, "-m", "heawood_udg", "incidence"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["lines"]) == 7
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -63,14 +78,21 @@ def test_usage_error_exit_code(tmp_path, capsys):
         figs = tmp_path / f"figs_{scale}"
         assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
         assert not figs.exists()
-    # a non-finite coordinate, a precision that is not a JSON integer or
-    # branch bits that are not JSON integers is a usage error for both
-    # commands, not a traceback, a NaN drawing or silently truncated bits
+    # a non-finite or boolean number, a precision that is not a JSON
+    # integer from 3 up or branch bits that are not JSON integers is a
+    # usage error for both commands, not a traceback, a NaN drawing, a
+    # boolean read as 0 or 1 or silently truncated bits
     for name, field, value in [
         ("inf_x", "x", "inf"),
         ("nan_x", "x", "nan"),
+        ("boolean_x", "x", True),
+        ("boolean_theta", "theta", True),
+        ("boolean_closure", "closure", False),
         ("inf_precision", "precision", float("inf")),
         ("fractional_precision", "precision", 60.7),
+        ("negative_precision", "precision", -5),
+        ("zero_precision", "precision", 0),
+        ("two_digit_precision", "precision", 2),
         ("fractional_branch", "branch", [0.7, 1.2, 0, 1, 0, 1]),
         ("string_branch", "branch", "110110"),
         ("boolean_branch", "branch", [True, False, True, False, True, False]),

@@ -10,9 +10,9 @@ from heawood_udg.geom import (
     GeometryError,
     NoIntersection,
     Point2,
-    RealContext,
     Tangent,
     circle_circle_intersect,
+    context,
     distance_squared,
     illinois_estimate,
 )
@@ -20,18 +20,18 @@ from heawood_udg.incidence import VertexLabel
 
 
 def test_decimal_round_trip_at_60_digits():
-    ctx = RealContext(60)
+    ctx = context(60)
     rng = random.Random(20240817)
     for _ in range(500):
         x = ctx.mpf(rng.random()) * ctx.mpf(10) ** rng.randint(-25, 5)
-        s1 = ctx.nstr(x)
-        s2 = ctx.nstr(ctx.mpf(s1))
+        s1 = ctx.nstr(x, 60)
+        s2 = ctx.nstr(ctx.mpf(s1), 60)
         assert s1 == s2
 
 
 def test_contexts_are_independent():
-    a = RealContext(30)
-    b = RealContext(60)
+    a = context(30)
+    b = context(60)
     assert a.dps == 30 and b.dps == 60
     # converting between contexts preserves the decimal value
     x = a.mpf("0.1")
@@ -39,75 +39,80 @@ def test_contexts_are_independent():
 
 
 def test_contexts_are_shared_per_precision():
-    assert RealContext(30).mp is RealContext(30).mp
-    assert RealContext(30).mp is not RealContext(60).mp
-    assert RealContext(30).mp.dps == 30 and RealContext(60).mp.dps == 60
+    assert context(30) is context(30)
+    assert context(30) is not context(60)
+    assert context(30).dps == 30 and context(60).dps == 60
 
 
 def test_equilateral_intersection():
-    ctx = RealContext(60)
-    q = circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(1, 0), 1, bit=0)
-    assert abs(q.x - ctx.mpf("0.5")) < ctx.pow10(-55)
-    assert abs(q.y - ctx.mpf("0.866025403784439")) < ctx.pow10(-15)
+    ctx = context(60)
+    origin, east = Point2(ctx.mpf(0), ctx.mpf(0)), Point2(ctx.mpf(1), ctx.mpf(0))
+    q = circle_circle_intersect(ctx, origin, 1, east, 1, bit=0)
+    assert abs(q.x - ctx.mpf("0.5")) < ctx.mpf(10) ** -55
+    assert abs(q.y - ctx.mpf("0.866025403784439")) < ctx.mpf(10) ** -15
     # bit 1 is the mirror image below the center line
-    q1 = circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(1, 0), 1, bit=1)
-    assert abs(q1.y + q.y) < ctx.pow10(-55)
+    q1 = circle_circle_intersect(ctx, origin, 1, east, 1, bit=1)
+    assert abs(q1.y + q.y) < ctx.mpf(10) ** -55
 
 
 def test_reference_intersection_for_p3():
     # circles around l3 = (0,1) and the first reference row's l4 meet at
     # that row's P3 on branch 0
-    ctx = RealContext(60)
-    l3 = ctx.point(0, 1)
-    l4 = ctx.point("-0.730124164909779", "1.003329643733922")
+    ctx = context(60)
+    l3 = Point2(ctx.mpf(0), ctx.mpf(1))
+    l4 = Point2(ctx.mpf("-0.730124164909779"), ctx.mpf("1.003329643733922"))
     q = circle_circle_intersect(ctx, l3, 1, l4, 1, bit=0)
-    assert abs(q.x - ctx.mpf("-0.369307668700666")) < ctx.pow10(-13)
-    assert abs(q.y - ctx.mpf("0.070692814060453")) < ctx.pow10(-13)
+    assert abs(q.x - ctx.mpf("-0.369307668700666")) < ctx.mpf(10) ** -13
+    assert abs(q.y - ctx.mpf("0.070692814060453")) < ctx.mpf(10) ** -13
+
+
+def _on_x_axis(ctx, x):
+    return Point2(ctx.mpf(x), ctx.mpf(0))
 
 
 def test_no_intersection():
-    ctx = RealContext(30)
+    ctx = context(30)
     with pytest.raises(NoIntersection):
-        circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(3, 0), 1, bit=0)
+        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 3), 1, bit=0)
 
 
 def test_externally_tangent():
-    ctx = RealContext(30)
+    ctx = context(30)
     with pytest.raises(Tangent):
-        circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(2, 0), 1, bit=0)
+        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 2), 1, bit=0)
 
 
 def test_near_tangent_within_tolerance():
-    ctx = RealContext(30)
-    d = ctx.mpf(2) - ctx.pow10(-20)  # discriminant ~1e-20, tol 1e-15
+    ctx = context(30)
+    d = ctx.mpf(2) - ctx.mpf(10) ** -20  # discriminant ~1e-20, tol 1e-15
     with pytest.raises(Tangent):
-        circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(d, 0), 1, bit=0)
+        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, d), 1, bit=0)
 
 
 def test_concentric():
-    ctx = RealContext(30)
+    ctx = context(30)
     with pytest.raises(ConcentricCircles):
-        circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(0, 0), 1, bit=0)
+        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 0), 1, bit=0)
 
 
 def test_input_validation():
-    ctx = RealContext(30)
+    ctx = context(30)
     with pytest.raises(ValueError):
-        circle_circle_intersect(ctx, ctx.point(0, 0), 1, ctx.point(1, 0), 1, bit=2)
+        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 1), 1, bit=2)
     with pytest.raises(ValueError):
-        circle_circle_intersect(ctx, ctx.point(0, 0), 0, ctx.point(1, 0), 1, bit=0)
+        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 0, _on_x_axis(ctx, 1), 1, bit=0)
 
 
 def _random_config(ctx, rng):
-    c1 = ctx.point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-    c2 = ctx.point(c1.x + rng.uniform(-1.5, 1.5), c1.y + rng.uniform(-1.5, 1.5))
+    c1 = Point2(ctx.mpf(rng.uniform(-3, 3)), ctx.mpf(rng.uniform(-3, 3)))
+    c2 = Point2(ctx.mpf(c1.x + rng.uniform(-1.5, 1.5)), ctx.mpf(c1.y + rng.uniform(-1.5, 1.5)))
     return c1, c2
 
 
 @pytest.mark.parametrize("dps", [30, 60])
 def test_residuals_scale_with_precision(dps):
-    ctx = RealContext(dps)
-    bound = ctx.pow10(2 - dps)
+    ctx = context(dps)
+    bound = ctx.mpf(10) ** (2 - dps)
     rng = random.Random(dps)
     checked = 0
     while checked < 50:
@@ -124,7 +129,7 @@ def test_residuals_scale_with_precision(dps):
 def test_branch_symmetry():
     # the two branches are mirror images across the center line: their
     # midpoint lies on it and they are equidistant from both centers
-    ctx = RealContext(60)
+    ctx = context(60)
     rng = random.Random(7)
     checked = 0
     while checked < 50:
@@ -137,13 +142,13 @@ def test_branch_symmetry():
         mid = Point2((q0.x + q1.x) / 2, (q0.y + q1.y) / 2)
         ux, uy = c2.x - c1.x, c2.y - c1.y
         cross = ux * (mid.y - c1.y) - uy * (mid.x - c1.x)
-        assert abs(cross) < ctx.pow10(-55)
-        assert abs(distance_squared(q0, c1) - distance_squared(q1, c1)) < ctx.pow10(-55)
+        assert abs(cross) < ctx.mpf(10) ** -55
+        assert abs(distance_squared(q0, c1) - distance_squared(q1, c1)) < ctx.mpf(10) ** -55
         checked += 1
 
 
 def test_branch_zero_is_left_of_center_line():
-    ctx = RealContext(30)
+    ctx = context(30)
     rng = random.Random(99)
     checked = 0
     while checked < 30:
@@ -160,16 +165,16 @@ def test_branch_zero_is_left_of_center_line():
 def test_determinism_bit_identical():
     results = []
     for _ in range(2):
-        ctx = RealContext(60)
+        ctx = context(60)
         q = circle_circle_intersect(
-            ctx, ctx.point("0.25", "-1.5"), 1, ctx.point("1.125", "-0.875"), 1, bit=1
+            ctx, Point2(ctx.mpf("0.25"), ctx.mpf("-1.5")), 1, Point2(ctx.mpf("1.125"), ctx.mpf("-0.875")), 1, bit=1
         )
-        results.append((ctx.nstr(q.x), ctx.nstr(q.y)))
+        results.append((ctx.nstr(q.x, 60), ctx.nstr(q.y, 60)))
     assert results[0] == results[1]
 
 
 def test_illinois_estimate_converges_on_sqrt_two():
-    ctx = RealContext(50)
+    ctx = context(50)
     calls = []
 
     def value(t):
@@ -177,7 +182,7 @@ def test_illinois_estimate_converges_on_sqrt_two():
         return t * t - 2
 
     lo, hi = ctx.mpf(1), ctx.mpf(2)
-    tol = ctx.pow10(-40)
+    tol = ctx.mpf(10) ** -40
     x = illinois_estimate(value, lo, hi, value(lo), value(hi), tol)
     assert abs(x - ctx.sqrt(2)) < tol
     # superlinear: a dozen steps, not the 133 of halving to 1e-40
@@ -191,9 +196,9 @@ def test_illinois_estimate_converges_on_sqrt_two():
 def test_illinois_estimate_is_none_where_the_function_breaks(error):
     # a broken construction chain is a geometry error like a failed step
     assert isinstance(error, GeometryError)
-    ctx = RealContext(30)
+    ctx = context(30)
 
     def value(t):
         raise error
 
-    assert illinois_estimate(value, ctx.mpf(1), ctx.mpf(2), ctx.mpf(-1), ctx.mpf(2), ctx.pow10(-20)) is None
+    assert illinois_estimate(value, ctx.mpf(1), ctx.mpf(2), ctx.mpf(-1), ctx.mpf(2), ctx.mpf(10) ** -20) is None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from heawood_udg.chain import (
     candidate_from_coords,
     dump_candidates,
 )
-from heawood_udg.geom import Point2, RealContext, bisect_sign_change, circle_circle_intersect
+from heawood_udg.geom import Point2, bisect_sign_change, circle_circle_intersect, context
 from heawood_udg.incidence import VertexLabel
 from heawood_udg.solver import (
     Bracket,
@@ -127,12 +128,12 @@ def test_closure_grid_nan_where_chain_breaks():
 def test_float_and_mpf_circle_steps_pick_the_same_branch(x, y, d, phi):
     # closure_grid and build_chain share one chain walk, so their circle
     # steps must agree on which intersection each branch bit selects
-    ctx = RealContext(30)
+    ctx = context(30)
     c1 = (x, y)
     c2 = (x + d * math.cos(phi), y + d * math.sin(phi))
     for bit in (0, 1):
         fast = _cci_grid(Point2(*c1), Point2(*c2), bit)
-        exact = circle_circle_intersect(ctx, ctx.point(*c1), 1, ctx.point(*c2), 1, bit)
+        exact = circle_circle_intersect(ctx, Point2(*map(ctx.mpf, c1)), 1, Point2(*map(ctx.mpf, c2)), 1, bit)
         assert abs(float(fast.x) - float(exact.x)) < 1e-12
         assert abs(float(fast.y) - float(exact.y)) < 1e-12
 
@@ -282,9 +283,9 @@ def test_refine_bracket_reproduces_first_reference_row(tables):
     row = tables[0]
     for name in ("P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"):
         pt = cand[name]
-        assert abs(pt.x - ctx.mpf(row[name][0])) < ctx.pow10(-13)
-        assert abs(pt.y - ctx.mpf(row[name][1])) < ctx.pow10(-13)
-    assert abs(cand.closure) < ctx.pow10(-13)
+        assert abs(pt.x - ctx.mpf(row[name][0])) < ctx.mpf(10) ** -13
+        assert abs(pt.y - ctx.mpf(row[name][1])) < ctx.mpf(10) ** -13
+    assert abs(cand.closure) < ctx.mpf(10) ** -13
 
 
 def test_refine_bracket_narrow_input_returns_midpoint():
@@ -340,11 +341,11 @@ def test_degenerate_zero_has_coincident_vertices():
     assert len(brackets) == 1
     cand = refine_bracket(brackets[0], 30)
     ctx = cand.context()
-    assert abs(cand["l4"].x + ctx.mpf(3) / 5) < ctx.pow10(-15)
-    assert abs(cand["l4"].y - ctx.mpf(6) / 5) < ctx.pow10(-15)
-    assert min_vertex_separation(cand) < ctx.pow10(-12)
+    assert abs(cand["l4"].x + ctx.mpf(3) / 5) < ctx.mpf(10) ** -15
+    assert abs(cand["l4"].y - ctx.mpf(6) / 5) < ctx.mpf(10) ** -15
+    assert min_vertex_separation(cand) < ctx.mpf(10) ** -12
     sep_p1_p6 = abs(cand["P1"].x - cand["P6"].x) + abs(cand["P1"].y - cand["P6"].y)
-    assert sep_p1_p6 < ctx.pow10(-12)
+    assert sep_p1_p6 < ctx.mpf(10) ** -12
 
 
 def _refine_outcome(bracket: Bracket):
@@ -404,26 +405,78 @@ def test_bisection_estimate_is_confirmed_or_dropped():
     assert half == (Fraction(1, 2), Fraction(1, 2))
 
 
+def _halved_cell(lo, hi, width, estimate):
+    # the final cell holding ``estimate``, as halving hi - lo finds it
+    cell, cells = hi - lo, 1
+    while cell >= width:
+        cell /= 2
+        cells *= 2
+    k = min(int((estimate - lo) / cell), cells - 1)
+    return lo + k * cell, lo + (k + 1) * cell
+
+
+def test_estimate_cell_matches_halving_loop():
+    # the estimate's cell is indexed by a halving count taken from the
+    # ratio of span and width; it must be the halving loop's cell, widths
+    # at and next to an exact power of two of the span included.  A width
+    # finer than the span's precision rounds the ratio up to that power.
+    rng = random.Random(14)
+    cases = []
+    for dps in (30, 60):
+        ctx, fine = context(dps), context(2 * dps)
+        for _ in range(200):
+            lo = ctx.mpf(rng.uniform(-4, 4))
+            span = ctx.mpf(rng.uniform(0.1, 1)) * ctx.mpf(10) ** rng.randint(-dps // 2, 1)
+            exact = span / 2 ** rng.randint(0, 3 * dps)
+            near = (fine.mpf(exact) * (1 + 4 * d * fine.eps) for d in (-1, 1))
+            widths = (exact, *near, span / rng.uniform(1, 2**60), 3 * span)
+            cases += [(lo, lo + span, w, lo + span * ctx.mpf(rng.random())) for w in widths]
+    for _ in range(200):
+        lo = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        span = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        exact = span / 2 ** rng.randint(0, 200)
+        tiny = Fraction(1, 10**80)
+        widths = (exact, exact + tiny, exact - tiny, Fraction(1, 10 ** rng.randint(1, 60)))
+        cases += [(lo, lo + span, w, lo + span * Fraction(rng.randint(0, 10**6), 10**6)) for w in widths]
+
+    class Stop(Exception):
+        pass
+
+    for lo, hi, width, estimate in cases:
+        calls = []
+
+        def sign(t):
+            # the estimate route evaluates its cell's two end points first
+            calls.append(t)
+            if len(calls) == 2:
+                raise Stop
+            return -1
+
+        with pytest.raises(Stop):
+            bisect_sign_change(sign, lo, hi, -1, width, estimate=estimate)
+        assert tuple(calls) == _halved_cell(lo, hi, width, estimate)
+
+
 # ---------------------------------------------------------------------------
 # Newton polishing
 
 
 def test_system_residuals_vanish_on_solutions(solutions):
-    ctx = RealContext(60)
+    ctx = context(60)
     for cand in solutions:
         res = system_residuals(cand.coords)
         assert len(res) == 16
-        assert max(abs(r) for r in res) < ctx.pow10(-56)
+        assert max(abs(r) for r in res) < ctx.mpf(10) ** -56
 
 
 def test_jacobian_matches_finite_differences():
-    ctx = RealContext(40)
+    ctx = context(40)
     cand = build_chain("2.5", BranchVector.from_string("101100"), 40)
     vec = to_vector(ctx, cand.coords)
     J = system_jacobian(ctx, vec)
     assert len(J) == 16
     assert all(1 <= len(row) <= 4 for row in J)
-    h = ctx.pow10(-20)
+    h = ctx.mpf(10) ** -20
     base = system_residuals(to_positions(ctx, vec))
     for col in range(16):
         bumped = list(vec)
@@ -431,21 +484,21 @@ def test_jacobian_matches_finite_differences():
         res = system_residuals(to_positions(ctx, bumped))
         for row in range(16):
             fd = (res[row] - base[row]) / h
-            assert abs(J[row].get(col, 0) - fd) < ctx.pow10(-18)
+            assert abs(J[row].get(col, 0) - fd) < ctx.mpf(10) ** -18
 
 
 def test_newton_polish_from_reference_seed(table_seeds):
     trace: list = []
     polished = newton_polish(table_seeds[0], 60, trace=trace)
-    ctx = RealContext(60)
-    assert max(abs(r) for r in system_residuals(polished.coords)) < ctx.pow10(-56)
+    ctx = context(60)
+    assert max(abs(r) for r in system_residuals(polished.coords)) < ctx.mpf(10) ** -56
     assert 1 <= len(trace) <= 5  # quadratic convergence from a 15-digit seed
 
 
 def test_newton_quadratic_convergence(table_seeds):
     trace: list = []
     newton_polish(table_seeds[0], 60, trace=trace)
-    norms = [float(RealContext(60).mp.log10(t)) for t in trace if t > 0]
+    norms = [float(context(60).log10(t)) for t in trace if t > 0]
     # each step at least ~doubles the number of correct digits until the floor
     for a, b in zip(norms, norms[1:]):
         if b < -58:
@@ -457,9 +510,9 @@ def test_newton_fixed_point_on_exact_solution(solutions):
     trace: list = []
     again = newton_polish(solutions[0], 60, trace=trace)
     assert trace == []  # converged on entry: no step taken
-    ctx = RealContext(60)
+    ctx = context(60)
     for v in again.coords:
-        assert abs(again.coords[v].x - solutions[0].coords[v].x) < ctx.pow10(-58)
+        assert abs(again.coords[v].x - solutions[0].coords[v].x) < ctx.mpf(10) ** -58
 
 
 def test_newton_basin_recovers_from_perturbation(table_seeds, polished_seeds):
@@ -475,9 +528,9 @@ def test_newton_basin_recovers_from_perturbation(table_seeds, polished_seeds):
         20,
     )
     recovered = newton_polish(perturbed, 60)
-    ctx = RealContext(60)
+    ctx = context(60)
     for v in recovered.coords:
-        assert abs(recovered.coords[v].x - polished_seeds[0].coords[v].x) < ctx.pow10(-50)
+        assert abs(recovered.coords[v].x - polished_seeds[0].coords[v].x) < ctx.mpf(10) ** -50
 
 
 def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
@@ -490,7 +543,7 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
     with pytest.raises(SingularJacobian):
         newton_polish(broken, 60)
     # mpmath's dense solve gives up on the same Jacobian
-    ctx = RealContext(60)
+    ctx = context(60)
     vec = to_vector(ctx, broken.coords)
     pos = to_positions(ctx, vec)
     residuals = system_residuals(pos)
@@ -528,7 +581,7 @@ def _dense_lu_solve(ctx, rows, rhs):
     the matrix singular.  It runs in a private context because ``lu_solve``
     changes its context's precision while it runs."""
     mp = MPContext()
-    mp.prec = ctx.mp.prec
+    mp.prec = ctx.prec
     A = mp.zeros(len(rows), len(rows))
     for i, row in enumerate(rows):
         for k, v in row.items():
@@ -542,7 +595,7 @@ def _dense_lu_solve(ctx, rows, rhs):
 
 @pytest.mark.parametrize("digits", [30, 60, 300])
 def test_chain_step_agrees_with_mpmath(solutions, digits):
-    ctx = RealContext(digits)
+    ctx = context(digits)
     rng = random.Random(digits)
     for cand in solutions:
         exact = to_vector(ctx, cand.coords)
@@ -553,7 +606,7 @@ def test_chain_step_agrees_with_mpmath(solutions, digits):
             step = to_vector(ctx, solver._chain_step(ctx, pos, residuals))
             ref = _dense_lu_solve(ctx, system_jacobian(ctx, vec), [-r for r in residuals])
             assert ref is not ZeroDivisionError
-            bound = ctx.pow10(4 - digits) * max(abs(r) for r in ref)
+            bound = ctx.mpf(10) ** (4 - digits) * max(abs(r) for r in ref)
             assert max(abs(a - b) for a, b in zip(step, ref)) <= bound
 
 
@@ -573,12 +626,12 @@ def test_solutions_sorted_by_l4(solutions):
 def test_solutions_match_reference_polish(solutions, polished_seeds):
     # the sweep route and the reference-seed Newton route are independent;
     # they must land on identical coordinates
-    ctx = RealContext(60)
+    ctx = context(60)
     by_l4 = sorted(polished_seeds, key=lambda c: (c["l4"].x, c["l4"].y))
     for found, oracle in zip(solutions, by_l4):
         for v in found.coords:
-            assert abs(found.coords[v].x - oracle.coords[v].x) < ctx.pow10(-55)
-            assert abs(found.coords[v].y - oracle.coords[v].y) < ctx.pow10(-55)
+            assert abs(found.coords[v].x - oracle.coords[v].x) < ctx.mpf(10) ** -55
+            assert abs(found.coords[v].y - oracle.coords[v].y) < ctx.mpf(10) ** -55
 
 
 def test_discovered_branches_and_thetas(solutions):
@@ -613,7 +666,7 @@ def test_solve_all_excludes_the_rational_degenerate(solutions):
 
 
 def test_dedupe_keeps_one_of_identical_pair(solutions):
-    tol = RealContext(60).mpf("1e-20")
+    tol = context(60).mpf("1e-20")
     doubled = [solutions[0], solutions[0], solutions[1]]
     assert len(dedupe_candidates(doubled, tol)) == 2
 
@@ -631,26 +684,33 @@ def test_deep_solve_bytes_unchanged():
 
 
 def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
-    # record every context the run asks for, keyed by bits, with the
-    # decimal precision it had then
-    shared = geom._mp_context
+    # record every context the run asks for with the precision it had
+    # then; each module that imported the factory holds its own name for
+    # it, so each one is patched
+    shared = geom.context
     seen = {}
 
-    def recording(prec):
-        mp = shared(prec)
-        seen.setdefault(prec, (mp, mp.dps))
+    def recording(dps):
+        mp = shared(dps)
+        seen.setdefault(dps, (mp, mp.dps, mp.prec))
         return mp
 
-    monkeypatch.setattr(geom, "_mp_context", recording)
+    users = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("heawood_udg") and getattr(module, "context", None) is shared
+    ]
+    assert {m.__name__ for m in users} >= {"heawood_udg.chain", "heawood_udg.solver", "heawood_udg.verify"}
+    for module in users:
+        monkeypatch.setattr(module, "context", recording)
     found = solve_all(SolveConfig(grid_points=1000, digits=40))
     assert all(verify.certify(c, poly, tables).passes for c in found)
-    stages = {dps_to_prec(dps): dps for dps in (30, 40)}
-    assert all(seen[prec][1] == dps for prec, dps in stages.items())
     # the two stages are the only contexts the run asks for
-    assert set(seen) == set(stages)
-    for prec, (mp, dps) in seen.items():
-        assert (mp.dps, mp.prec) == (dps, prec)
-        assert shared(prec) is mp
+    assert set(seen) == {30, 40}
+    for dps, (mp, dps_then, prec_then) in seen.items():
+        assert (dps_then, prec_then) == (dps, dps_to_prec(dps))
+        assert (mp.dps, mp.prec) == (dps, dps_to_prec(dps))
+        assert shared(dps) is mp
 
 
 def test_determinism_bit_identical_runs():

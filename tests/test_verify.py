@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from heawood_udg.chain import BranchVector, build_chain, candidate_from_coords
 from heawood_udg.charpoly import isolate_real_roots
-from heawood_udg.geom import RealContext
+from heawood_udg.geom import context
 from heawood_udg.incidence import VertexLabel
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish
@@ -60,7 +60,7 @@ def test_reference_row_nine_is_rounded_refinement_of_printed_row(printed_row_nin
     for name in TABLE_VERTICES:
         pt = polished.coords[V(name)]
         rounded = tuple(
-            str(Decimal(ctx.nstr(c)).quantize(quantum, rounding=ROUND_HALF_EVEN))
+            str(Decimal(ctx.nstr(c, polished.precision)).quantize(quantum, rounding=ROUND_HALF_EVEN))
             for c in (pt.x, pt.y)
         )
         assert rounded == tables[8][name], name
@@ -83,9 +83,9 @@ def test_all_21_flags_reported(solutions, inc):
 
 
 def test_solution_flag_residuals_meet_precision_bound(solutions):
-    ctx = RealContext(60)
+    ctx = context(60)
     for cand in solutions:
-        assert max_flag_residual(cand) < ctx.pow10(4 - 60)
+        assert max_flag_residual(cand) < ctx.mpf(10) ** (4 - 60)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +93,9 @@ def test_solution_flag_residuals_meet_precision_bound(solutions):
 
 
 def test_collinearity_residual_tiny_on_solutions(solutions):
-    ctx = RealContext(60)
+    ctx = context(60)
     for cand in solutions:
-        assert collinearity_residual(cand) < ctx.pow10(4 - 60)
+        assert collinearity_residual(cand) < ctx.mpf(10) ** (4 - 60)
 
 
 def test_collinearity_residual_catches_violations(solutions):
@@ -121,9 +121,9 @@ def test_degenerate_candidate_has_zero_margin(solutions):
     # drop P1 onto the midpoint of the non-incident edge (P5, l5)
     coords = {str(v): (p.x, p.y) for v, p in solutions[0].coords.items()}
     coords["P1"] = (0.5, 0.0)
-    ctx = RealContext(60)
+    ctx = context(60)
     degenerate = candidate_from_coords(_dependent_only(coords), 60)
-    assert regularity_check(degenerate) < ctx.pow10(-50)
+    assert regularity_check(degenerate) < ctx.mpf(10) ** -50
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +225,6 @@ def test_precision_escalation(table_seeds):
     seed = table_seeds[0]
     at60 = newton_polish(seed, 60)
     at120 = newton_polish(at60, 120)
-    ctx60, ctx120 = RealContext(60), RealContext(120)
-    assert max_flag_residual(at60) < ctx60.pow10(4 - 60)
-    assert max_flag_residual(at120) < ctx120.pow10(4 - 120)
+    ctx60, ctx120 = context(60), context(120)
+    assert max_flag_residual(at60) < ctx60.mpf(10) ** (4 - 60)
+    assert max_flag_residual(at120) < ctx120.mpf(10) ** (4 - 120)
