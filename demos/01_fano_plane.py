@@ -13,7 +13,7 @@ inc = build_heawood_incidence()
 
 print("line triples:")
 for line, points in sorted(inc.lines.items()):
-    print(f"  {line}: {{{', '.join(str(p) for p in sorted(points))}}}")
+    print(f"  {line}: {{{', '.join(sorted(points))}}}")
 
 print(f"\nflags (incident point-line pairs): {len(inc.flags)}")
 

@@ -27,7 +27,7 @@ cand = build_chain(2.616070438111156233404996722814660879937, branch, 60)
 print("\nvertex positions at the zero (15 digits):")
 ctx = cand.context()
 for name in ("P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"):
-    pt = cand[name]
+    pt = cand.coords[name]
     print(f"  {name}: ({ctx.nstr(pt.x, 15)}, {ctx.nstr(pt.y, 15)})")
 
 # not every angle admits a chain: near theta=0 the circles around l3 and

@@ -27,7 +27,7 @@ for k, emb in enumerate(embeddings, start=1):
     ctx = emb.context()
     print(
         f"{k:>3} {str(emb.branch):>8} {ctx.nstr(emb.theta, 18):>20} "
-        f"{ctx.nstr(emb['l4'].x, 18):>22} {ctx.nstr(emb['l4'].y, 18):>21}"
+        f"{ctx.nstr(emb.coords['l4'].x, 18):>22} {ctx.nstr(emb.coords['l4'].y, 18):>21}"
     )
 
 worst = max(abs(float(e.closure)) for e in embeddings)

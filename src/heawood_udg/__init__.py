@@ -35,7 +35,6 @@ from .geom import (
 )
 from .incidence import (
     IncidenceStructure,
-    VertexLabel,
     build_heawood_incidence,
     girth,
     verify_fano_axioms,
@@ -75,7 +74,6 @@ __all__ = [
     "SingularJacobian",
     "SolveConfig",
     "Tangent",
-    "VertexLabel",
     "build_chain",
     "build_heawood_incidence",
     "candidate_from_coords",

@@ -7,7 +7,8 @@ l4 by an angle on the radius-2 circle around l5, each remaining vertex is
 cut out by intersecting two unit circles around already-placed vertices,
 one binary branch choice per step.  The last unit-distance constraint,
 d(P1, l1) = 1, is left over as the closure residual; its zeros in the angle
-are the unit-distance embeddings.
+are the unit-distance embeddings.  Vertices are their names, "P1".."l7",
+in the chain's tables and in every mapping of positions.
 """
 
 from __future__ import annotations
@@ -19,38 +20,23 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .geom import MAX_DIGITS, GeometryError, MPContext, Point2, context
 from .geom import circle_circle_intersect, distance_squared
-from .incidence import ALL_VERTICES, VertexLabel
+from .incidence import ALL_VERTICES
 
 # Pinned rectangle cycle, in cycle order; coordinates are exact integers.
-FIXED_POSITIONS = {
-    VertexLabel.parse("P5"): (0, 0),
-    VertexLabel.parse("l5"): (1, 0),
-    VertexLabel.parse("P7"): (1, 1),
-    VertexLabel.parse("l7"): (1, 2),
-    VertexLabel.parse("P2"): (0, 2),
-    VertexLabel.parse("l3"): (0, 1),
-}
+FIXED_POSITIONS = {"P5": (0, 0), "l5": (1, 0), "P7": (1, 1), "l7": (1, 2), "P2": (0, 2), "l3": (0, 1)}
 
 # Construction order: (new vertex, first center, second center).  Each step
 # intersects the unit circles around the two centers.
-CHAIN_STEPS = tuple(
-    (VertexLabel.parse(v), VertexLabel.parse(a), VertexLabel.parse(b))
-    for v, a, b in [
-        ("P3", "l3", "l4"),
-        ("P6", "l7", "l4"),
-        ("l2", "P2", "P4"),
-        ("l1", "P7", "P3"),
-        ("l6", "P5", "P6"),
-        ("P1", "l2", "l6"),
-    ]
+CHAIN_STEPS = (
+    ("P3", "l3", "l4"),
+    ("P6", "l7", "l4"),
+    ("l2", "P2", "P4"),
+    ("l1", "P7", "P3"),
+    ("l6", "P5", "P6"),
+    ("P1", "l2", "l6"),
 )
 
-L4 = VertexLabel.parse("l4")
-P4 = VertexLabel.parse("P4")
-P1 = VertexLabel.parse("P1")
-L1 = VertexLabel.parse("l1")
-
-DEPENDENT_VERTICES = (L4, P4) + tuple(step[0] for step in CHAIN_STEPS)
+DEPENDENT_VERTICES = ("l4", "P4") + tuple(step[0] for step in CHAIN_STEPS)
 
 
 def _step_bits() -> tuple:
@@ -66,9 +52,9 @@ STEP_BITS = _step_bits()
 
 
 class ChainBroken(GeometryError):
-    """A construction step failed; identifies the first failing vertex."""
+    """A construction step failed; ``step`` names the first failing vertex."""
 
-    def __init__(self, step: VertexLabel, reason: GeometryError):
+    def __init__(self, step: str, reason: GeometryError):
         self.step = step
         self.reason = reason
         super().__init__(f"chain broken at {step}: {reason}")
@@ -116,9 +102,10 @@ def all_branch_vectors() -> Iterator[BranchVector]:
 
 @dataclass(frozen=True)
 class EmbeddingCandidate:
-    """All 14 vertex positions plus the provenance of their construction."""
+    """All 14 vertex positions, keyed by vertex name, plus the provenance
+    of their construction."""
 
-    coords: Mapping[VertexLabel, Point2]
+    coords: Mapping[str, Point2]
     theta: Any
     branch: BranchVector
     closure: Any
@@ -126,14 +113,9 @@ class EmbeddingCandidate:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
-        missing = [str(v) for v in ALL_VERTICES if v not in self.coords]
+        missing = [v for v in ALL_VERTICES if v not in self.coords]
         if missing:
             raise ValueError(f"candidate is missing vertices: {missing}")
-
-    def __getitem__(self, label) -> Point2:
-        if isinstance(label, str):
-            label = VertexLabel.parse(label)
-        return self.coords[label]
 
     def context(self) -> MPContext:
         return context(self.precision)
@@ -168,9 +150,9 @@ def construct(
     """
     memo = {} if memo is None else memo
     coords = dict(fixed)
-    coords[L4] = l4
+    coords["l4"] = l4
     # exact halving: P4 is the midpoint of l4 and l5 by definition
-    coords[P4] = Point2((l4.x + 1) / 2, l4.y / 2)
+    coords["P4"] = Point2((l4.x + 1) / 2, l4.y / 2)
     for k, (vertex, ca, cb) in enumerate(CHAIN_STEPS):
         key = (k, *(branch.bits[i] for i in STEP_BITS[k]))
         if key not in memo:
@@ -202,7 +184,7 @@ def build_chain(theta: Any, branch: BranchVector, precision: int = 60) -> Embedd
 
 
 def _closure_from_coords(coords: Mapping) -> Any:
-    return distance_squared(coords[P1], coords[L1]) - 1
+    return distance_squared(coords["P1"], coords["l1"]) - 1
 
 
 def branch_vector_of(coords: Mapping) -> BranchVector:
@@ -218,7 +200,8 @@ def branch_vector_of(coords: Mapping) -> BranchVector:
 
 
 def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate:
-    """Wrap externally supplied positions (reference data, polished output).
+    """Wrap externally supplied positions (reference data, polished output)
+    keyed by vertex name.
 
     The angle parameter, branch vector and closure residual are derived
     from the coordinates; pinned vertices may be omitted and are filled in
@@ -226,12 +209,9 @@ def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate
     """
     ctx = context(precision)
     full = fixed_points(ctx)
-    for label, value in coords.items():
-        if isinstance(label, str):
-            label = VertexLabel.parse(label)
-        x, y = value
-        full[label] = Point2(ctx.mpf(x), ctx.mpf(y))
-    l4 = full[L4]
+    for v, (x, y) in coords.items():
+        full[v] = Point2(ctx.mpf(x), ctx.mpf(y))
+    l4 = full["l4"]
     theta = ctx.atan2(l4.y / 2, (l4.x - 1) / 2)
     if theta < 0:
         theta = theta + 2 * ctx.pi
@@ -247,9 +227,6 @@ def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate
 # ---------------------------------------------------------------------------
 # Serialization
 
-_VERTEX_ORDER = tuple(sorted(ALL_VERTICES, key=lambda v: (v.kind, v.index)))
-
-
 def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
     """Schema: theta/closure as decimal strings, branch as a bit array,
     vertices as full-precision decimal string pairs keyed "P1".."l7"."""
@@ -259,8 +236,8 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
         "branch": list(candidate.branch),
         "precision": digits,
         "vertices": {
-            str(v): [ctx.nstr(candidate.coords[v].x, digits), ctx.nstr(candidate.coords[v].y, digits)]
-            for v in _VERTEX_ORDER
+            v: [ctx.nstr(candidate.coords[v].x, digits), ctx.nstr(candidate.coords[v].y, digits)]
+            for v in ALL_VERTICES
         },
         "closure": ctx.nstr(candidate.closure, digits),
     }
@@ -269,8 +246,8 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
 def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
     precision is not a JSON integer from 3 to ``MAX_DIGITS``, the branch is
-    not a list of JSON integers 0 or 1, one per chain step, or a number is
-    a JSON boolean or not finite."""
+    not a list of JSON integers 0 or 1, one per chain step, a vertex name is
+    not one of "P1".."l7", or a number is a JSON boolean or not finite."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
@@ -279,6 +256,9 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
         raise ValueError(f"branch must be a list of JSON integers, got {branch!r}")
     if not 3 <= precision <= MAX_DIGITS:
         raise ValueError(f"precision must be between 3 and {MAX_DIGITS}, got {precision}")
+    unknown = [name for name in data["vertices"] if name not in ALL_VERTICES]
+    if unknown:
+        raise ValueError(f"unknown vertex names in embeddings file: {unknown}")
     ctx = context(precision)
 
     def finite(value):
@@ -290,7 +270,7 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
         return x
 
     coords = {
-        VertexLabel.parse(name): Point2(finite(x), finite(y))
+        name: Point2(finite(x), finite(y))
         for name, (x, y) in data["vertices"].items()
     }
     return EmbeddingCandidate(

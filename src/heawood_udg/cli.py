@@ -115,8 +115,8 @@ def _cmd_render(args) -> int:
 def _cmd_incidence(_args) -> int:
     inc = build_heawood_incidence()
     payload = {
-        "lines": {str(ln): sorted(str(p) for p in pts) for ln, pts in sorted(inc.lines.items())},
-        "flags": [[str(p), str(ln)] for p, ln in sorted(inc.flags)],
+        "lines": {ln: sorted(pts) for ln, pts in sorted(inc.lines.items())},
+        "flags": [list(flag) for flag in sorted(inc.flags)],
     }
     print(json.dumps(payload, indent=2))
     return 0

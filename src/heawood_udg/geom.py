@@ -60,6 +60,13 @@ def context(dps: int) -> MPContext:
     return mp
 
 
+@functools.lru_cache(maxsize=32)
+def _intersect_tol(dps: int):
+    """10^(-dps/2): the tolerance of :func:`circle_circle_intersect` at
+    ``dps`` digits, computed once per precision."""
+    return context(dps).mpf(10) ** -(dps // 2)
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point in the plane; both components are mpf of one :func:`context`,
@@ -102,7 +109,7 @@ def circle_circle_intersect(
     """
     if bit not in (0, 1):
         raise ValueError(f"branch bit must be 0 or 1, got {bit!r}")
-    tol = ctx.mpf(10) ** -(ctx.dps // 2)
+    tol = _intersect_tol(ctx.dps)
     r1 = ctx.mpf(r1)
     r2 = ctx.mpf(r2)
     if r1 <= 0 or r2 <= 0:

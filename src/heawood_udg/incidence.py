@@ -2,8 +2,11 @@
 
 Seven points P1..P7 and seven lines l1..l7, three points per line, giving a
 bipartite 3-regular graph on 14 vertices with 21 edges (flags) and girth 6.
-The concrete labeling is the one under which the construction chain in
-:mod:`heawood_udg.chain` pins the rectangle cycle P5-l5-P7-l7-P2-l3.
+A vertex is its name, the string "P1".."P7" or "l1".."l7", everywhere in
+the package and in its files; the names sort points first, each kind by
+index.  The concrete labeling is the one under which the construction
+chain in :mod:`heawood_udg.chain` pins the rectangle cycle
+P5-l5-P7-l7-P2-l3.
 """
 
 from __future__ import annotations
@@ -12,44 +15,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-
-@dataclass(frozen=True, order=True)
-class VertexLabel:
-    """A vertex of the incidence graph: a point ``P1..P7`` or line ``l1..l7``."""
-
-    kind: str  # "P" for points, "l" for lines
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in ("P", "l"):
-            raise ValueError(f"vertex kind must be 'P' or 'l', got {self.kind!r}")
-        if not 1 <= self.index <= 7:
-            raise ValueError(f"vertex index must be in 1..7, got {self.index}")
-
-    @property
-    def is_point(self) -> bool:
-        return self.kind == "P"
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
-
-    @classmethod
-    def parse(cls, name: str) -> "VertexLabel":
-        if len(name) != 2 or name[0] not in ("P", "l") or not name[1].isdigit():
-            raise ValueError(f"not a vertex label: {name!r}")
-        return cls(name[0], int(name[1]))
-
-
-def P(i: int) -> VertexLabel:
-    return VertexLabel("P", i)
-
-
-def l(i: int) -> VertexLabel:
-    return VertexLabel("l", i)
-
-
-POINTS = tuple(P(i) for i in range(1, 8))
-LINES = tuple(l(i) for i in range(1, 8))
+POINTS = tuple(f"P{i}" for i in range(1, 8))
+LINES = tuple(f"l{i}" for i in range(1, 8))
 ALL_VERTICES = POINTS + LINES
 
 
@@ -57,7 +24,7 @@ ALL_VERTICES = POINTS + LINES
 class IncidenceStructure:
     """Lines as point triples, plus the derived flag set and adjacency."""
 
-    lines: Mapping[VertexLabel, frozenset]
+    lines: Mapping[str, frozenset]
 
     def __post_init__(self):
         frozen = MappingProxyType(
@@ -74,7 +41,7 @@ class IncidenceStructure:
         """All incident (point, line) pairs."""
         return frozenset((p, ln) for ln, pts in self.lines.items() for p in pts)
 
-    def lines_through(self, point: VertexLabel) -> frozenset:
+    def lines_through(self, point: str) -> frozenset:
         return frozenset(ln for ln, pts in self.lines.items() if point in pts)
 
     def adjacency(self) -> dict:
@@ -91,21 +58,19 @@ class IncidenceStructure:
 # dependent vertex is cut out by circles around the vertices it is incident
 # with, which forces this labeling (see chain.CHAIN_STEPS).
 _HEAWOOD_TRIPLES = {
-    l(1): ("P7", "P3", "P1"),
-    l(2): ("P2", "P4", "P1"),
-    l(3): ("P2", "P5", "P3"),
-    l(4): ("P4", "P3", "P6"),
-    l(5): ("P5", "P7", "P4"),
-    l(6): ("P5", "P6", "P1"),
-    l(7): ("P7", "P2", "P6"),
+    "l1": ("P7", "P3", "P1"),
+    "l2": ("P2", "P4", "P1"),
+    "l3": ("P2", "P5", "P3"),
+    "l4": ("P4", "P3", "P6"),
+    "l5": ("P5", "P7", "P4"),
+    "l6": ("P5", "P6", "P1"),
+    "l7": ("P7", "P2", "P6"),
 }
 
 
 def build_heawood_incidence() -> IncidenceStructure:
     """The Fano plane under the labeling used throughout this package."""
-    return IncidenceStructure(
-        {ln: frozenset(VertexLabel.parse(p) for p in pts) for ln, pts in _HEAWOOD_TRIPLES.items()}
-    )
+    return IncidenceStructure(_HEAWOOD_TRIPLES)
 
 
 # the 21 flags in sorted order: the edges that certification checks and

@@ -19,7 +19,9 @@ import json
 from importlib import resources
 from pathlib import Path
 
-TABLE_VERTICES = ("P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6")
+from .chain import DEPENDENT_VERTICES
+
+TABLE_VERTICES = tuple(sorted(DEPENDENT_VERTICES))
 
 
 def reference_tables(path: str | Path | None = None) -> tuple:

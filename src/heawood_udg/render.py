@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .chain import EmbeddingCandidate
-from .incidence import HEAWOOD_FLAGS
+from .incidence import HEAWOOD_FLAGS, POINTS
 
 SCALE = 200.0  # default pixels per unit length
 VERTEX_RADIUS = 5.0
@@ -67,7 +67,7 @@ def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
         )
     for v in sorted(pos):
         cx, cy = to_px(*pos[v])
-        color = POINT_COLOR if v.is_point else LINE_COLOR
+        color = POINT_COLOR if v in POINTS else LINE_COLOR
         parts.append(
             f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(VERTEX_RADIUS)}" '
             f'fill="{color}" stroke="black" stroke-width="1"/>'

@@ -39,10 +39,6 @@ from .chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
     FIXED_POSITIONS,
-    L1,
-    L4,
-    P1,
-    P4,
     BranchVector,
     ChainBroken,
     EmbeddingCandidate,
@@ -282,14 +278,14 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
 
 # (vertex, centre) of each unit-circle equation: the chain's circle rows in
 # construction order, then the closure row
-_CIRCLE_PAIRS = tuple((vertex, center) for vertex, ca, cb in CHAIN_STEPS for center in (ca, cb)) + ((P1, L1),)
+_CIRCLE_PAIRS = tuple((vertex, center) for vertex, ca, cb in CHAIN_STEPS for center in (ca, cb)) + (("P1", "l1"),)
 
 
 def system_residuals(pos: Mapping) -> list:
     """The 16 equations: spacing, the two midpoint relations, and the 13
     unit-circle constraints, evaluated at the vertex positions ``pos``."""
-    l4 = pos[L4]
-    p4 = pos[P4]
+    l4 = pos["l4"]
+    p4 = pos["P4"]
     out = [
         (l4.x - 1) ** 2 + l4.y ** 2 - 4,
         p4.x - (l4.x + 1) / 2,
@@ -334,16 +330,16 @@ def _chain_step(ctx: MPContext, pos: Mapping, residuals: Sequence) -> dict:
     """
     eps = ctx.eps
     rows = iter(residuals)
-    l4 = pos[L4]
+    l4 = pos["l4"]
     g = Point2(2 * (l4.x - 1), 2 * l4.y)
     s = -next(rows) / _dot(g, g)
     # how each vertex moves along p and along n; pinned vertices stay put
     p = dict.fromkeys(FIXED_POSITIONS, Point2(0, 0))
     n = dict(p)
-    p[L4] = Point2(s * g.x, s * g.y)
-    n[L4] = Point2(-g.y, g.x)
-    p[P4] = Point2(p[L4].x / 2 - next(rows), p[L4].y / 2 - next(rows))
-    n[P4] = Point2(n[L4].x / 2, n[L4].y / 2)
+    p["l4"] = Point2(s * g.x, s * g.y)
+    n["l4"] = Point2(-g.y, g.x)
+    p["P4"] = Point2(p["l4"].x / 2 - next(rows), p["l4"].y / 2 - next(rows))
+    n["P4"] = Point2(n["l4"].x / 2, n["l4"].y / 2)
     for vertex, ca, cb in CHAIN_STEPS:
         a = _gradient(pos[vertex], pos[ca])
         b = _gradient(pos[vertex], pos[cb])
@@ -356,12 +352,12 @@ def _chain_step(ctx: MPContext, pos: Mapping, residuals: Sequence) -> dict:
             e_a = f_a + _dot(a, move[ca])
             e_b = f_b + _dot(b, move[cb])
             move[vertex] = Point2((e_a * b.y - e_b * a.y) / det, (a.x * e_b - b.x * e_a) / det)
-    c = _gradient(pos[P1], pos[L1])
-    dn = Point2(n[P1].x - n[L1].x, n[P1].y - n[L1].y)
+    c = _gradient(pos["P1"], pos["l1"])
+    dn = Point2(n["P1"].x - n["l1"].x, n["P1"].y - n["l1"].y)
     coef = _dot(c, dn)
     if abs(coef) <= eps * _norm1(c) * _norm1(dn):
         raise ZeroDivisionError("the closure row does not fix the free direction")
-    t = (-next(rows) - _dot(c, Point2(p[P1].x - p[L1].x, p[P1].y - p[L1].y))) / coef
+    t = (-next(rows) - _dot(c, Point2(p["P1"].x - p["l1"].x, p["P1"].y - p["l1"].y))) / coef
     return {v: Point2(p[v].x + t * n[v].x, p[v].y + t * n[v].y) for v in DEPENDENT_VERTICES}
 
 
@@ -471,5 +467,5 @@ def solve_all(config: SolveConfig | None = None) -> list:
         polished.append(cand)
 
     unique = dedupe_candidates(polished, tol)
-    unique.sort(key=lambda c: (c.coords[L4].x, c.coords[L4].y))
+    unique.sort(key=lambda c: (c.coords["l4"].x, c.coords["l4"].y))
     return unique

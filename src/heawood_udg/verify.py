@@ -19,13 +19,11 @@ from typing import Any, Sequence
 
 from mpmath.libmp import to_rational
 
-from .chain import L4, P4, EmbeddingCandidate
+from .chain import EmbeddingCandidate
 from .charpoly import BigPoly, sign_at
-from .geom import MIN_DIGITS, MPContext, Point2, context, distance_squared
-from .incidence import HEAWOOD_FLAGS, VertexLabel
+from .geom import MIN_DIGITS, Point2, context, distance_squared
+from .incidence import HEAWOOD_FLAGS
 from .refdata import TABLE_VERTICES
-
-_L5 = VertexLabel.parse("l5")
 
 MATCH_TOL = "1e-13"  # reference rows are accurate to their 15 printed digits
 
@@ -91,9 +89,9 @@ def max_flag_residual(candidate: EmbeddingCandidate):
 def collinearity_residual(candidate: EmbeddingCandidate):
     """Worst residual of the extra restriction: l4, P4, l5 on one line with
     d(l4, l5) = 2 and P4 their midpoint."""
-    l4 = candidate.coords[L4]
-    l5 = candidate.coords[_L5]
-    p4 = candidate.coords[P4]
+    l4 = candidate.coords["l4"]
+    l5 = candidate.coords["l5"]
+    p4 = candidate.coords["P4"]
     cross = (l4.x - l5.x) * (p4.y - l5.y) - (l4.y - l5.y) * (p4.x - l5.x)
     spacing = distance_squared(l4, l5) - 4
     mid_x = p4.x - (l4.x + l5.x) / 2
@@ -101,32 +99,37 @@ def collinearity_residual(candidate: EmbeddingCandidate):
     return max(abs(cross), abs(spacing), abs(mid_x), abs(mid_y))
 
 
-def _point_segment_distance(ctx: MPContext, p: Point2, a: Point2, b: Point2):
+def _point_segment_distance_squared(p: Point2, a: Point2, b: Point2, zero, one):
     vx = b.x - a.x
     vy = b.y - a.y
     t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / (vx * vx + vy * vy)
-    t = max(ctx.mpf(0), min(ctx.mpf(1), t))
+    t = max(zero, min(one, t))
     qx = a.x + t * vx
     qy = a.y + t * vy
-    return ctx.sqrt((p.x - qx) ** 2 + (p.y - qy) ** 2)
+    return (p.x - qx) ** 2 + (p.y - qy) ** 2
 
 
 def regularity_check(candidate: EmbeddingCandidate):
     """Minimum distance from any vertex to any edge it is not an endpoint
     of; a positive margin certifies the embedding is regular (vertices only
-    touch their own edges)."""
+    touch their own edges).
+
+    Squared distances are compared and only the least is rooted: mpmath's
+    square root is correctly rounded, hence monotone, so this is the
+    minimum of the rooted distances to the bit."""
     ctx = candidate.context()
-    margin = None
+    zero, one = ctx.mpf(0), ctx.mpf(1)
+    least = None
     for v in candidate.coords:
         for p, ln in HEAWOOD_FLAGS:
             if v == p or v == ln:
                 continue
-            d = _point_segment_distance(
-                ctx, candidate.coords[v], candidate.coords[p], candidate.coords[ln]
+            d2 = _point_segment_distance_squared(
+                candidate.coords[v], candidate.coords[p], candidate.coords[ln], zero, one
             )
-            if margin is None or d < margin:
-                margin = d
-    return margin
+            if least is None or d2 < least:
+                least = d2
+    return ctx.sqrt(least)
 
 
 def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fraction | None = None):
@@ -139,22 +142,23 @@ def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fracti
     """
     if width is None:
         width = Fraction(10) ** max(-20, 4 - candidate.precision)
-    center = Fraction(*to_rational(candidate.coords[L4].x._mpf_))
+    center = Fraction(*to_rational(candidate.coords["l4"].x._mpf_))
     lo = center - width / 2
     hi = center + width / 2
     ok = sign_at(poly, lo) * sign_at(poly, hi) < 0
     return lo, hi, ok
 
 
-def match_table(candidate: EmbeddingCandidate, tables: Sequence[dict], tol) -> int | None:
-    """1-based index of the unique reference table whose 16 dependent
-    coordinates all agree with the candidate within ``tol``, else None."""
+def match_table(candidate: EmbeddingCandidate, tables: Sequence[dict]) -> int | None:
+    """1-based index of the first reference table whose 16 dependent
+    coordinates all agree with the candidate within :data:`MATCH_TOL`,
+    else None."""
     ctx = candidate.context()
-    tol = ctx.mpf(tol)
+    tol = ctx.mpf(MATCH_TOL)
     for idx, table in enumerate(tables, start=1):
         agrees = True
         for name in TABLE_VERTICES:
-            pt = candidate.coords[VertexLabel.parse(name)]
+            pt = candidate.coords[name]
             tx, ty = table[name]
             if abs(pt.x - ctx.mpf(tx)) >= tol or abs(pt.y - ctx.mpf(ty)) >= tol:
                 agrees = False
@@ -176,7 +180,7 @@ def certify(
     for the corrected row 9.
     """
     _, _, bracket_ok = charpoly_bracket(candidate, poly)
-    matched = match_table(candidate, tables, MATCH_TOL) if tables is not None else None
+    matched = match_table(candidate, tables) if tables is not None else None
     return Certificate(
         max_flag_residual=max_flag_residual(candidate),
         collinearity_residual=collinearity_residual(candidate),

@@ -17,13 +17,11 @@ from heawood_udg.chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
     FIXED_POSITIONS,
-    L4,
-    P4,
     EmbeddingCandidate,
     fixed_points,
 )
 from heawood_udg.geom import Point2, distance_squared
-from heawood_udg.incidence import VertexLabel
+from heawood_udg.incidence import POINTS
 from heawood_udg.solver import _CIRCLE_PAIRS
 
 # the pinned rectangle in cycle order: FIXED_POSITIONS lists it that way
@@ -45,26 +43,22 @@ class EquationEntry:
     flags: tuple
 
 
-def _flag(p: str, ln: str) -> tuple:
-    return (VertexLabel.parse(p), VertexLabel.parse(ln))
-
-
 def equation_registry() -> tuple:
     """Every constraint of the system, in construction order."""
     entries = [
-        EquationEntry("l4-l5-spacing", "spacing", (_flag("P4", "l4"), _flag("P4", "l5"))),
+        EquationEntry("l4-l5-spacing", "spacing", (("P4", "l4"), ("P4", "l5"))),
         EquationEntry("P4-midpoint-x", "midpoint", ()),
         EquationEntry("P4-midpoint-y", "midpoint", ()),
     ]
     for vertex, ca, cb in CHAIN_STEPS:
         for center in (ca, cb):
-            pair = (vertex, center) if vertex.is_point else (center, vertex)
+            pair = (vertex, center) if vertex in POINTS else (center, vertex)
             entries.append(EquationEntry(f"{vertex}|{center}", "unit-circle", (pair,)))
-    entries.append(EquationEntry("P1|l1-closure", "unit-circle", (_flag("P1", "l1"),)))
+    entries.append(EquationEntry("P1|l1-closure", "unit-circle", (("P1", "l1"),)))
     cycle = RECTANGLE_CYCLE
     for i, v in enumerate(cycle):
         w = cycle[(i + 1) % len(cycle)]
-        pair = (v, w) if v.is_point else (w, v)
+        pair = (v, w) if v in POINTS else (w, v)
         entries.append(EquationEntry(f"rect:{v}-{w}", "rectangle-side", (pair,)))
     return tuple(entries)
 
@@ -76,7 +70,7 @@ def registry_flags() -> frozenset:
 
 def closure_residual(candidate: EmbeddingCandidate) -> Any:
     """The leftover unit-distance constraint d(P1, l1)^2 - 1."""
-    return distance_squared(candidate["P1"], candidate["l1"]) - 1
+    return distance_squared(candidate.coords["P1"], candidate.coords["l1"]) - 1
 
 
 # the Jacobian's columns: the 16 unknowns in construction order, x before y
@@ -104,13 +98,13 @@ def system_jacobian(ctx: MPContext, vec: Sequence) -> list:
     the 16-vector ``vec``: 16 sparse rows, each a ``{column: value}`` dict
     holding its non-zero entries (at most 4)."""
     pos = to_positions(ctx, vec)
-    l4 = pos[L4]
+    l4 = pos["l4"]
     half = ctx.mpf(1) / 2
     one = ctx.mpf(1)
     rows = [
-        {_VAR_INDEX[(L4, 0)]: 2 * (l4.x - 1), _VAR_INDEX[(L4, 1)]: 2 * l4.y},
-        {_VAR_INDEX[(P4, 0)]: one, _VAR_INDEX[(L4, 0)]: -half},
-        {_VAR_INDEX[(P4, 1)]: one, _VAR_INDEX[(L4, 1)]: -half},
+        {_VAR_INDEX[("l4", 0)]: 2 * (l4.x - 1), _VAR_INDEX[("l4", 1)]: 2 * l4.y},
+        {_VAR_INDEX[("P4", 0)]: one, _VAR_INDEX[("l4", 0)]: -half},
+        {_VAR_INDEX[("P4", 1)]: one, _VAR_INDEX[("l4", 1)]: -half},
     ]
     for vertex, center in _CIRCLE_PAIRS:
         dx = 2 * (pos[vertex].x - pos[center].x)

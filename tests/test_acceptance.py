@@ -19,12 +19,11 @@ from equations import registry_flags
 from heawood_udg import charpoly, solver
 from heawood_udg.chain import candidate_from_coords
 from heawood_udg.geom import context
-from heawood_udg.incidence import VertexLabel, girth, verify_fano_axioms
+from heawood_udg.incidence import girth, verify_fano_axioms
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish, solve_all
 from heawood_udg.verify import charpoly_bracket, match_table, max_flag_residual, regularity_check
 
-V = VertexLabel.parse
 
 
 def test_criterion_1_eleven_embedding_reproduction(tables):
@@ -34,7 +33,7 @@ def test_criterion_1_eleven_embedding_reproduction(tables):
     assert elapsed < 300, f"solve took {elapsed:.1f}s, budget is 5 minutes"
     assert len(embeddings) == 11, f"expected 11 embeddings, found {len(embeddings)}"
 
-    matches = [match_table(cand, tables, "1e-13") for cand in embeddings]
+    matches = [match_table(cand, tables) for cand in embeddings]
     unmatched = [k for k, m in enumerate(matches) if m is None]
     detail = []
     for k in unmatched:
@@ -44,8 +43,8 @@ def test_criterion_1_eleven_embedding_reproduction(tables):
         for idx, table in enumerate(tables, start=1):
             dev = max(
                 max(
-                    float(abs(cand[name].x - ctx.mpf(table[name][0]))),
-                    float(abs(cand[name].y - ctx.mpf(table[name][1]))),
+                    float(abs(cand.coords[name].x - ctx.mpf(table[name][0]))),
+                    float(abs(cand.coords[name].y - ctx.mpf(table[name][1]))),
                 )
                 for name in TABLE_VERTICES
             )
@@ -84,12 +83,12 @@ def test_criterion_3_root_coordinate_cross_certification(solutions, poly):
     width = Fraction(1, 10 ** 20)
     for cand in solutions:
         lo, hi, ok = charpoly_bracket(cand, poly, width)
-        assert ok, f"no sign change in the width-1e-20 bracket around {cand.context().nstr(cand['l4'].x, 20)}"
+        assert ok, f"no sign change in the width-1e-20 bracket around {cand.context().nstr(cand.coords['l4'].x, 20)}"
         assert hi - lo == width
     intervals = charpoly.isolate_real_roots(poly)
     hit = []
     for cand in solutions:
-        x = Fraction(str(float(cand["l4"].x)))
+        x = Fraction(str(float(cand.coords["l4"].x)))
         containing = [k for k, iv in enumerate(intervals) if iv.lo < x <= iv.hi]
         assert len(containing) == 1
         hit.append(containing[0])

@@ -24,9 +24,7 @@ from heawood_udg.chain import (
     place_l4,
 )
 from heawood_udg.geom import Point2, context, distance_squared
-from heawood_udg.incidence import VertexLabel
-
-V = VertexLabel.parse
+from heawood_udg.incidence import ALL_VERTICES
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +59,7 @@ def test_branch_vector_space_has_64_elements():
 # placement of l4 and the chain
 
 
-def test_place_l4_axis_points():
+def test_place_l4_on_the_x_axis():
     ctx = context(60)
     east = place_l4(ctx, 0)
     assert east.x == 3 and east.y == 0
@@ -90,25 +88,25 @@ TABLE1_BRANCH = "011000"
 def test_build_chain_reproduces_first_reference_row():
     cand = build_chain(TABLE1_THETA, BranchVector.from_string(TABLE1_BRANCH), 60)
     ctx = cand.context()
-    assert abs(cand["P6"].x - ctx.mpf("0.106134457655163")) < ctx.mpf(10) ** -13
-    assert abs(cand["P6"].y - ctx.mpf("1.551664866189844")) < ctx.mpf(10) ** -13
-    assert abs(cand["l6"].x - ctx.mpf("-0.574170534719569")) < ctx.mpf(10) ** -13
-    assert abs(cand["l6"].y - ctx.mpf("0.818735730904572")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["P6"].x - ctx.mpf("0.106134457655163")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["P6"].y - ctx.mpf("1.551664866189844")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["l6"].x - ctx.mpf("-0.574170534719569")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["l6"].y - ctx.mpf("0.818735730904572")) < ctx.mpf(10) ** -13
     assert abs(cand.closure) < ctx.mpf(10) ** -25
 
 
 def test_build_chain_reproduces_last_reference_row():
     cand = build_chain("2.130841376482804410259009077561951520304", BranchVector.from_string("001111"), 60)
     ctx = cand.context()
-    assert abs(cand["l4"].x - ctx.mpf("-0.062448731920371")) < ctx.mpf(10) ** -13
-    assert abs(cand["l4"].y - ctx.mpf("1.694462360762491")) < ctx.mpf(10) ** -13
-    assert abs(cand["P4"].x - ctx.mpf("0.468775634039814")) < ctx.mpf(10) ** -13
-    assert abs(cand["P4"].y - ctx.mpf("0.847231180381246")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["l4"].x - ctx.mpf("-0.062448731920371")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["l4"].y - ctx.mpf("1.694462360762491")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["P4"].x - ctx.mpf("0.468775634039814")) < ctx.mpf(10) ** -13
+    assert abs(cand.coords["P4"].y - ctx.mpf("0.847231180381246")) < ctx.mpf(10) ** -13
 
 
 def test_midpoint_is_exact_halving():
     cand = build_chain("2.3", BranchVector.from_string("000000"), 40)
-    l4, p4 = cand["l4"], cand["P4"]
+    l4, p4 = cand.coords["l4"], cand.coords["P4"]
     # computed by exact halving, so equality holds to the last bit
     assert p4.x == (l4.x + 1) / 2
     assert p4.y == l4.y / 2
@@ -118,7 +116,7 @@ def test_chain_breaks_at_p3_for_theta_zero():
     # l4 = (3, 0): the unit circles around l3 and l4 are far apart
     with pytest.raises(ChainBroken) as err:
         build_chain(0, BranchVector.from_string("000000"), 30)
-    assert err.value.step == V("P3")
+    assert err.value.step == "P3"
 
 
 def test_chain_breaks_at_p6_for_theta_half_pi():
@@ -126,7 +124,7 @@ def test_chain_breaks_at_p6_for_theta_half_pi():
     ctx = context(30)
     with pytest.raises(ChainBroken) as err:
         build_chain(ctx.pi / 2, BranchVector.from_string("000000"), 30)
-    assert err.value.step == V("P6")
+    assert err.value.step == "P6"
 
 
 def test_chain_satisfies_both_defining_circles_everywhere():
@@ -144,7 +142,7 @@ def test_chain_satisfies_both_defining_circles_everywhere():
 
 def test_closure_residual_matches_definition():
     cand = build_chain("2.5", BranchVector.from_string("101100"), 30)
-    p1, l1 = cand["P1"], cand["l1"]
+    p1, l1 = cand.coords["P1"], cand.coords["l1"]
     expected = (p1.x - l1.x) ** 2 + (p1.y - l1.y) ** 2 - 1
     assert closure_residual(cand) == expected == cand.closure
 
@@ -152,7 +150,7 @@ def test_closure_residual_matches_definition():
 def test_closure_is_minus_one_when_p1_meets_l1():
     cand = build_chain("2.5", BranchVector.from_string("101100"), 30)
     coords = dict(cand.coords)
-    coords[V("P1")] = coords[V("l1")]
+    coords["P1"] = coords["l1"]
     stacked = candidate_from_coords(
         {k: v for k, v in coords.items() if k not in FIXED_POSITIONS}, 30
     )
@@ -233,18 +231,18 @@ def test_midpoint_equations_are_non_flag():
 
 def test_spacing_equation_pins_the_p4_flags():
     by_id = {e.eq_id: e for e in equation_registry()}
-    assert set(by_id["l4-l5-spacing"].flags) == {(V("P4"), V("l4")), (V("P4"), V("l5"))}
+    assert set(by_id["l4-l5-spacing"].flags) == {("P4", "l4"), ("P4", "l5")}
 
 
 def test_p3_l4_circle_equation_registered():
     entries = {e.eq_id: e for e in equation_registry()}
-    assert (V("P3"), V("l4")) in entries["P3|l4"].flags
+    assert ("P3", "l4") in entries["P3|l4"].flags
     assert entries["P3|l4"].kind == "unit-circle"
 
 
 def test_closure_equation_registered():
     entries = {e.eq_id: e for e in equation_registry()}
-    assert entries["P1|l1-closure"].flags == ((V("P1"), V("l1")),)
+    assert entries["P1|l1-closure"].flags == (("P1", "l1"),)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +266,21 @@ def test_json_schema_fields():
     assert len(data["vertices"]) == 14
     assert all(isinstance(x, str) for xy in data["vertices"].values() for x in xy)
     json.dumps(data)  # serializable
+
+
+def test_json_rejects_unknown_vertex_names():
+    # vertices are keyed by their names, P1..P7 then l1..l7
+    data = candidate_to_json_dict(build_chain("2.4", BranchVector.from_string("000011"), 30))
+    assert tuple(data["vertices"]) == ALL_VERTICES
+    # a name outside P1..P7, l1..l7 is rejected, every one named, before any
+    # number is read
+    for name in ("Q1", "P8", "p1"):
+        data["vertices"][name] = ["nan", "0"]
+    with pytest.raises(ValueError, match="unknown vertex") as err:
+        candidate_from_json_dict(data)
+    assert all(repr(name) in str(err.value) for name in ("Q1", "P8", "p1"))
+    with pytest.raises(ValueError, match="unknown vertex"):
+        load_candidates(json.dumps([data]))
 
 
 def test_json_restores_coordinates_exactly():

@@ -19,11 +19,17 @@ BENCHMARK_ROOTS = ROOT / "perfbench" / "data" / "roots60.json"
 BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
 # SHA-256 of the stdout of `roots --digits 300`
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
+# SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
+VERIFY60_SHA256 = "2964b9fa5c78db90eb7805a368ea70d834dc97993585100fec4a55ae530ec5dd"
+# SHA-256 of the stdout of `incidence`
+INCIDENCE_SHA256 = "2fd84d69f67cce2f0d8dedcfd3afbae19368e6e3d1c36eb3ea3a058c3ee084d2"
 
 
 def test_incidence_subcommand(capsys):
     assert run(["incidence"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == INCIDENCE_SHA256
+    payload = json.loads(out)
     assert len(payload["lines"]) == 7
     assert len(payload["flags"]) == 21
     assert payload["lines"]["l2"] == ["P1", "P2", "P4"]
@@ -105,6 +111,17 @@ def test_usage_error_exit_code(tmp_path, capsys):
         bad = tmp_path / f"{name}.json"
         bad.write_text(json.dumps(data))
         figs = tmp_path / f"figs_{name}"
+        assert run(["verify", "--json", str(bad)]) == 2, name
+        assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, name
+        assert not figs.exists()
+    # a vertex name that is not one of P1..P7, l1..l7 is a usage error for
+    # both commands, and no SVG is written
+    for name in ("Q1", "P8", "p1"):
+        data = json.loads(one.read_text())
+        data[0]["vertices"][name] = ["0", "1"]
+        bad = tmp_path / f"vertex_{name}.json"
+        bad.write_text(json.dumps(data))
+        figs = tmp_path / f"figs_vertex_{name}"
         assert run(["verify", "--json", str(bad)]) == 2, name
         assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, name
         assert not figs.exists()
@@ -194,6 +211,13 @@ def test_deep_roots_bytes_unchanged(capsys):
     assert run(["roots", "--digits", "300"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == ROOTS300_SHA256
+
+
+def test_verify_bytes_unchanged(capsys):
+    # the certificates of the benchmark's embeddings, byte for byte
+    assert run(["verify", "--json", str(BENCHMARK_EMBEDDINGS)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY60_SHA256
 
 
 def test_verify_subcommand_passes(tmp_path, capsys, solutions):

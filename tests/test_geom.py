@@ -16,7 +16,6 @@ from heawood_udg.geom import (
     distance_squared,
     illinois_estimate,
 )
-from heawood_udg.incidence import VertexLabel
 
 
 def test_decimal_round_trip_at_60_digits():
@@ -191,7 +190,7 @@ def test_illinois_estimate_converges_on_sqrt_two():
 
 @pytest.mark.parametrize(
     "error",
-    [NoIntersection("the circles miss"), ChainBroken(VertexLabel.parse("P3"), Tangent("touching"))],
+    [NoIntersection("the circles miss"), ChainBroken("P3", Tangent("touching"))],
 )
 def test_illinois_estimate_is_none_where_the_function_breaks(error):
     # a broken construction chain is a geometry error like a failed step

@@ -5,60 +5,51 @@ import itertools
 import pytest
 
 from heawood_udg.incidence import (
+    ALL_VERTICES,
+    LINES,
+    POINTS,
     IncidenceStructure,
-    VertexLabel,
     girth,
     verify_fano_axioms,
 )
 
-P = lambda i: VertexLabel("P", i)
-L = lambda i: VertexLabel("l", i)
-
-
-def test_vertex_label_parse_and_str():
-    assert str(VertexLabel.parse("P3")) == "P3"
-    assert str(VertexLabel.parse("l7")) == "l7"
-    assert VertexLabel.parse("P1").is_point
-    assert not VertexLabel.parse("l1").is_point
-    with pytest.raises(ValueError):
-        VertexLabel.parse("Q1")
-    with pytest.raises(ValueError):
-        VertexLabel("P", 8)
-
 
 def test_exactly_fourteen_labels():
-    labels = {VertexLabel(k, i) for k in ("P", "l") for i in range(1, 8)}
-    assert len(labels) == 14
+    # sorted order is points first, each kind by index: JSON keys, flags
+    # and SVG markers all come out in this order
+    assert len(set(ALL_VERTICES)) == 14
+    assert ALL_VERTICES == tuple(sorted(ALL_VERTICES))
+    assert ALL_VERTICES[0] == "P1" and ALL_VERTICES[6] == "P7" and ALL_VERTICES[7] == "l1"
 
 
 def test_heawood_has_21_flags(inc):
     assert len(inc.flags) == 21
-    assert all(p.is_point and not ln.is_point for p, ln in inc.flags)
+    assert all(p in POINTS and ln in LINES for p, ln in inc.flags)
 
 
 def test_rectangle_cycle_flags_present(inc):
     expected = {
-        (P(5), L(5)), (P(7), L(5)), (P(7), L(7)),
-        (P(2), L(7)), (P(2), L(3)), (P(5), L(3)),
+        ("P5", "l5"), ("P7", "l5"), ("P7", "l7"),
+        ("P2", "l7"), ("P2", "l3"), ("P5", "l3"),
     }
     assert expected <= inc.flags
 
 
 def test_documented_line_triples(inc):
-    assert inc.lines[L(1)] == {P(7), P(3), P(1)}
-    assert inc.lines[L(2)] == {P(2), P(4), P(1)}
-    assert inc.lines[L(4)] == {P(4), P(3), P(6)}
-    assert inc.lines[L(6)] == {P(5), P(6), P(1)}
+    assert inc.lines["l1"] == {"P7", "P3", "P1"}
+    assert inc.lines["l2"] == {"P2", "P4", "P1"}
+    assert inc.lines["l4"] == {"P4", "P3", "P6"}
+    assert inc.lines["l6"] == {"P5", "P6", "P1"}
 
 
 def test_p1_p2_share_only_l2(inc):
-    common = inc.lines_through(P(1)) & inc.lines_through(P(2))
-    assert common == {L(2)}
+    common = inc.lines_through("P1") & inc.lines_through("P2")
+    assert common == {"l2"}
 
 
 def test_every_point_pair_has_unique_line(inc):
     # independent exhaustive check over all C(7,2) pairs
-    for p, q in itertools.combinations([P(i) for i in range(1, 8)], 2):
+    for p, q in itertools.combinations(POINTS, 2):
         common = [ln for ln, pts in inc.lines.items() if p in pts and q in pts]
         assert len(common) == 1, f"{p},{q} lie on {common}"
 
@@ -76,7 +67,7 @@ def test_fano_axioms_pass(inc):
 
 def test_altered_line_breaks_unique_line_axiom(inc):
     lines = dict(inc.lines)
-    lines[L(1)] = frozenset({P(7), P(3), P(2)})  # P2, P3 now on both l1 and l3
+    lines["l1"] = frozenset({"P7", "P3", "P2"})  # P2, P3 now on both l1 and l3
     report = verify_fano_axioms(IncidenceStructure(lines))
     assert not report.unique_line_per_point_pair
     assert not report.all_pass
@@ -84,7 +75,7 @@ def test_altered_line_breaks_unique_line_axiom(inc):
 
 def test_two_point_line_breaks_cardinality_axiom(inc):
     lines = dict(inc.lines)
-    lines[L(1)] = frozenset({P(7), P(3)})
+    lines["l1"] = frozenset({"P7", "P3"})
     report = verify_fano_axioms(IncidenceStructure(lines))
     assert not report.three_points_per_line
 
@@ -96,9 +87,9 @@ def test_girth_is_six(inc):
 def test_girth_of_plain_six_cycle():
     six_cycle = IncidenceStructure(
         {
-            L(1): frozenset({P(1), P(2)}),
-            L(2): frozenset({P(2), P(3)}),
-            L(3): frozenset({P(3), P(1)}),
+            "l1": frozenset({"P1", "P2"}),
+            "l2": frozenset({"P2", "P3"}),
+            "l3": frozenset({"P3", "P1"}),
         }
     )
     assert girth(six_cycle) == 6
@@ -107,17 +98,17 @@ def test_girth_of_plain_six_cycle():
 def test_girth_of_k33_incidence_is_four():
     # every line through all three points: any two lines share >= 2 points
     k33 = IncidenceStructure(
-        {L(i): frozenset({P(1), P(2), P(3)}) for i in (1, 2, 3)}
+        {ln: frozenset({"P1", "P2", "P3"}) for ln in ("l1", "l2", "l3")}
     )
     assert girth(k33) == 4
 
 
 def test_girth_rejects_acyclic():
-    tree = IncidenceStructure({L(1): frozenset({P(1), P(2)})})
+    tree = IncidenceStructure({"l1": frozenset({"P1", "P2"})})
     with pytest.raises(ValueError):
         girth(tree)
 
 
 def test_immutable_after_construction(inc):
     with pytest.raises(TypeError):
-        inc.lines[L(1)] = frozenset()
+        inc.lines["l1"] = frozenset()

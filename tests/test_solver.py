@@ -27,7 +27,6 @@ from heawood_udg.chain import (
     dump_candidates,
 )
 from heawood_udg.geom import Point2, bisect_sign_change, circle_circle_intersect, context
-from heawood_udg.incidence import VertexLabel
 from heawood_udg.solver import (
     Bracket,
     LostBracket,
@@ -46,7 +45,6 @@ from heawood_udg.solver import (
     system_residuals,
 )
 
-V = VertexLabel.parse
 
 BENCHMARK_EMBEDDINGS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "embeddings60.json"
 
@@ -282,7 +280,7 @@ def test_refine_bracket_reproduces_first_reference_row(tables):
     ctx = cand.context()
     row = tables[0]
     for name in ("P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"):
-        pt = cand[name]
+        pt = cand.coords[name]
         assert abs(pt.x - ctx.mpf(row[name][0])) < ctx.mpf(10) ** -13
         assert abs(pt.y - ctx.mpf(row[name][1])) < ctx.mpf(10) ** -13
     assert abs(cand.closure) < ctx.mpf(10) ** -13
@@ -341,10 +339,10 @@ def test_degenerate_zero_has_coincident_vertices():
     assert len(brackets) == 1
     cand = refine_bracket(brackets[0], 30)
     ctx = cand.context()
-    assert abs(cand["l4"].x + ctx.mpf(3) / 5) < ctx.mpf(10) ** -15
-    assert abs(cand["l4"].y - ctx.mpf(6) / 5) < ctx.mpf(10) ** -15
+    assert abs(cand.coords["l4"].x + ctx.mpf(3) / 5) < ctx.mpf(10) ** -15
+    assert abs(cand.coords["l4"].y - ctx.mpf(6) / 5) < ctx.mpf(10) ** -15
     assert min_vertex_separation(cand) < ctx.mpf(10) ** -12
-    sep_p1_p6 = abs(cand["P1"].x - cand["P6"].x) + abs(cand["P1"].y - cand["P6"].y)
+    sep_p1_p6 = abs(cand.coords["P1"].x - cand.coords["P6"].x) + abs(cand.coords["P1"].y - cand.coords["P6"].y)
     assert sep_p1_p6 < ctx.mpf(10) ** -12
 
 
@@ -517,10 +515,7 @@ def test_newton_fixed_point_on_exact_solution(solutions):
 
 def test_newton_basin_recovers_from_perturbation(table_seeds, polished_seeds):
     seed = table_seeds[0]
-    coords = {
-        str(v): (seed.coords[v].x, seed.coords[v].y)
-        for v in seed.coords
-    }
+    coords = {v: (p.x, p.y) for v, p in seed.coords.items()}
     x, y = coords["P3"]
     coords["P3"] = (x + 1e-3, y)
     perturbed = candidate_from_coords(
@@ -534,7 +529,7 @@ def test_newton_basin_recovers_from_perturbation(table_seeds, polished_seeds):
 
 
 def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
-    coords = {str(v): (p.x, p.y) for v, p in solutions[0].coords.items()}
+    coords = {v: (p.x, p.y) for v, p in solutions[0].coords.items()}
     coords["P1"] = coords["l1"]  # closure row of the Jacobian vanishes
     broken = candidate_from_coords(
         {k: v for k, v in coords.items() if k not in ("P5", "P2", "P7", "l3", "l5", "l7")},
@@ -556,9 +551,9 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
 def test_newton_singular_jacobian_when_p3_lies_on_its_centre_line(solutions):
     # P3 on the line through l3 and l4: its two circle rows are parallel.
     # Dyadic l4 and P3 make them parallel exactly, not just to rounding.
-    l4 = solutions[0]["l4"]
+    l4 = solutions[0].coords["l4"]
     l4 = (Fraction(round(l4.x * 2 ** 20), 2 ** 20), Fraction(round(l4.y * 2 ** 20), 2 ** 20))
-    coords = {str(v): (p.x, p.y) for v, p in solutions[0].coords.items()}
+    coords = {v: (p.x, p.y) for v, p in solutions[0].coords.items()}
     coords["l4"] = tuple(float(c) for c in l4)
     coords["P3"] = (float(2 * l4[0]), float(2 * l4[1] - 1))  # l3 + 2 (l4 - l3)
     broken = candidate_from_coords(
@@ -619,7 +614,7 @@ def test_solve_all_returns_eleven(solutions):
 
 
 def test_solutions_sorted_by_l4(solutions):
-    keys = [(float(c["l4"].x), float(c["l4"].y)) for c in solutions]
+    keys = [(float(c.coords["l4"].x), float(c.coords["l4"].y)) for c in solutions]
     assert keys == sorted(keys)
 
 
@@ -627,7 +622,7 @@ def test_solutions_match_reference_polish(solutions, polished_seeds):
     # the sweep route and the reference-seed Newton route are independent;
     # they must land on identical coordinates
     ctx = context(60)
-    by_l4 = sorted(polished_seeds, key=lambda c: (c["l4"].x, c["l4"].y))
+    by_l4 = sorted(polished_seeds, key=lambda c: (c.coords["l4"].x, c.coords["l4"].y))
     for found, oracle in zip(solutions, by_l4):
         for v in found.coords:
             assert abs(found.coords[v].x - oracle.coords[v].x) < ctx.mpf(10) ** -55
@@ -642,17 +637,17 @@ def test_discovered_branches_and_thetas(solutions):
 
 
 def test_solutions_have_positive_l4_ordinate(solutions):
-    assert all(c["l4"].y > 0 for c in solutions)
+    assert all(c.coords["l4"].y > 0 for c in solutions)
 
 
 def test_pinned_vertices_are_exact(solutions):
     for cand in solutions:
-        assert cand["P5"].x == 0 and cand["P5"].y == 0
-        assert cand["l5"].x == 1 and cand["l5"].y == 0
-        assert cand["P7"].x == 1 and cand["P7"].y == 1
-        assert cand["l7"].x == 1 and cand["l7"].y == 2
-        assert cand["P2"].x == 0 and cand["P2"].y == 2
-        assert cand["l3"].x == 0 and cand["l3"].y == 1
+        assert cand.coords["P5"].x == 0 and cand.coords["P5"].y == 0
+        assert cand.coords["l5"].x == 1 and cand.coords["l5"].y == 0
+        assert cand.coords["P7"].x == 1 and cand.coords["P7"].y == 1
+        assert cand.coords["l7"].x == 1 and cand.coords["l7"].y == 2
+        assert cand.coords["P2"].x == 0 and cand.coords["P2"].y == 2
+        assert cand.coords["l3"].x == 0 and cand.coords["l3"].y == 1
 
 
 def test_no_degenerate_solution_included(solutions):
@@ -662,7 +657,7 @@ def test_no_degenerate_solution_included(solutions):
 
 def test_solve_all_excludes_the_rational_degenerate(solutions):
     for cand in solutions:
-        assert abs(float(cand["l4"].x) + 0.6) > 1e-6
+        assert abs(float(cand.coords["l4"].x) + 0.6) > 1e-6
 
 
 def test_dedupe_keeps_one_of_identical_pair(solutions):
@@ -725,8 +720,8 @@ def test_low_precision_stage_gives_same_solutions(low_precision_solutions, solut
     low = low_precision_solutions[15]
     assert len(low) == 11
     for lo, hi in zip(low, solutions):
-        assert abs(float(lo["l4"].x) - float(hi["l4"].x)) < 1e-14
-        assert abs(float(lo["l4"].y) - float(hi["l4"].y)) < 1e-14
+        assert abs(float(lo.coords["l4"].x) - float(hi.coords["l4"].x)) < 1e-14
+        assert abs(float(lo.coords["l4"].y) - float(hi.coords["l4"].y)) < 1e-14
 
 
 def test_default_solve_work(monkeypatch):

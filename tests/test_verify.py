@@ -6,10 +6,10 @@ from fractions import Fraction
 from heawood_udg.chain import BranchVector, build_chain, candidate_from_coords
 from heawood_udg.charpoly import isolate_real_roots
 from heawood_udg.geom import context
-from heawood_udg.incidence import VertexLabel
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish
 from heawood_udg.verify import (
+    MATCH_TOL,
     certify,
     charpoly_bracket,
     collinearity_residual,
@@ -21,12 +21,10 @@ from heawood_udg.verify import (
 
 from conftest import MARGIN_BASELINES
 
-V = VertexLabel.parse
-
 
 def _dependent_only(coords):
     pinned = {"P5", "P2", "P7", "l3", "l5", "l7"}
-    return {k: v for k, v in coords.items() if str(k) not in pinned}
+    return {k: v for k, v in coords.items() if k not in pinned}
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +34,8 @@ def _dependent_only(coords):
 def test_pinned_flag_residual_is_exactly_zero(solutions):
     for cand in solutions:
         residuals = dict(flag_residuals(cand))
-        assert residuals[(V("P5"), V("l5"))] == 0
-        assert residuals[(V("P7"), V("l7"))] == 0
+        assert residuals[("P5", "l5")] == 0
+        assert residuals[("P7", "l7")] == 0
 
 
 def test_reference_row_one_residuals_below_1e13(table_seeds):
@@ -58,7 +56,7 @@ def test_reference_row_nine_is_rounded_refinement_of_printed_row(printed_row_nin
     ctx = polished.context()
     quantum = Decimal("1e-15")
     for name in TABLE_VERTICES:
-        pt = polished.coords[V(name)]
+        pt = polished.coords[name]
         rounded = tuple(
             str(Decimal(ctx.nstr(c, polished.precision)).quantize(quantum, rounding=ROUND_HALF_EVEN))
             for c in (pt.x, pt.y)
@@ -69,7 +67,7 @@ def test_reference_row_nine_is_rounded_refinement_of_printed_row(printed_row_nin
 
 def test_perturbed_p1_shows_in_residuals(table_seeds):
     seed = table_seeds[0]
-    coords = {str(v): (p.x, p.y) for v, p in seed.coords.items()}
+    coords = {v: (p.x, p.y) for v, p in seed.coords.items()}
     x, y = coords["P1"]
     coords["P1"] = (x + 1e-6, y)
     bumped = candidate_from_coords(_dependent_only(coords), 20)
@@ -99,7 +97,7 @@ def test_collinearity_residual_tiny_on_solutions(solutions):
 
 
 def test_collinearity_residual_catches_violations(solutions):
-    coords = {str(v): (p.x, p.y) for v, p in solutions[0].coords.items()}
+    coords = {v: (p.x, p.y) for v, p in solutions[0].coords.items()}
     x, y = coords["P4"]
     coords["P4"] = (x, y + 0.01)
     off = candidate_from_coords(_dependent_only(coords), 60)
@@ -119,7 +117,7 @@ def test_regularity_margins_match_baselines(solutions):
 
 def test_degenerate_candidate_has_zero_margin(solutions):
     # drop P1 onto the midpoint of the non-incident edge (P5, l5)
-    coords = {str(v): (p.x, p.y) for v, p in solutions[0].coords.items()}
+    coords = {v: (p.x, p.y) for v, p in solutions[0].coords.items()}
     coords["P1"] = (0.5, 0.0)
     ctx = context(60)
     degenerate = candidate_from_coords(_dependent_only(coords), 60)
@@ -141,7 +139,7 @@ def test_solutions_land_in_distinct_isolating_intervals(solutions, poly):
     intervals = isolate_real_roots(poly)
     hits = []
     for cand in solutions:
-        x = Fraction(str(float(cand["l4"].x)))
+        x = Fraction(str(float(cand.coords["l4"].x)))
         containing = [
             k for k, iv in enumerate(intervals) if iv.lo < x <= iv.hi
         ]
@@ -155,16 +153,12 @@ def test_solutions_land_in_distinct_isolating_intervals(solutions, poly):
 
 
 def test_match_table_strict_tolerance(solutions, tables, printed_row_nine):
-    matches = [match_table(c, tables, "1e-13") for c in solutions]
+    assert MATCH_TOL == "1e-13"
+    matches = [match_table(c, tables) for c in solutions]
     # every row matches exactly one solution at 1e-13
     assert sorted(matches) == list(range(1, 12))
     # row 9 as printed is only ~1e-11 accurate, so it matches none
-    assert all(match_table(c, [printed_row_nine], "1e-13") is None for c in solutions)
-
-
-def test_match_table_documented_accuracy(solutions, tables):
-    matches = [match_table(c, tables, "1e-9") for c in solutions]
-    assert sorted(matches) == list(range(1, 12))
+    assert all(match_table(c, [printed_row_nine]) is None for c in solutions)
 
 
 def test_certify_solutions_pass(solutions, poly, tables):
@@ -203,7 +197,7 @@ def test_certify_non_solution_fails_on_closure_flag(poly, tables):
     assert abs(float(cert.max_flag_residual) - abs(float(cand.closure))) < 1e-12
     assert 0.4 < float(cert.max_flag_residual) < 0.6
     residuals = dict(flag_residuals(cand))
-    assert residuals[(V("P1"), V("l1"))] == max(residuals.values())
+    assert residuals[("P1", "l1")] == max(residuals.values())
     assert cert.matched_table is None
 
 
