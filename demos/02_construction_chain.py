@@ -10,9 +10,9 @@ is left over: its value as a function of the angle is the closure
 residual, and embeddings are its zeros.
 """
 
-from heawood_udg import BranchVector, ChainBroken, build_chain
+from heawood_udg import ChainBroken, build_chain
 
-branch = BranchVector.from_string("011000")
+branch = "011000"
 
 print("closure residual along the angle for branch 011000:")
 for theta in (2.50, 2.55, 2.59, 2.61, 2.616070438111156):

@@ -26,7 +26,7 @@ print(f"{'':>3} {'branch':>8} {'theta':>20} {'x_l4':>22} {'y_l4':>21}")
 for k, emb in enumerate(embeddings, start=1):
     ctx = emb.context()
     print(
-        f"{k:>3} {str(emb.branch):>8} {ctx.nstr(emb.theta, 18):>20} "
+        f"{k:>3} {emb.branch:>8} {ctx.nstr(emb.theta, 18):>20} "
         f"{ctx.nstr(emb.coords['l4'].x, 18):>22} {ctx.nstr(emb.coords['l4'].y, 18):>21}"
     )
 

@@ -8,14 +8,7 @@ precision, certifies each one against the exact degree-79 coordinate
 polynomial in exact integer arithmetic, and renders the results as SVG.
 """
 
-from .chain import (
-    BranchVector,
-    ChainBroken,
-    EmbeddingCandidate,
-    build_chain,
-    candidate_from_coords,
-    place_l4,
-)
+from .chain import ChainBroken, EmbeddingCandidate, build_chain, candidate_from_coords, place_l4
 from .charpoly import (
     BigPoly,
     IsolatingInterval,
@@ -26,19 +19,8 @@ from .charpoly import (
     isolate_real_roots,
     refine_root,
 )
-from .geom import (
-    ConcentricCircles,
-    NoIntersection,
-    Point2,
-    Tangent,
-    circle_circle_intersect,
-)
-from .incidence import (
-    IncidenceStructure,
-    build_heawood_incidence,
-    girth,
-    verify_fano_axioms,
-)
+from .geom import ConcentricCircles, NoIntersection, Point2, Tangent, circle_circle_intersect
+from .incidence import IncidenceStructure, build_heawood_incidence, girth, verify_fano_axioms
 from .refdata import reference_tables
 from .render import render_svg
 from .solver import (
@@ -58,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigPoly",
-    "BranchVector",
     "Bracket",
     "Certificate",
     "ChainBroken",

@@ -8,15 +8,19 @@ cut out by intersecting two unit circles around already-placed vertices,
 one binary branch choice per step.  The last unit-distance constraint,
 d(P1, l1) = 1, is left over as the closure residual; its zeros in the angle
 are the unit-distance embeddings.  Vertices are their names, "P1".."l7",
-in the chain's tables and in every mapping of positions.
+and a branch vector is its six bits as a string, "000000".."111111", bit k
+choosing the intersection point of the k-th entry of ``CHAIN_STEPS``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping
+
+from mpmath.libmp import from_int, from_rational, ften, mpf_mul, mpf_pow_int
 
 from .geom import MAX_DIGITS, GeometryError, MPContext, Point2, context
 from .geom import circle_circle_intersect, distance_squared
@@ -60,44 +64,10 @@ class ChainBroken(GeometryError):
         super().__init__(f"chain broken at {step}: {reason}")
 
 
-@dataclass(frozen=True)
-class BranchVector:
-    """One branch bit per two-valued intersection step, in chain order.
-
-    Bit k selects the branch for the k-th entry of ``CHAIN_STEPS``
-    (P3, P6, l2, l1, l6, P1); 64 vectors in total.
-    """
-
-    bits: tuple
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) != len(CHAIN_STEPS):
-            raise ValueError(f"branch vector needs {len(CHAIN_STEPS)} bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"branch bits must be 0 or 1: {bits}")
-        object.__setattr__(self, "bits", bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> "BranchVector":
-        return cls(tuple(int(c) for c in s))
-
-    @classmethod
-    def from_index(cls, k: int) -> "BranchVector":
-        if not 0 <= k < 2 ** len(CHAIN_STEPS):
-            raise ValueError(f"branch index out of range: {k}")
-        return cls(tuple((k >> (len(CHAIN_STEPS) - 1 - i)) & 1 for i in range(len(CHAIN_STEPS))))
-
-
-def all_branch_vectors() -> Iterator[BranchVector]:
+def all_branch_vectors() -> Iterator[str]:
+    """The 64 branch vectors "000000".."111111" in binary order."""
     for k in range(2 ** len(CHAIN_STEPS)):
-        yield BranchVector.from_index(k)
+        yield format(k, f"0{len(CHAIN_STEPS)}b")
 
 
 @dataclass(frozen=True)
@@ -107,7 +77,7 @@ class EmbeddingCandidate:
 
     coords: Mapping[str, Point2]
     theta: Any
-    branch: BranchVector
+    branch: str
     closure: Any
     precision: int
 
@@ -136,7 +106,7 @@ def place_l4(ctx: Any, theta: Any) -> Point2:
 
 
 def construct(
-    l4: Point2, branch: BranchVector, fixed: Mapping, intersect: Callable, memo: dict | None = None
+    l4: Point2, branch: str, fixed: Mapping, intersect: Callable, memo: dict | None = None
 ) -> tuple:
     """Walk the chain from l4; returns ``(coords, closure)``.
 
@@ -148,23 +118,25 @@ def construct(
     step's vertex under the values of the step's ``STEP_BITS``, so no
     circle step is computed twice.
     """
+    if len(branch) != len(CHAIN_STEPS) or set(branch) - {"0", "1"}:
+        raise ValueError(f"branch vector must be {len(CHAIN_STEPS)} characters 0 or 1, got {branch!r}")
     memo = {} if memo is None else memo
     coords = dict(fixed)
     coords["l4"] = l4
     # exact halving: P4 is the midpoint of l4 and l5 by definition
     coords["P4"] = Point2((l4.x + 1) / 2, l4.y / 2)
     for k, (vertex, ca, cb) in enumerate(CHAIN_STEPS):
-        key = (k, *(branch.bits[i] for i in STEP_BITS[k]))
+        key = (k, *(branch[i] for i in STEP_BITS[k]))
         if key not in memo:
             try:
-                memo[key] = intersect(coords[ca], coords[cb], branch.bits[k])
+                memo[key] = intersect(coords[ca], coords[cb], int(branch[k]))
             except GeometryError as exc:
                 raise ChainBroken(vertex, exc) from exc
         coords[vertex] = memo[key]
     return coords, _closure_from_coords(coords)
 
 
-def build_chain(theta: Any, branch: BranchVector, precision: int = 60) -> EmbeddingCandidate:
+def build_chain(theta: Any, branch: str, precision: int = 60) -> EmbeddingCandidate:
     """Construct all 14 vertices for the given angle and branch vector.
 
     Raises :class:`ChainBroken` naming the first vertex whose defining
@@ -187,16 +159,13 @@ def _closure_from_coords(coords: Mapping) -> Any:
     return distance_squared(coords["P1"], coords["l1"]) - 1
 
 
-def branch_vector_of(coords: Mapping) -> BranchVector:
+def branch_vector_of(coords: Mapping) -> str:
     """Recover the branch bits from vertex positions via orientation signs."""
-    bits = []
+    bits = ""
     for vertex, ca, cb in CHAIN_STEPS:
-        u = coords[cb]
-        a = coords[ca]
-        q = coords[vertex]
-        cross = (u.x - a.x) * (q.y - a.y) - (u.y - a.y) * (q.x - a.x)
-        bits.append(0 if cross > 0 else 1)
-    return BranchVector(tuple(bits))
+        a, u, q = coords[ca], coords[cb], coords[vertex]
+        bits += "0" if (u.x - a.x) * (q.y - a.y) - (u.y - a.y) * (q.x - a.x) > 0 else "1"
+    return bits
 
 
 def candidate_from_coords(coords: Mapping, precision: int) -> EmbeddingCandidate:
@@ -233,7 +202,7 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
     ctx, digits = candidate.context(), candidate.precision
     return {
         "theta": ctx.nstr(candidate.theta, digits),
-        "branch": list(candidate.branch),
+        "branch": [int(b) for b in candidate.branch],
         "precision": digits,
         "vertices": {
             v: [ctx.nstr(candidate.coords[v].x, digits), ctx.nstr(candidate.coords[v].y, digits)]
@@ -243,17 +212,37 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
     }
 
 
+def _read_decimal(ctx: MPContext, text: str) -> Any:
+    """``ctx.mpf(text)`` for a decimal string of any length: mpmath's
+    ``from_str``, whose ``int()`` Python caps at 4,300 digits, with the
+    digits read by ``decimal`` instead."""
+    if len(text) > 2 * MAX_DIGITS:  # nstr at MAX_DIGITS prints at most 4/3 of that
+        raise ValueError(f"number of {len(text)} characters in embeddings file, limit {2 * MAX_DIGITS}")
+    float(text)  # from_str's syntax check: ValueError unless a float literal
+    if not Decimal(text).is_finite():
+        raise ValueError(f"non-finite number {text!r} in embeddings file")
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    frac = frac.rstrip("0")
+    man, exp = int(Decimal(whole + frac)), int(exponent or 0) - len(frac)
+    prec, rnd = ctx._prec_rounding
+    if abs(exp) > 400:
+        return ctx.make_mpf(mpf_mul(from_int(man, prec + 10), mpf_pow_int(ften, exp, prec + 10), prec, rnd))
+    return ctx.make_mpf(from_rational(man * 10 ** max(exp, 0), 10 ** max(-exp, 0), prec, rnd))
+
+
 def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
     precision is not a JSON integer from 3 to ``MAX_DIGITS``, the branch is
-    not a list of JSON integers 0 or 1, one per chain step, a vertex name is
-    not one of "P1".."l7", or a number is a JSON boolean or not finite."""
+    not a list of six JSON integers 0 or 1, a vertex name is not one of
+    "P1".."l7", or a number is a JSON boolean, not finite, or a string
+    longer than ``2 * MAX_DIGITS``."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
     branch = data["branch"]
-    if type(branch) is not list or any(type(b) is not int for b in branch):
-        raise ValueError(f"branch must be a list of JSON integers, got {branch!r}")
+    if type(branch) is not list or [type(b) for b in branch] != [int] * len(CHAIN_STEPS) or set(branch) - {0, 1}:
+        raise ValueError(f"branch must be a list of {len(CHAIN_STEPS)} JSON integers 0 or 1, got {branch!r}")
     if not 3 <= precision <= MAX_DIGITS:
         raise ValueError(f"precision must be between 3 and {MAX_DIGITS}, got {precision}")
     unknown = [name for name in data["vertices"] if name not in ALL_VERTICES]
@@ -264,7 +253,7 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     def finite(value):
         if type(value) is bool:
             raise ValueError(f"boolean {value!r} in embeddings file is not a number")
-        x = ctx.mpf(value)
+        x = _read_decimal(ctx, value) if type(value) is str else ctx.mpf(value)
         if not ctx.isfinite(x):
             raise ValueError(f"non-finite number {value!r} in embeddings file")
         return x
@@ -276,7 +265,7 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     return EmbeddingCandidate(
         coords=coords,
         theta=finite(data["theta"]),
-        branch=BranchVector(tuple(branch)),
+        branch="".join(map(str, branch)),
         closure=finite(data["closure"]),
         precision=precision,
     )

@@ -52,9 +52,10 @@ class ConcentricCircles(GeometryError):
 # building an MPContext costs about as much as a 30-digit construction chain
 @functools.lru_cache(maxsize=32)
 def context(dps: int) -> MPContext:
-    """The shared mpmath context of ``dps`` digits; its values round-trip
-    exactly through ``nstr(x, dps)``.  Nothing may set its precision or
-    call on it an mpmath routine that changes the precision while it runs."""
+    """The shared mpmath context of ``dps`` digits; a string printed by
+    ``nstr(x, dps)`` reads back to a value that prints the same string.
+    Nothing may set its precision or call on it an mpmath routine that
+    changes the precision while it runs."""
     mp = MPContext()
     mp.dps = dps
     return mp

@@ -39,7 +39,6 @@ from .chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
     FIXED_POSITIONS,
-    BranchVector,
     ChainBroken,
     EmbeddingCandidate,
     all_branch_vectors,
@@ -89,7 +88,7 @@ class NoConvergence(SolverError):
 class Bracket:
     """A same-branch grid interval whose closure residual changes sign."""
 
-    branch: BranchVector
+    branch: str
     theta_lo: float
     theta_hi: float
     residual_lo: float
@@ -153,7 +152,7 @@ def _cci_grid(c1: Point2, c2: Point2, bit: int) -> Point2:
         return Point2(mx + h * uy, my - h * ux)
 
 
-def closure_grid(thetas: np.ndarray, branch: BranchVector) -> np.ndarray:
+def closure_grid(thetas: np.ndarray, branch: str) -> np.ndarray:
     """Closure residual on an angle grid for one branch vector (float64).
 
     The sweep's fast path: the chain walk of :func:`chain.construct` on

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from mpmath.libmp import to_rational
 
 from .chain import EmbeddingCandidate
-from .charpoly import BigPoly, sign_at
+from .charpoly import BigPoly, root_bound, sign_at
 from .geom import MIN_DIGITS, Point2, context, distance_squared
 from .incidence import HEAWOOD_FLAGS
 from .refdata import TABLE_VERTICES
@@ -139,10 +139,15 @@ def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fracti
     The default width is max(10^-20, 10^(4 - precision)): the tolerance of
     Newton's polish and of :attr:`Certificate.passes`, so that it spans
     the last printed digits of x_l4 below 24 digits, and 10^-20 above.
+    The center is x_l4 rounded to a multiple of width / 2^64 and clamped to
+    [-B - width, B + width], no root lying outside (-B, B) for B the
+    :func:`~heawood_udg.charpoly.root_bound`, so the end points stay small.
     """
     if width is None:
         width = Fraction(10) ** max(-20, 4 - candidate.precision)
-    center = Fraction(*to_rational(candidate.coords["l4"].x._mpf_))
+    unit, bound = width / 2**64, root_bound(poly) + width
+    center = round(Fraction(*to_rational(candidate.coords["l4"].x._mpf_)) / unit) * unit
+    center = min(max(center, -bound), bound)
     lo = center - width / 2
     hi = center + width / 2
     ok = sign_at(poly, lo) * sign_at(poly, hi) < 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from equations import RECTANGLE_CYCLE, closure_residual, equation_registry, registry_flags
@@ -10,7 +11,6 @@ from equations import RECTANGLE_CYCLE, closure_residual, equation_registry, regi
 from heawood_udg.chain import (
     CHAIN_STEPS,
     FIXED_POSITIONS,
-    BranchVector,
     ChainBroken,
     all_branch_vectors,
     branch_vector_of,
@@ -25,6 +25,7 @@ from heawood_udg.chain import (
 )
 from heawood_udg.geom import Point2, context, distance_squared
 from heawood_udg.incidence import ALL_VERTICES
+from heawood_udg.solver import closure_grid
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +42,14 @@ def test_fixed_rectangle_unit_sides():
 
 
 def test_branch_vector_validation():
-    with pytest.raises(ValueError):
-        BranchVector((0, 1))
-    with pytest.raises(ValueError):
-        BranchVector((0, 1, 2, 0, 0, 0))
-    assert str(BranchVector.from_string("011000")) == "011000"
-    assert BranchVector.from_index(0b011000).bits == (0, 1, 1, 0, 0, 0)
+    # a branch vector is six characters "0" or "1"; construct rejects the rest
+    for bad in ("01", "0110000", "012000", "01100x", ""):
+        with pytest.raises(ValueError):
+            build_chain("2.5", bad, 30)
+        with pytest.raises(ValueError):
+            closure_grid(np.array([2.5]), bad)
+    assert list(all_branch_vectors()) == [format(k, "06b") for k in range(64)]
+    assert list(all_branch_vectors())[0b011000] == "011000"
 
 
 def test_branch_vector_space_has_64_elements():
@@ -86,7 +89,7 @@ TABLE1_BRANCH = "011000"
 
 
 def test_build_chain_reproduces_first_reference_row():
-    cand = build_chain(TABLE1_THETA, BranchVector.from_string(TABLE1_BRANCH), 60)
+    cand = build_chain(TABLE1_THETA, TABLE1_BRANCH, 60)
     ctx = cand.context()
     assert abs(cand.coords["P6"].x - ctx.mpf("0.106134457655163")) < ctx.mpf(10) ** -13
     assert abs(cand.coords["P6"].y - ctx.mpf("1.551664866189844")) < ctx.mpf(10) ** -13
@@ -96,7 +99,7 @@ def test_build_chain_reproduces_first_reference_row():
 
 
 def test_build_chain_reproduces_last_reference_row():
-    cand = build_chain("2.130841376482804410259009077561951520304", BranchVector.from_string("001111"), 60)
+    cand = build_chain("2.130841376482804410259009077561951520304", "001111", 60)
     ctx = cand.context()
     assert abs(cand.coords["l4"].x - ctx.mpf("-0.062448731920371")) < ctx.mpf(10) ** -13
     assert abs(cand.coords["l4"].y - ctx.mpf("1.694462360762491")) < ctx.mpf(10) ** -13
@@ -105,7 +108,7 @@ def test_build_chain_reproduces_last_reference_row():
 
 
 def test_midpoint_is_exact_halving():
-    cand = build_chain("2.3", BranchVector.from_string("000000"), 40)
+    cand = build_chain("2.3", "000000", 40)
     l4, p4 = cand.coords["l4"], cand.coords["P4"]
     # computed by exact halving, so equality holds to the last bit
     assert p4.x == (l4.x + 1) / 2
@@ -115,7 +118,7 @@ def test_midpoint_is_exact_halving():
 def test_chain_breaks_at_p3_for_theta_zero():
     # l4 = (3, 0): the unit circles around l3 and l4 are far apart
     with pytest.raises(ChainBroken) as err:
-        build_chain(0, BranchVector.from_string("000000"), 30)
+        build_chain(0, "000000", 30)
     assert err.value.step == "P3"
 
 
@@ -123,16 +126,16 @@ def test_chain_breaks_at_p6_for_theta_half_pi():
     # l4 lands exactly on l7, making P6's two defining circles concentric
     ctx = context(30)
     with pytest.raises(ChainBroken) as err:
-        build_chain(ctx.pi / 2, BranchVector.from_string("000000"), 30)
+        build_chain(ctx.pi / 2, "000000", 30)
     assert err.value.step == "P6"
 
 
 def test_chain_satisfies_both_defining_circles_everywhere():
     bound = context(40).mpf(10) ** (2 - 40)
     for theta in ("2.2", "2.45", "2.6"):
-        for branch_str in ("000000", "011000", "111111"):
+        for branch in ("000000", "011000", "111111"):
             try:
-                cand = build_chain(theta, BranchVector.from_string(branch_str), 40)
+                cand = build_chain(theta, branch, 40)
             except ChainBroken:
                 continue
             for bit, (vertex, ca, cb) in zip(cand.branch, CHAIN_STEPS):
@@ -141,14 +144,14 @@ def test_chain_satisfies_both_defining_circles_everywhere():
 
 
 def test_closure_residual_matches_definition():
-    cand = build_chain("2.5", BranchVector.from_string("101100"), 30)
+    cand = build_chain("2.5", "101100", 30)
     p1, l1 = cand.coords["P1"], cand.coords["l1"]
     expected = (p1.x - l1.x) ** 2 + (p1.y - l1.y) ** 2 - 1
     assert closure_residual(cand) == expected == cand.closure
 
 
 def test_closure_is_minus_one_when_p1_meets_l1():
-    cand = build_chain("2.5", BranchVector.from_string("101100"), 30)
+    cand = build_chain("2.5", "101100", 30)
     coords = dict(cand.coords)
     coords["P1"] = coords["l1"]
     stacked = candidate_from_coords(
@@ -180,9 +183,8 @@ def _closure_float(theta: float, bits) -> float:
 
 
 def test_closure_against_independent_float_implementation():
-    bits = (0, 0, 0, 0, 0, 0)
-    cand = build_chain(2.0, BranchVector(bits), 30)
-    assert abs(float(cand.closure) - _closure_float(2.0, bits)) < 1e-12
+    cand = build_chain(2.0, "000000", 30)
+    assert abs(float(cand.closure) - _closure_float(2.0, (0, 0, 0, 0, 0, 0))) < 1e-12
     # frozen value guards against silent changes in either implementation
     assert abs(float(cand.closure) - (-0.38454824854434927)) < 1e-13
 
@@ -190,7 +192,7 @@ def test_closure_against_independent_float_implementation():
 def test_closure_continuity_on_fixed_branch():
     # adjacent samples of a successful chain differ by O(grid step);
     # the window stays below theta = 5*pi/6 where P6's circles separate
-    branch = BranchVector.from_string(TABLE1_BRANCH)
+    branch = TABLE1_BRANCH
     step = 0.03 / 200
     thetas = [2.585 + k * step for k in range(201)]
     values = [float(build_chain(t, branch, 30).closure) for t in thetas]
@@ -199,8 +201,7 @@ def test_closure_continuity_on_fixed_branch():
 
 
 def test_branch_vector_recovery():
-    for branch_str in ("011000", "101100", "110111"):
-        branch = BranchVector.from_string(branch_str)
+    for branch in ("011000", "101100", "110111"):
         cand = build_chain("2.55", branch, 30)
         assert branch_vector_of(cand.coords) == branch
 
@@ -250,14 +251,14 @@ def test_closure_equation_registered():
 
 
 def test_json_round_trip_is_byte_identical():
-    cand = build_chain(TABLE1_THETA, BranchVector.from_string(TABLE1_BRANCH), 60)
+    cand = build_chain(TABLE1_THETA, TABLE1_BRANCH, 60)
     text = dump_candidates([cand])
     again = dump_candidates(load_candidates(text))
     assert text == again
 
 
 def test_json_schema_fields():
-    cand = build_chain("2.4", BranchVector.from_string("000011"), 30)
+    cand = build_chain("2.4", "000011", 30)
     data = candidate_to_json_dict(cand)
     assert set(data) == {"theta", "branch", "precision", "vertices", "closure"}
     assert isinstance(data["theta"], str)
@@ -270,7 +271,7 @@ def test_json_schema_fields():
 
 def test_json_rejects_unknown_vertex_names():
     # vertices are keyed by their names, P1..P7 then l1..l7
-    data = candidate_to_json_dict(build_chain("2.4", BranchVector.from_string("000011"), 30))
+    data = candidate_to_json_dict(build_chain("2.4", "000011", 30))
     assert tuple(data["vertices"]) == ALL_VERTICES
     # a name outside P1..P7, l1..l7 is rejected, every one named, before any
     # number is read
@@ -284,7 +285,7 @@ def test_json_rejects_unknown_vertex_names():
 
 
 def test_json_restores_coordinates_exactly():
-    cand = build_chain("2.4", BranchVector.from_string("000011"), 30)
+    cand = build_chain("2.4", "000011", 30)
     restored = candidate_from_json_dict(candidate_to_json_dict(cand))
     ctx = cand.context()
     for v in cand.coords:

@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from heawood_udg import charpoly, cli, solver, verify
-from heawood_udg.chain import BranchVector, build_chain, dump_candidates, load_candidates
+from heawood_udg.chain import build_chain, dump_candidates, load_candidates
 from heawood_udg.cli import run
 from heawood_udg.geom import MAX_DIGITS
+from heawood_udg.render import render_svg
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_ROOTS = ROOT / "perfbench" / "data" / "roots60.json"
@@ -21,6 +23,9 @@ BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
 # SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
 VERIFY60_SHA256 = "2964b9fa5c78db90eb7805a368ea70d834dc97993585100fec4a55ae530ec5dd"
+# SHA-256 of the 11 `render_svg` outputs of perfbench/data/embeddings60.json
+# at the default scale, concatenated
+SVG60_SHA256 = "ea2527c3752e6875c0b5755d1a756d3e32ea0cf1ebbe9e497513791f01fd120f"
 # SHA-256 of the stdout of `incidence`
 INCIDENCE_SHA256 = "2fd84d69f67cce2f0d8dedcfd3afbae19368e6e3d1c36eb3ea3a058c3ee084d2"
 
@@ -74,7 +79,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert run(["verify", "--json", str(empty)]) == 2
         assert run(["render", "--json", str(empty), "--svg", str(tmp_path / "out")]) == 2
     one = tmp_path / "one.json"
-    one.write_text(dump_candidates([build_chain("2.5", BranchVector.from_string("000000"), 30)]))
+    one.write_text(dump_candidates([build_chain("2.5", "000000", 30)]))
     no_tables = tmp_path / "no_tables.json"
     no_tables.write_text('{"rows": []}')
     assert run(["verify", "--json", str(one), "--seed-tables", str(no_tables)]) == 2
@@ -85,7 +90,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
         assert not figs.exists()
     # a non-finite or boolean number, a precision that is not a JSON
-    # integer from 3 up or branch bits that are not JSON integers is a
+    # integer from 3 up or a branch that is not six JSON integers 0 or 1 is a
     # usage error for both commands, not a traceback, a NaN drawing, a
     # boolean read as 0 or 1 or silently truncated bits
     for name, field, value in [
@@ -102,6 +107,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ("fractional_branch", "branch", [0.7, 1.2, 0, 1, 0, 1]),
         ("string_branch", "branch", "110110"),
         ("boolean_branch", "branch", [True, False, True, False, True, False]),
+        ("five_bit_branch", "branch", [0, 1, 1, 0, 0]),
+        ("seven_bit_branch", "branch", [0, 1, 1, 0, 0, 0, 0]),
+        ("branch_with_a_two", "branch", [0, 1, 2, 0, 0, 0]),
     ]:
         data = json.loads(one.read_text())
         if field == "x":
@@ -143,7 +151,7 @@ def test_precision_above_max_digits_is_a_usage_error(command, digits, tmp_path, 
     monkeypatch.setattr(verify, "certify", past_the_check)
     monkeypatch.setattr(cli, "render_svg", past_the_check)
     # integer coordinates read fast at any precision
-    data = json.loads(dump_candidates([build_chain("2.5", BranchVector.from_string("000000"), 30)]))
+    data = json.loads(dump_candidates([build_chain("2.5", "000000", 30)]))
     data[0].update(precision=digits, theta="2", closure="0")
     data[0]["vertices"] = {name: ["0", "1"] for name in data[0]["vertices"]}
     huge = tmp_path / "huge.json"
@@ -218,6 +226,52 @@ def test_verify_bytes_unchanged(capsys):
     assert run(["verify", "--json", str(BENCHMARK_EMBEDDINGS)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == VERIFY60_SHA256
+
+
+def test_svg_bytes_unchanged():
+    embeddings = load_candidates(BENCHMARK_EMBEDDINGS.read_text())
+    svgs = "".join(render_svg(e) for e in embeddings)
+    assert hashlib.sha256(svgs.encode()).hexdigest() == SVG60_SHA256
+
+
+@pytest.mark.parametrize("x_l4", ["1e100000", "1e-100000", "1e-10000", "1e1000000"])
+def test_verify_extreme_x_l4_fails_fast(x_l4, tmp_path, capsys):
+    # the exact bracket does not evaluate the degree-79 polynomial at a
+    # rational of a million bits: verify fails the file in well under a second
+    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
+    data[0]["vertices"]["l4"][0] = x_l4
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(data))
+    started = time.perf_counter()
+    assert run(["verify", "--json", str(path)]) == 1
+    assert time.perf_counter() - started < 10
+    assert json.loads(capsys.readouterr().out)[0]["charpoly_bracket_ok"] is False
+
+
+def test_numbers_past_python_int_string_limit(tmp_path, capsys):
+    # 4,400 digits is past the 4,300 that int() reads from a string by
+    # default, and within MAX_DIGITS: solve's output must load and render
+    cand = build_chain("2.5", "011000", 4400)
+    text = dump_candidates([cand])
+    assert max(len(x) for x in json.loads(text)[0]["vertices"]["P1"]) > 4300
+    (loaded,) = load_candidates(text)
+    assert dump_candidates([loaded]) == text
+    assert abs(loaded.coords["P1"].x - cand.coords["P1"].x) < cand.context().mpf(10) ** -4390
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    figs = tmp_path / "figs"
+    assert run(["render", "--json", str(path), "--svg", str(figs)]) == 0
+    assert len(list(figs.glob("*.svg"))) == 1
+    # a number string far longer than any precision is refused up front
+    data = json.loads(text)
+    data[0].update(precision=60)
+    data[0]["vertices"]["P1"][0] = "0." + "1" * 200_000
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert run(["verify", "--json", str(path)]) == 2
+    assert time.perf_counter() - started < 10
+    assert "characters in embeddings file" in capsys.readouterr().err
 
 
 def test_verify_subcommand_passes(tmp_path, capsys, solutions):

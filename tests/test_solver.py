@@ -19,7 +19,6 @@ from equations import system_jacobian, to_positions, to_vector
 
 from heawood_udg import geom, solver, verify
 from heawood_udg.chain import (
-    BranchVector,
     ChainBroken,
     build_chain,
     all_branch_vectors,
@@ -54,8 +53,7 @@ DEEP300_GRID5000_SHA256 = "3c4070f564128743a1e892a1ca8bf6c2cbb610024531be38c02c0
 DEGENERATE_THETA = math.acos(-0.8)  # l4 = (-3/5, 6/5), unit distance from P2
 
 
-def _bracket_around(theta: float, branch_str: str, half_width: float = 2e-4) -> Bracket:
-    branch = BranchVector.from_string(branch_str)
+def _bracket_around(theta: float, branch: str, half_width: float = 2e-4) -> Bracket:
     lo, hi = theta - half_width, theta + half_width
     res = closure_grid(np.array([lo, hi]), branch)
     return Bracket(branch, lo, hi, float(res[0]), float(res[1]))
@@ -86,7 +84,7 @@ def test_config_validation():
 
 
 def test_bracket_requires_sign_change():
-    branch = BranchVector.from_string("000000")
+    branch = "000000"
     with pytest.raises(ValueError):
         Bracket(branch, 2.0, 2.1, -1.0, -0.5)
 
@@ -97,8 +95,7 @@ def test_bracket_requires_sign_change():
 
 def test_closure_grid_matches_chain():
     thetas = np.array([2.0, 2.3, 2.55])
-    for branch_str in ("000000", "011000", "110111"):
-        branch = BranchVector.from_string(branch_str)
+    for branch in ("000000", "011000", "110111"):
         grid = closure_grid(thetas, branch)
         for t, g in zip(thetas, grid):
             try:
@@ -110,7 +107,7 @@ def test_closure_grid_matches_chain():
 
 
 def test_closure_grid_nan_where_chain_breaks():
-    branch = BranchVector.from_string("000000")
+    branch = "000000"
     res = closure_grid(np.array([0.0, 0.2, math.pi / 2]), branch)
     assert not np.isfinite(res[0])  # P3 circles disjoint
     assert not np.isfinite(res[1])
@@ -169,7 +166,7 @@ def test_closure_grid_nan_near_zero_for_every_branch():
     # every branch, so the sweep has nothing to bracket there
     thetas = np.linspace(0.0, 0.3, 1000, endpoint=False)
     for branch in all_branch_vectors():
-        assert np.isnan(closure_grid(thetas, branch)).all(), str(branch)
+        assert np.isnan(closure_grid(thetas, branch)).all(), branch
 
 
 def test_doubled_grid_brackets_cover_original_cells():
@@ -206,7 +203,7 @@ def _scalar_sweep(grid_points: int, residuals) -> list:
 
 def _bracket_bits(brackets) -> list:
     return [
-        (str(b.branch), *(float.hex(v) for v in (b.theta_lo, b.theta_hi, b.residual_lo, b.residual_hi)))
+        (b.branch, *(float.hex(v) for v in (b.theta_lo, b.theta_hi, b.residual_lo, b.residual_hi)))
         for b in brackets
     ]
 
@@ -228,7 +225,7 @@ def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
     edge = solver.SWEEP_BLOCK  # the point that ends the first block
 
     def synthetic(thetas, branch):
-        k = int(str(branch), 2)
+        k = int(branch, 2)
         i = np.rint(thetas * n / TWO_PI).astype(int)
         if k % 4 == 0:
             res = (i - edge + 0.5) * (k + 1)
@@ -244,7 +241,7 @@ def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
 
     expected = _scalar_sweep(n, synthetic)
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    across = {int(str(b.branch), 2) for b in expected if b.theta_lo == thetas[edge - 1]}
+    across = {int(b.branch, 2) for b in expected if b.theta_lo == thetas[edge - 1]}
     assert across and not across & {8, 12}
     assert any(b.theta_hi == TWO_PI for b in expected)
     # l4 carries the angle itself, and the chain walk returns the residual
@@ -299,7 +296,7 @@ def test_refine_bracket_steps_inward_from_a_broken_end_point():
     # at grid 3,000 the bracket of branch 011000 ends at the grid point
     # 5 pi / 6, where d(l4, l7) = 2 and P6's circles are tangent, so the
     # 30-digit chain breaks there; the root lies well inside the cell
-    (bracket,) = [b for b in sweep(SolveConfig(grid_points=3000)) if str(b.branch) == "011000"]
+    (bracket,) = [b for b in sweep(SolveConfig(grid_points=3000)) if b.branch == "011000"]
     assert abs(bracket.theta_hi - 5 * math.pi / 6) < 1e-15
     with pytest.raises(ChainBroken):
         build_chain(bracket.theta_hi, bracket.branch, 30)
@@ -322,7 +319,7 @@ def test_refine_bracket_rejects_junk_near_half_pi():
 
 
 def test_refine_bracket_rejects_sign_agreement():
-    branch = BranchVector.from_string(DISCOVERED_BRANCHES[0])
+    branch = DISCOVERED_BRANCHES[0]
     res = closure_grid(np.array([2.58, 2.60]), branch)
     fake = Bracket(branch, 2.58, 2.60, float(res[0]), -float(res[1]))
     with pytest.raises(LostBracket):
@@ -334,7 +331,7 @@ def test_degenerate_zero_has_coincident_vertices():
     # collapses: P1 lands on P6 and l2 on l4 (it is not an embedding)
     brackets = [
         b for b in sweep(SolveConfig())
-        if str(b.branch) == "001000" and b.theta_lo < DEGENERATE_THETA < b.theta_hi
+        if b.branch == "001000" and b.theta_lo < DEGENERATE_THETA < b.theta_hi
     ]
     assert len(brackets) == 1
     cand = refine_bracket(brackets[0], 30)
@@ -469,7 +466,7 @@ def test_system_residuals_vanish_on_solutions(solutions):
 
 def test_jacobian_matches_finite_differences():
     ctx = context(40)
-    cand = build_chain("2.5", BranchVector.from_string("101100"), 40)
+    cand = build_chain("2.5", "101100", 40)
     vec = to_vector(ctx, cand.coords)
     J = system_jacobian(ctx, vec)
     assert len(J) == 16
@@ -631,7 +628,7 @@ def test_solutions_match_reference_polish(solutions, polished_seeds):
 
 def test_discovered_branches_and_thetas(solutions):
     by_theta = sorted(solutions, key=lambda c: float(c.theta), reverse=True)
-    assert [str(c.branch) for c in by_theta] == list(DISCOVERED_BRANCHES)
+    assert [c.branch for c in by_theta] == list(DISCOVERED_BRANCHES)
     for cand, theta in zip(by_theta, DISCOVERED_THETAS):
         assert abs(float(cand.theta) - float(theta)) < 1e-13
 

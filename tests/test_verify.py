@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from heawood_udg.chain import BranchVector, build_chain, candidate_from_coords
+import pytest
+
+from heawood_udg.chain import build_chain, candidate_from_coords
 from heawood_udg.charpoly import isolate_real_roots
 from heawood_udg.geom import context
 from heawood_udg.refdata import TABLE_VERTICES
@@ -135,6 +138,21 @@ def test_bracket_sign_change_for_all_solutions(solutions, poly):
         assert hi - lo == Fraction(1, 10 ** 20)
 
 
+@pytest.mark.parametrize("x_l4", ["1e100000", "-1e100000", "1e-100000", "1e-10000", "1e1000000"])
+def test_bracket_of_extreme_x_l4_stays_small(x_l4, solutions, poly):
+    # far outside the root bound, or with a huge denominator, x_l4 yields a
+    # bracket of small rationals, exactly the default width, and no sign change
+    cand = solutions[0]
+    coords = {v: (p.x, p.y) for v, p in cand.coords.items()}
+    coords["l4"] = (cand.context().mpf(x_l4), coords["l4"][1])
+    started = time.perf_counter()
+    lo, hi, ok = charpoly_bracket(candidate_from_coords(_dependent_only(coords), 60), poly)
+    assert time.perf_counter() - started < 5
+    assert not ok
+    assert hi - lo == Fraction(1, 10 ** 20)
+    assert max(abs(lo.numerator), lo.denominator, abs(hi.numerator), hi.denominator).bit_length() < 300
+
+
 def test_solutions_land_in_distinct_isolating_intervals(solutions, poly):
     intervals = isolate_real_roots(poly)
     hits = []
@@ -191,7 +209,7 @@ def test_certificate_json_fields(solutions, poly, tables):
 def test_certify_non_solution_fails_on_closure_flag(poly, tables):
     # a chain candidate away from any zero satisfies every constraint
     # except the closure flag, whose residual (about 0.51 here) dominates
-    cand = build_chain("2.2", BranchVector.from_string("000000"), 60)
+    cand = build_chain("2.2", "000000", 60)
     cert = certify(cand, poly, tables)
     assert not cert.passes
     assert abs(float(cert.max_flag_residual) - abs(float(cand.closure))) < 1e-12
