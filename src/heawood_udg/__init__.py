@@ -14,7 +14,6 @@ from .charpoly import (
     IsolatingInterval,
     NotSquarefree,
     charpoly_xl4,
-    count_real_roots,
     eval_exact,
     isolate_real_roots,
     refine_root,
@@ -61,7 +60,6 @@ __all__ = [
     "certify",
     "charpoly_xl4",
     "circle_circle_intersect",
-    "count_real_roots",
     "eval_exact",
     "flag_residuals",
     "girth",

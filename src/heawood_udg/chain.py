@@ -212,19 +212,30 @@ def candidate_to_json_dict(candidate: EmbeddingCandidate) -> dict:
     }
 
 
+def _check_length(text: str) -> str:
+    if len(text) > 2 * MAX_DIGITS:  # nstr at MAX_DIGITS prints at most 4/3 of that
+        raise ValueError(f"number of {len(text)} characters in embeddings file, limit {2 * MAX_DIGITS}")
+    return text
+
+
+def _read_int(text: str) -> int:
+    """A JSON integer literal, read by ``decimal`` past the 4,300 digits
+    that Python's ``int()`` accepts."""
+    return int(Decimal(_check_length(text)))
+
+
 def _read_decimal(ctx: MPContext, text: str) -> Any:
     """``ctx.mpf(text)`` for a decimal string of any length: mpmath's
     ``from_str``, whose ``int()`` Python caps at 4,300 digits, with the
     digits read by ``decimal`` instead."""
-    if len(text) > 2 * MAX_DIGITS:  # nstr at MAX_DIGITS prints at most 4/3 of that
-        raise ValueError(f"number of {len(text)} characters in embeddings file, limit {2 * MAX_DIGITS}")
+    _check_length(text)
     float(text)  # from_str's syntax check: ValueError unless a float literal
     if not Decimal(text).is_finite():
         raise ValueError(f"non-finite number {text!r} in embeddings file")
     mantissa, _, exponent = text.strip().lower().partition("e")
     whole, _, frac = mantissa.partition(".")
     frac = frac.rstrip("0")
-    man, exp = int(Decimal(whole + frac)), int(exponent or 0) - len(frac)
+    man, exp = _read_int(whole + frac), int(exponent or 0) - len(frac)
     prec, rnd = ctx._prec_rounding
     if abs(exp) > 400:
         return ctx.make_mpf(mpf_mul(from_int(man, prec + 10), mpf_pow_int(ften, exp, prec + 10), prec, rnd))
@@ -280,7 +291,7 @@ def dump_candidates(candidates) -> str:
 def load_candidates(text: str) -> list:
     """Parse :func:`dump_candidates` output; ValueError if malformed or if
     it holds no embedding."""
-    data = json.loads(text)
+    data = json.loads(text, parse_int=_read_int)
     if not isinstance(data, list) or not data:
         raise ValueError("embeddings file must hold a non-empty JSON list")
     try:

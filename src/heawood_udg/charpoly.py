@@ -9,10 +9,10 @@ solver's embeddings independently of the floating-point path that found
 them: bisection tested by Descartes' rule of signs (Collins and Akritas,
 1976) isolates each root, and :func:`refine_root` narrows it to any number
 of digits: an Illinois estimate of the root names the interval that exact
-bisection would reach, and exact signs confirm it.  A Sturm chain counts
-the real roots in any interval as an independent check.  Counting and
-isolation require a squarefree polynomial, as this one is, and raise
-:class:`NotSquarefree` otherwise.
+bisection would reach, and exact signs confirm it.  Isolation requires a
+squarefree polynomial, as this one is: a gcd modulo a prime proves it, the
+exact Sturm chain decides when the prime cannot, and :class:`NotSquarefree`
+is raised otherwise.
 
 Coefficients are stored as decimal strings in one table and parsed at load
 time; a checksum plus digit-count guard protects the transcription, which is
@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -246,14 +246,14 @@ def _primitive(coeffs: Sequence[int]) -> tuple:
     return tuple(c // g for c in coeffs)
 
 
-@lru_cache(maxsize=8)
 def sturm_chain(p: BigPoly) -> tuple:
     """Sturm sequence of ``p`` over the integers.
 
     Uses pseudo-remainders with explicit sign tracking and primitive-part
     normalization: each element equals the classical rational Sturm chain
     element times a positive constant, so sign variations are unchanged
-    while coefficients stay polynomially sized.
+    while coefficients stay polynomially sized.  The last element is
+    gcd(p, p') up to a constant factor.
     """
     chain = [BigPoly(_primitive(p.coefficients))]
     dp = p.derivative()
@@ -288,52 +288,6 @@ def sturm_chain(p: BigPoly) -> tuple:
 def _variations(signs: Iterable[int]) -> int:
     cleaned = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
-
-
-def _variations_at(chain: Sequence[BigPoly], t: Fraction) -> int:
-    return _variations(_sign_at(q, t.numerator, t.denominator) for q in chain)
-
-
-def _variations_at_infinity(chain: Sequence[BigPoly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        s = 1 if q.leading_coefficient > 0 else -1
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
-def _squarefree_chain(p: BigPoly) -> tuple:
-    """Sturm chain of ``p``, which must be nonzero and squarefree."""
-    if p.is_zero():
-        raise ValueError("zero polynomial has no real-root count")
-    chain = sturm_chain(p)
-    if chain[-1].degree > 0:
-        raise NotSquarefree(f"gcd(p, p') has degree {chain[-1].degree}")
-    return chain
-
-
-def count_real_roots(p: BigPoly, lo=None, hi=None) -> int:
-    """Number of real roots of ``p`` in (lo, hi]; bounds of None mean the
-    corresponding infinity.
-
-    Requires ``p`` squarefree and raises :class:`NotSquarefree` otherwise.
-    """
-    chain = _squarefree_chain(p)
-    if lo is not None:
-        lo = Fraction(lo)
-        if sign_at(p, lo) == 0:
-            raise ValueError(f"lower bound {lo} is a root; Sturm counting needs p(lo) != 0")
-    if hi is not None:
-        hi = Fraction(hi)
-        if sign_at(p, hi) == 0:
-            raise ValueError(f"upper bound {hi} is a root; Sturm counting needs p(hi) != 0")
-    if lo is not None and hi is not None and not lo < hi:
-        raise ValueError(f"bounds out of order: {lo} >= {hi}")
-    v_lo = _variations_at(chain, lo) if lo is not None else _variations_at_infinity(chain, False)
-    v_hi = _variations_at(chain, hi) if hi is not None else _variations_at_infinity(chain, True)
-    return v_lo - v_hi
 
 
 def root_bound(p: BigPoly) -> int:
@@ -392,14 +346,17 @@ def _require_squarefree(p: BigPoly) -> None:
 
     gcd(p, p') = 1 modulo a prime that does not divide the leading
     coefficient proves gcd(p, p') = 1 over the rationals; when the modular
-    gcd is not constant the exact Sturm chain decides.
+    gcd is not constant the exact Sturm chain, which ends in gcd(p, p'),
+    decides.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no real-root count")
     prime = _SQUAREFREE_PRIME
     f, df = p.coefficients, p.derivative().coefficients
     if p.leading_coefficient % prime == 0 or _gcd_degree_mod(f, df, prime) > 0:
-        _squarefree_chain(p)
+        degree = sturm_chain(p)[-1].degree
+        if degree > 0:
+            raise NotSquarefree(f"gcd(p, p') has degree {degree}")
 
 
 def _gcd_degree_mod(f: Sequence[int], g: Sequence[int], prime: int) -> int:

@@ -37,6 +37,8 @@ def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
     ys = [y for _, y in pos.values()]
     min_x, max_x = min(xs) - PADDING, max(xs) + PADDING
     min_y, max_y = min(ys) - PADDING, max(ys) + PADDING
+    if not (math.isfinite(max_x - min_x) and math.isfinite(max_y - min_y)):
+        raise ValueError(f"coordinates too large to draw: x from {min(xs)} to {max(xs)}, y from {min(ys)} to {max(ys)}")
     width = (max_x - min_x) * scale
     height = (max_y - min_y) * scale
     # NaN, infinite and overflowing scales all give a non-finite drawing

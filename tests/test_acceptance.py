@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import sturm
 from conftest import MARGIN_BASELINES
 from equations import registry_flags
 
@@ -68,9 +69,9 @@ def test_criterion_1_eleven_embedding_reproduction(tables):
 
 
 def test_criterion_2_real_root_count(poly):
-    charpoly.sturm_chain.cache_clear()  # honest cold timing
+    sturm.sturm_chain.cache_clear()  # honest cold timing
     started = time.time()
-    count = charpoly.count_real_roots(poly)
+    count = sturm.count_real_roots(poly)
     elapsed = time.time() - started
     line = f"criterion 2: {'PASS' if count == 11 and elapsed < 60 else 'FAIL'} - Sturm count {count} in {elapsed:.1f}s"
     print(line)
@@ -154,5 +155,5 @@ def test_criterion_7_complex_count_covered_by_transcription(poly):
     assert poly.coefficients[1] == 273675328487397647237991825000783
     assert poly.coefficients[79] == 82521703002365615643033600000
     assert sum(poly.coefficients) == 270121907476767733497473890516992000000000000000
-    assert charpoly.sturm_chain(poly)[-1].degree == 0
+    assert sturm.sturm_chain(poly)[-1].degree == 0
     print("criterion 7: PASS - degree 79 with transcription guards (complex count not enumerated)")

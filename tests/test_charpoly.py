@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from sturm import count_real_roots, sturm_chain
 
 from heawood_udg import charpoly
 from heawood_udg.charpoly import (
@@ -11,13 +12,11 @@ from heawood_udg.charpoly import (
     IsolatingInterval,
     NotSquarefree,
     charpoly_xl4,
-    count_real_roots,
     eval_exact,
     isolate_real_roots,
     refine_root,
     root_bound,
     sign_at,
-    sturm_chain,
 )
 from heawood_udg.geom import bisect_sign_change, context
 
@@ -156,8 +155,8 @@ def test_isolates_eleven_disjoint_intervals(poly):
 
 
 def test_isolation_and_refinement_never_build_the_sturm_chain(poly, monkeypatch):
-    # a squarefree input is proved squarefree modulo a prime, so the Sturm
-    # chain stays an independent check that the production route never uses
+    # a squarefree input is proved squarefree modulo a prime, so the exact
+    # Sturm chain is built only when the prime cannot decide
     def forbidden(p):
         raise AssertionError("sturm_chain called")
 
@@ -208,10 +207,8 @@ def test_isolation_depth_is_not_limited_by_recursion():
     assert [(iv.lo, iv.hi) for iv in isolate_real_roots(p)] == [(-bound, bound)]
 
 
-def test_isolation_falls_back_to_sturm_when_the_prime_check_is_inconclusive(monkeypatch):
-    # T^2 - P is squarefree, but modulo P it is T^2, a square
-    prime = charpoly._SQUAREFREE_PRIME
-    p = BigPoly((-prime, 0, 1))
+def _record_sturm_chains(monkeypatch) -> list:
+    """The polynomials whose exact Sturm chain the package builds."""
     chains = []
     chain = charpoly.sturm_chain
 
@@ -220,11 +217,45 @@ def test_isolation_falls_back_to_sturm_when_the_prime_check_is_inconclusive(monk
         return chain(q)
 
     monkeypatch.setattr(charpoly, "sturm_chain", recording)
+    return chains
+
+
+def test_isolation_falls_back_to_sturm_when_the_prime_check_is_inconclusive(monkeypatch):
+    # T^2 - P is squarefree, but modulo P it is T^2, a square
+    prime = charpoly._SQUAREFREE_PRIME
+    p = BigPoly((-prime, 0, 1))
+    chains = _record_sturm_chains(monkeypatch)
     intervals = isolate_real_roots(p)
     assert chains == [p]
     # the first split, at 0, separates the roots +-sqrt(P)
     bound = root_bound(p)
     assert [(iv.lo, iv.hi) for iv in intervals] == [(-bound, 0), (0, bound)]
+
+
+def test_isolation_takes_the_exact_route_when_the_prime_divides_the_leading_coefficient(monkeypatch):
+    # P T^2 - 1 loses its degree modulo P, so the modular gcd proves nothing
+    prime = charpoly._SQUAREFREE_PRIME
+    p = BigPoly((-1, 0, prime))
+    chains = _record_sturm_chains(monkeypatch)
+    intervals = isolate_real_roots(p)
+    assert chains == [p]
+    assert [(iv.lo, iv.hi) for iv in intervals] == [(-2, 0), (0, 2)]
+
+
+def test_exact_route_proves_a_square_not_squarefree(monkeypatch):
+    # (P T - 1)^2: P divides the leading coefficient P^2, and the exact
+    # chain ends in gcd(p, p') = P T - 1
+    prime = charpoly._SQUAREFREE_PRIME
+    p = BigPoly((1, -2 * prime, prime ** 2))
+    chains = _record_sturm_chains(monkeypatch)
+    with pytest.raises(NotSquarefree, match="gcd\\(p, p'\\) has degree 1"):
+        isolate_real_roots(p)
+    assert chains == [p]
+
+
+def test_isolation_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        isolate_real_roots(BigPoly((0,)))
 
 
 def _sturm_bisection(p):

@@ -274,6 +274,37 @@ def test_numbers_past_python_int_string_limit(tmp_path, capsys):
     assert "characters in embeddings file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("digits, code", [(5_000, 0), (30_000, 2)])
+def test_long_json_integer_literals(digits, code, tmp_path, capsys):
+    # json.loads reads integer literals with int(), capped at 4,300 digits;
+    # the loader reads them up to its own limit and refuses longer ones
+    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
+    text = json.dumps(data)[:-2] + f', "extra": {"7" * digits}}}]'
+    path = tmp_path / "long_int.json"
+    path.write_text(text)
+    assert len(json.loads(text, parse_int=str)[0]["extra"]) == digits
+    assert run(["verify", "--json", str(path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"number of {digits} characters in embeddings file, limit 20000" in err
+        assert "int_max_str_digits" not in err
+
+
+def test_render_names_coordinates_too_large_to_draw(tmp_path, capsys):
+    # l4.x of 1e100000 overflows a float: the error is the coordinates',
+    # not the default scale's
+    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
+    data[0]["vertices"]["l4"][0] = "1e100000"
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    figs = tmp_path / "figs"
+    assert run(["render", "--json", str(path), "--svg", str(figs)]) == 2
+    err = capsys.readouterr().err
+    assert "coordinates too large to draw: x from" in err and "to inf" in err
+    assert "scale" not in err
+    assert not figs.exists() or not list(figs.iterdir())
+
+
 def test_verify_subcommand_passes(tmp_path, capsys, solutions):
     src = tmp_path / "sols.json"
     src.write_text(dump_candidates(solutions))
