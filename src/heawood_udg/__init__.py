@@ -18,8 +18,8 @@ from .charpoly import (
     isolate_real_roots,
     refine_root,
 )
-from .geom import ConcentricCircles, NoIntersection, Point2, Tangent, circle_circle_intersect
-from .incidence import IncidenceStructure, build_heawood_incidence, girth, verify_fano_axioms
+from .geom import GeometryError, Point2, circle_circle_intersect
+from .incidence import LINE_POINTS, girth, verify_fano_axioms
 from .refdata import reference_tables
 from .render import render_svg
 from .solver import (
@@ -42,20 +42,17 @@ __all__ = [
     "Bracket",
     "Certificate",
     "ChainBroken",
-    "ConcentricCircles",
     "EmbeddingCandidate",
-    "IncidenceStructure",
+    "GeometryError",
     "IsolatingInterval",
+    "LINE_POINTS",
     "LostBracket",
     "NoConvergence",
-    "NoIntersection",
     "NotSquarefree",
     "Point2",
     "SingularJacobian",
     "SolveConfig",
-    "Tangent",
     "build_chain",
-    "build_heawood_incidence",
     "candidate_from_coords",
     "certify",
     "charpoly_xl4",

@@ -290,8 +290,9 @@ def dump_candidates(candidates) -> str:
 
 def load_candidates(text: str) -> list:
     """Parse :func:`dump_candidates` output; ValueError if malformed or if
-    it holds no embedding."""
-    data = json.loads(text, parse_int=_read_int)
+    it holds no embedding.  A JSON float literal is kept as its text, so
+    its digits are read exactly, as those of a number string are."""
+    data = json.loads(text, parse_int=_read_int, parse_float=str)
     if not isinstance(data, list) or not data:
         raise ValueError("embeddings file must hold a non-empty JSON list")
     try:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import charpoly, refdata, solver, verify
 from .chain import dump_candidates, load_candidates
 from .geom import MAX_DIGITS
-from .incidence import build_heawood_incidence
+from .incidence import HEAWOOD_FLAGS, LINE_POINTS
 from .render import SCALE, render_svg
 
 EXPECTED_EMBEDDINGS = 11
@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="certify embeddings from a JSON file")
     p_verify.add_argument("--json", type=Path, required=True, help="embeddings JSON to certify")
-    p_verify.add_argument("--seed-tables", type=Path, default=None, help="override the reference tables file")
 
     p_render = sub.add_parser("render", help="render embeddings from a JSON file to SVG")
     p_render.add_argument("--json", type=Path, required=True, help="embeddings JSON to render")
@@ -87,7 +86,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_verify(args) -> int:
     embeddings = load_candidates(args.json.read_text())
-    tables = refdata.reference_tables(args.seed_tables)
+    tables = refdata.reference_tables()
     poly = charpoly.charpoly_xl4()
     certificates = [verify.certify(e, poly, tables) for e in embeddings]
     print(json.dumps([c.to_json_dict() for c in certificates], indent=2))
@@ -113,10 +112,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_incidence(_args) -> int:
-    inc = build_heawood_incidence()
     payload = {
-        "lines": {ln: sorted(pts) for ln, pts in sorted(inc.lines.items())},
-        "flags": [list(flag) for flag in sorted(inc.flags)],
+        "lines": {ln: sorted(pts) for ln, pts in sorted(LINE_POINTS.items())},
+        "flags": [list(flag) for flag in HEAWOOD_FLAGS],
     }
     print(json.dumps(payload, indent=2))
     return 0

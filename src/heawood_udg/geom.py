@@ -30,23 +30,8 @@ ESTIMATE_MAX_STEPS = 64
 
 
 class GeometryError(Exception):
-    """Base class for geometric construction failures."""
-
-
-class NoIntersection(GeometryError):
-    """The two circles do not meet (gap or containment beyond tolerance)."""
-
-
-class Tangent(GeometryError):
-    """The two circles meet in a single point up to tolerance.
-
-    Reported separately from :class:`NoIntersection` so callers can treat
-    branch collisions (both intersection branches coinciding) explicitly.
-    """
-
-
-class ConcentricCircles(GeometryError):
-    """The two centers coincide within tolerance; the branch is undefined."""
+    """A circle-circle intersection failed: the circles miss, touch or are
+    concentric within tolerance, and the message says which."""
 
 
 # building an MPContext costs about as much as a 30-digit construction chain
@@ -104,9 +89,8 @@ def circle_circle_intersect(
 
     The tolerance is 10^(-dps/2) at the precision of the context ``ctx``:
     the discriminant loses about half the working digits near tangency.
-    Raises :class:`ConcentricCircles` when the centers coincide within
-    it, :class:`Tangent` when the discriminant vanishes within it and
-    :class:`NoIntersection` when it is negative beyond it.
+    Raises :class:`GeometryError` when the centers coincide within it,
+    the discriminant vanishes within it or is negative beyond it.
     """
     if bit not in (0, 1):
         raise ValueError(f"branch bit must be 0 or 1, got {bit!r}")
@@ -121,15 +105,15 @@ def circle_circle_intersect(
     d2 = dx * dx + dy * dy
     d = ctx.sqrt(d2)
     if d <= tol:
-        raise ConcentricCircles(f"center distance {ctx.nstr(d, 8)} below tolerance")
+        raise GeometryError(f"center distance {ctx.nstr(d, 8)} below tolerance")
 
     # foot of the chord on the center line, measured from c1
     a = (d2 + r1 * r1 - r2 * r2) / (2 * d)
     h2 = r1 * r1 - a * a
     if abs(h2) <= tol:
-        raise Tangent(f"discriminant {ctx.nstr(h2, 8)} within tolerance of zero")
+        raise GeometryError(f"discriminant {ctx.nstr(h2, 8)} within tolerance of zero")
     if h2 < 0:
-        raise NoIntersection(f"discriminant {ctx.nstr(h2, 8)} is negative")
+        raise GeometryError(f"discriminant {ctx.nstr(h2, 8)} is negative")
     h = ctx.sqrt(h2)
 
     ux = dx / d

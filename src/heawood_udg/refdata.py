@@ -17,28 +17,14 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from pathlib import Path
 
 from .chain import DEPENDENT_VERTICES
 
 TABLE_VERTICES = tuple(sorted(DEPENDENT_VERTICES))
 
 
-def reference_tables(path: str | Path | None = None) -> tuple:
-    """Load the eleven tables as dicts of vertex name -> (x, y) strings."""
-    if path is not None:
-        raw = json.loads(Path(path).read_text())
-    else:
-        raw = json.loads(
-            resources.files("heawood_udg").joinpath("data/tables.json").read_text()
-        )
-    tables = []
-    try:
-        for row in raw["tables"]:
-            missing = [v for v in TABLE_VERTICES if v not in row]
-            if missing:
-                raise ValueError(f"reference table is missing vertices: {missing}")
-            tables.append({v: (row[v][0], row[v][1]) for v in TABLE_VERTICES})
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f'malformed reference tables file (needs a "tables" list): {exc!r}') from exc
-    return tuple(tables)
+def reference_tables() -> tuple:
+    """Load the eleven bundled tables as dicts of vertex name -> (x, y)
+    strings."""
+    raw = json.loads(resources.files("heawood_udg").joinpath("data/tables.json").read_text())
+    return tuple({v: tuple(row[v]) for v in TABLE_VERTICES} for row in raw["tables"])

@@ -67,20 +67,16 @@ NEWTON_MAX_ITER = 100
 ENDPOINT_STEPS = 8
 
 
-class SolverError(Exception):
-    pass
-
-
-class LostBracket(SolverError):
+class LostBracket(Exception):
     """The sign change vanished or refined to a non-zero: a branch boundary
     was crossed or the bracket straddles a discontinuity, not a root."""
 
 
-class SingularJacobian(SolverError):
+class SingularJacobian(Exception):
     """Newton's Jacobian is numerically singular at the iterate."""
 
 
-class NoConvergence(SolverError):
+class NoConvergence(Exception):
     """Newton failed to reach the residual target within the iteration cap."""
 
 

@@ -102,7 +102,9 @@ def collinearity_residual(candidate: EmbeddingCandidate):
 def _point_segment_distance_squared(p: Point2, a: Point2, b: Point2, zero, one):
     vx = b.x - a.x
     vy = b.y - a.y
-    t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / (vx * vx + vy * vy)
+    length2 = vx * vx + vy * vy
+    # an edge whose ends coincide is the point a
+    t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / length2 if length2 else zero
     t = max(zero, min(one, t))
     qx = a.x + t * vx
     qy = a.y + t * vy
@@ -132,19 +134,18 @@ def regularity_check(candidate: EmbeddingCandidate):
     return ctx.sqrt(least)
 
 
-def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly, width: Fraction | None = None):
-    """Exact rational bracket of the stated width centered at the
-    candidate's x_l4; returns (lo, hi, sign_change_ok).
+def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly):
+    """Exact rational bracket centered at the candidate's x_l4; returns
+    (lo, hi, sign_change_ok).
 
-    The default width is max(10^-20, 10^(4 - precision)): the tolerance of
+    The width is max(10^-20, 10^(4 - precision)): the tolerance of
     Newton's polish and of :attr:`Certificate.passes`, so that it spans
     the last printed digits of x_l4 below 24 digits, and 10^-20 above.
     The center is x_l4 rounded to a multiple of width / 2^64 and clamped to
     [-B - width, B + width], no root lying outside (-B, B) for B the
     :func:`~heawood_udg.charpoly.root_bound`, so the end points stay small.
     """
-    if width is None:
-        width = Fraction(10) ** max(-20, 4 - candidate.precision)
+    width = Fraction(10) ** max(-20, 4 - candidate.precision)
     unit, bound = width / 2**64, root_bound(poly) + width
     center = round(Fraction(*to_rational(candidate.coords["l4"].x._mpf_)) / unit) * unit
     center = min(max(center, -bound), bound)

@@ -9,7 +9,6 @@ import pytest
 
 from heawood_udg import charpoly, refdata, solver
 from heawood_udg.chain import candidate_from_coords
-from heawood_udg.incidence import build_heawood_incidence
 
 # Discovered construction parameters per reference table (build outputs of
 # the default solve; branch bits in chain order P3, P6, l2, l1, l6, P1).
@@ -46,11 +45,6 @@ MARGIN_BASELINES = (
     "0.0014016477148792758029",
     "0.0041841668005138669695",
 )
-
-
-@pytest.fixture(scope="session")
-def inc():
-    return build_heawood_incidence()
 
 
 @pytest.fixture(scope="session")

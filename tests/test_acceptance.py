@@ -20,7 +20,7 @@ from equations import registry_flags
 from heawood_udg import charpoly, solver
 from heawood_udg.chain import candidate_from_coords
 from heawood_udg.geom import context
-from heawood_udg.incidence import girth, verify_fano_axioms
+from heawood_udg.incidence import HEAWOOD_FLAGS, LINE_POINTS, girth, verify_fano_axioms
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish, solve_all
 from heawood_udg.verify import charpoly_bracket, match_table, max_flag_residual, regularity_check
@@ -83,7 +83,7 @@ def test_criterion_3_root_coordinate_cross_certification(solutions, poly):
     assert len(solutions) == 11
     width = Fraction(1, 10 ** 20)
     for cand in solutions:
-        lo, hi, ok = charpoly_bracket(cand, poly, width)
+        lo, hi, ok = charpoly_bracket(cand, poly)
         assert ok, f"no sign change in the width-1e-20 bracket around {cand.context().nstr(cand.coords['l4'].x, 20)}"
         assert hi - lo == width
     intervals = charpoly.isolate_real_roots(poly)
@@ -131,11 +131,11 @@ def test_criterion_5_regularity_margins(solutions):
     print("criterion 5: PASS - 11 positive margins, stable to <1e-10 under precision doubling")
 
 
-def test_criterion_6_structural_properties(inc, solutions):
-    report = verify_fano_axioms(inc)
+def test_criterion_6_structural_properties(solutions):
+    report = verify_fano_axioms(LINE_POINTS)
     assert report.all_pass, "Fano axioms must hold"
-    assert girth(inc) == 6
-    assert registry_flags() == inc.flags, "equation registry flags must equal incidence flags"
+    assert girth(LINE_POINTS) == 6
+    assert registry_flags() == set(HEAWOOD_FLAGS), "equation registry flags must equal incidence flags"
 
     doubled = solve_all(solver.SolveConfig(grid_points=40000))
     assert len(doubled) == 11

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -80,9 +81,6 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert run(["render", "--json", str(empty), "--svg", str(tmp_path / "out")]) == 2
     one = tmp_path / "one.json"
     one.write_text(dump_candidates([build_chain("2.5", "000000", 30)]))
-    no_tables = tmp_path / "no_tables.json"
-    no_tables.write_text('{"rows": []}')
-    assert run(["verify", "--json", str(one), "--seed-tables", str(no_tables)]) == 2
     # a scale that is not positive, makes the drawing size overflow or
     # prints it as zero writes no SVG
     for scale in ("nan", "inf", "1e308", "1e-320", "1e-6"):
@@ -101,6 +99,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
         ("boolean_closure", "closure", False),
         ("inf_precision", "precision", float("inf")),
         ("fractional_precision", "precision", 60.7),
+        ("float_precision", "precision", 60.0),
         ("negative_precision", "precision", -5),
         ("zero_precision", "precision", 0),
         ("two_digit_precision", "precision", 2),
@@ -305,6 +304,34 @@ def test_render_names_coordinates_too_large_to_draw(tmp_path, capsys):
     assert not figs.exists() or not list(figs.iterdir())
 
 
+def test_json_float_literals_are_read_exactly(tmp_path, capsys):
+    # the 60-digit coordinates written as bare JSON numbers verify exactly
+    # as the same digits written as strings, not cut to 53-bit floats
+    strings = tmp_path / "strings.json"
+    strings.write_text(json.dumps(json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]))
+    bare = tmp_path / "bare.json"
+    bare.write_text(re.sub(r'"(-?[0-9][0-9.e+-]*)"', r"\1", strings.read_text()))
+    assert '"P1": [' in bare.read_text() and '"-0.' not in bare.read_text()
+    assert run(["verify", "--json", str(strings)]) == 0
+    expected = capsys.readouterr().out
+    assert run(["verify", "--json", str(bare)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_fails_an_edge_whose_ends_coincide(tmp_path, capsys):
+    # l1 on top of P1: the flag P1-l1 has length 0, which fails the
+    # certificate rather than dividing by zero
+    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
+    data[0]["vertices"]["l1"] = list(data[0]["vertices"]["P1"])
+    path = tmp_path / "collapsed.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--json", str(path)]) == 1
+    (cert,) = json.loads(capsys.readouterr().out)
+    assert cert["pass"] is False
+    assert cert["max_flag_residual"] == "1.0"
+    assert cert["regularity_margin"] == "0.0"
+
+
 def test_verify_subcommand_passes(tmp_path, capsys, solutions):
     src = tmp_path / "sols.json"
     src.write_text(dump_candidates(solutions))
@@ -325,18 +352,6 @@ def test_verify_rejects_broken_candidate(tmp_path, capsys, solutions):
     certs = json.loads(capsys.readouterr().out)
     assert certs[0]["pass"] is False
     assert certs[1]["pass"] is True
-
-
-def test_verify_with_seed_tables_override(tmp_path, capsys, solutions, tables):
-    src = tmp_path / "sols.json"
-    src.write_text(dump_candidates(solutions))
-    # tables file with row 1 only: only one candidate can match
-    override = tmp_path / "tables.json"
-    override.write_text(json.dumps({"tables": [{k: list(v) for k, v in tables[0].items()}]}))
-    assert run(["verify", "--json", str(src), "--seed-tables", str(override)]) == 0
-    certs = json.loads(capsys.readouterr().out)
-    matched = [c["matched_table"] for c in certs if c["matched_table"] is not None]
-    assert matched == [1]
 
 
 def test_render_subcommand(tmp_path, capsys, solutions):

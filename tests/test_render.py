@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from heawood_udg.incidence import POINTS
+from heawood_udg.incidence import HEAWOOD_FLAGS, POINTS
 from heawood_udg.render import LINE_COLOR, PADDING, POINT_COLOR, SCALE, render_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -26,7 +26,7 @@ def test_structural_counts(solutions):
     assert {t.text for t in texts} == set(solutions[0].coords)
 
 
-def test_rendered_segments_are_exactly_the_flags(solutions, inc):
+def test_rendered_segments_are_exactly_the_flags(solutions):
     svg = render_svg(solutions[0])
     root = _parse(svg)
     pos = {v: (float(p.x), float(p.y)) for v, p in solutions[0].coords.items()}
@@ -49,7 +49,7 @@ def test_rendered_segments_are_exactly_the_flags(solutions, inc):
         b = nearest((float(ln.get("x2")), float(ln.get("y2"))))
         pair = (a, b) if a in POINTS else (b, a)
         rendered.add(pair)
-    assert rendered == set(inc.flags)
+    assert rendered == set(HEAWOOD_FLAGS)
 
 
 def test_y_axis_flipped(solutions):

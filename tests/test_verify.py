@@ -9,6 +9,7 @@ import pytest
 from heawood_udg.chain import build_chain, candidate_from_coords
 from heawood_udg.charpoly import isolate_real_roots
 from heawood_udg.geom import context
+from heawood_udg.incidence import HEAWOOD_FLAGS
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish
 from heawood_udg.verify import (
@@ -77,10 +78,10 @@ def test_perturbed_p1_shows_in_residuals(table_seeds):
     assert float(max_flag_residual(bumped)) > 1e-7
 
 
-def test_all_21_flags_reported(solutions, inc):
+def test_all_21_flags_reported(solutions):
     residuals = flag_residuals(solutions[0])
     assert len(residuals) == 21
-    assert {f for f, _ in residuals} == set(inc.flags)
+    assert {f for f, _ in residuals} == set(HEAWOOD_FLAGS)
 
 
 def test_solution_flag_residuals_meet_precision_bound(solutions):
