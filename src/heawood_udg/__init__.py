@@ -19,7 +19,7 @@ from .charpoly import (
     refine_root,
 )
 from .geom import GeometryError, Point2, circle_circle_intersect
-from .incidence import LINE_POINTS, girth, verify_fano_axioms
+from .incidence import LINE_POINTS
 from .refdata import reference_tables
 from .render import render_svg
 from .solver import (
@@ -59,7 +59,6 @@ __all__ = [
     "circle_circle_intersect",
     "eval_exact",
     "flag_residuals",
-    "girth",
     "isolate_real_roots",
     "newton_polish",
     "place_l4",
@@ -70,5 +69,4 @@ __all__ = [
     "render_svg",
     "solve_all",
     "sweep",
-    "verify_fano_axioms",
 ]

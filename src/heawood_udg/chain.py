@@ -60,7 +60,6 @@ class ChainBroken(GeometryError):
 
     def __init__(self, step: str, reason: GeometryError):
         self.step = step
-        self.reason = reason
         super().__init__(f"chain broken at {step}: {reason}")
 
 
@@ -246,8 +245,8 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
     precision is not a JSON integer from 3 to ``MAX_DIGITS``, the branch is
     not a list of six JSON integers 0 or 1, a vertex name is not one of
-    "P1".."l7", or a number is a JSON boolean, not finite, or a string
-    longer than ``2 * MAX_DIGITS``."""
+    "P1".."l7", a vertex is not a list of two numbers, or a number is a
+    JSON boolean, not finite, or a string longer than ``2 * MAX_DIGITS``."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
@@ -269,10 +268,11 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
             raise ValueError(f"non-finite number {value!r} in embeddings file")
         return x
 
-    coords = {
-        name: Point2(finite(x), finite(y))
-        for name, (x, y) in data["vertices"].items()
-    }
+    coords = {}
+    for name, xy in data["vertices"].items():
+        if type(xy) is not list or len(xy) != 2:
+            raise ValueError(f"vertex {name} must be a list of two numbers, got {xy!r}")
+        coords[name] = Point2(finite(xy[0]), finite(xy[1]))
     return EmbeddingCandidate(
         coords=coords,
         theta=finite(data["theta"]),
@@ -288,11 +288,21 @@ def dump_candidates(candidates) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ValueError if it repeats a key."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in embeddings file")
+        obj[key] = value
+    return obj
+
+
 def load_candidates(text: str) -> list:
-    """Parse :func:`dump_candidates` output; ValueError if malformed or if
-    it holds no embedding.  A JSON float literal is kept as its text, so
-    its digits are read exactly, as those of a number string are."""
-    data = json.loads(text, parse_int=_read_int, parse_float=str)
+    """Parse :func:`dump_candidates` output; ValueError if malformed (a
+    repeated key included) or if it holds no embedding.  A JSON float literal
+    is kept as its text, so its digits are read exactly, as a string's are."""
+    data = json.loads(text, parse_int=_read_int, parse_float=str, object_pairs_hook=_unique_keys)
     if not isinstance(data, list) or not data:
         raise ValueError("embeddings file must hold a non-empty JSON list")
     try:

@@ -207,9 +207,9 @@ def sweep(config: SolveConfig | None = None) -> list:
 # High-precision refinement
 
 
-def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
-    """Bisect the bracket at ``digits`` working precision down to an angle
-    interval below 10^(-digits/2) and return the chain at its midpoint.
+def refine_bracket(bracket: Bracket) -> EmbeddingCandidate:
+    """Bisect the bracket at ``BISECTION_DIGITS`` = d working precision down
+    to an angle interval below 10^(-d/2) and return the chain at its midpoint.
 
     An Illinois estimate of the root names the bisection's final cell,
     which two chain evaluations confirm; without an estimate,
@@ -219,13 +219,13 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     actual zero: the endpoints agree in sign at working precision, the
     chain breaks during bisection or at an end point and ``ENDPOINT_STEPS``
     points stepped inward from it (by 1/1024 of the bracket, doubling), or
-    the refined midpoint's closure residual stays above 10^(-digits/2) (a
+    the refined midpoint's closure residual stays above 10^(-d/2) (a
     jump of the branch structure, not a root).
     """
-    ctx = context(digits)
+    ctx = context(BISECTION_DIGITS)
 
     def closure_at(theta):
-        return build_chain(theta, bracket.branch, digits).closure
+        return build_chain(theta, bracket.branch, BISECTION_DIGITS).closure
 
     def end_point(theta, step):
         # a grid point can land where the chain breaks (at 5 pi / 6 P6's
@@ -244,22 +244,22 @@ def refine_bracket(bracket: Bracket, digits: int) -> EmbeddingCandidate:
     lo, f_lo = end_point(lo, step)
     hi, f_hi = end_point(hi, -step)
     if f_lo == 0:
-        return build_chain(lo, bracket.branch, digits)
+        return build_chain(lo, bracket.branch, BISECTION_DIGITS)
     if f_hi == 0:
-        return build_chain(hi, bracket.branch, digits)
+        return build_chain(hi, bracket.branch, BISECTION_DIGITS)
     if (f_lo < 0) == (f_hi < 0):
         raise LostBracket("no sign change at working precision")
 
     # extra factor 100 of interval width keeps the midpoint residual under
-    # the 10^(-digits/2) bound even for steep crossings
-    width_target = ctx.mpf(10) ** (-(digits // 2) - 2)
-    residual_bound = ctx.mpf(10) ** -(digits // 2)
+    # the 10^(-d/2) bound even for steep crossings
+    width_target = ctx.mpf(10) ** (-(BISECTION_DIGITS // 2) - 2)
+    residual_bound = ctx.mpf(10) ** -(BISECTION_DIGITS // 2)
     estimate = illinois_estimate(closure_at, lo, hi, f_lo, f_hi, width_target / 1000)
     try:
         lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target, estimate=estimate)
     except ChainBroken as exc:
         raise LostBracket(f"chain breaks inside the bracket: {exc}") from exc
-    candidate = build_chain((lo + hi) / 2, bracket.branch, digits)
+    candidate = build_chain((lo + hi) / 2, bracket.branch, BISECTION_DIGITS)
     if abs(candidate.closure) >= residual_bound:
         raise LostBracket(
             f"refined midpoint residual {ctx.nstr(candidate.closure, 6)} "
@@ -417,11 +417,12 @@ def min_vertex_separation(candidate: EmbeddingCandidate):
     return ctx.sqrt(best)
 
 
-def dedupe_candidates(candidates: Sequence[EmbeddingCandidate], tol) -> list:
+def dedupe_candidates(candidates: Sequence[EmbeddingCandidate]) -> list:
     """Drop candidates whose 28 coordinates all agree with an earlier one
-    within ``tol`` (distinct branch vectors can describe the same point)."""
+    within ``DEDUPE_TOL`` (distinct branch vectors can describe one point)."""
     kept: list = []
     for cand in candidates:
+        tol = cand.context().mpf(DEDUPE_TOL)
         duplicate = False
         for other in kept:
             if all(
@@ -447,12 +448,10 @@ def solve_all(config: SolveConfig | None = None) -> list:
     rounds the 30-digit solution.
     """
     config = config or SolveConfig()
-    tol = context(config.digits).mpf(DEDUPE_TOL)
-
     polished = []
     for bracket in sweep(config):
         try:
-            cand = refine_bracket(bracket, BISECTION_DIGITS)
+            cand = refine_bracket(bracket)
         except LostBracket:
             continue
         if min_vertex_separation(cand) < config.min_vertex_separation:
@@ -461,6 +460,6 @@ def solve_all(config: SolveConfig | None = None) -> list:
             cand = newton_polish(cand, digits)
         polished.append(cand)
 
-    unique = dedupe_candidates(polished, tol)
+    unique = dedupe_candidates(polished)
     unique.sort(key=lambda c: (c.coords["l4"].x, c.coords["l4"].y))
     return unique

@@ -174,11 +174,7 @@ def match_table(candidate: EmbeddingCandidate, tables: Sequence[dict]) -> int | 
     return None
 
 
-def certify(
-    candidate: EmbeddingCandidate,
-    poly: BigPoly,
-    tables: Sequence[dict] | None = None,
-) -> Certificate:
+def certify(candidate: EmbeddingCandidate, poly: BigPoly, tables: Sequence[dict]) -> Certificate:
     """Assemble the full certificate for a candidate.
 
     Failing checks yield a non-passing certificate rather than an error.
@@ -186,12 +182,11 @@ def certify(
     for the corrected row 9.
     """
     _, _, bracket_ok = charpoly_bracket(candidate, poly)
-    matched = match_table(candidate, tables) if tables is not None else None
     return Certificate(
         max_flag_residual=max_flag_residual(candidate),
         collinearity_residual=collinearity_residual(candidate),
         charpoly_bracket_ok=bracket_ok,
         regularity_margin=regularity_check(candidate),
         precision=candidate.precision,
-        matched_table=matched,
+        matched_table=match_table(candidate, tables),
     )

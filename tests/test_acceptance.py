@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import sturm
 from conftest import MARGIN_BASELINES
@@ -20,7 +21,7 @@ from equations import registry_flags
 from heawood_udg import charpoly, solver
 from heawood_udg.chain import candidate_from_coords
 from heawood_udg.geom import context
-from heawood_udg.incidence import HEAWOOD_FLAGS, LINE_POINTS, girth, verify_fano_axioms
+from heawood_udg.incidence import HEAWOOD_FLAGS, LINE_POINTS, LINES, POINTS
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish, solve_all
 from heawood_udg.verify import charpoly_bracket, match_table, max_flag_residual, regularity_check
@@ -132,9 +133,19 @@ def test_criterion_5_regularity_margins(solutions):
 
 
 def test_criterion_6_structural_properties(solutions):
-    report = verify_fano_axioms(LINE_POINTS)
-    assert report.all_pass, "Fano axioms must hold"
-    assert girth(LINE_POINTS) == 6
+    # the four Fano axioms, straight from the line table
+    through = {p: {ln for ln, pts in LINE_POINTS.items() if p in pts} for p in POINTS}
+    assert sorted(LINE_POINTS) == list(LINES)
+    assert all(len(pts) == 3 for pts in LINE_POINTS.values()), "3 points per line"
+    assert all(len(lns) == 3 for lns in through.values()), "3 lines per point"
+    assert all(len(through[p] & through[q]) == 1 for p, q in combinations(POINTS, 2)), "unique line"
+    assert all(len(LINE_POINTS[m] & LINE_POINTS[n]) == 1 for m, n in combinations(LINES, 2)), "unique point"
+    # girth 6: the graph is bipartite, so its cycles are even; no two lines
+    # share two points, so it has no 4-cycle; and the pinned rectangle is a
+    # 6-cycle
+    cycle = ["P5", "l5", "P7", "l7", "P2", "l3"]
+    assert len(set(cycle)) == 6
+    assert all(p in LINE_POINTS[ln] for p, ln in map(sorted, zip(cycle, cycle[1:] + cycle[:1])))
     assert registry_flags() == set(HEAWOOD_FLAGS), "equation registry flags must equal incidence flags"
 
     doubled = solve_all(solver.SolveConfig(grid_points=40000))

@@ -121,16 +121,26 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert run(["verify", "--json", str(bad)]) == 2, name
         assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, name
         assert not figs.exists()
-    # a vertex name that is not one of P1..P7, l1..l7 is a usage error for
-    # both commands, and no SVG is written
-    for name in ("Q1", "P8", "p1"):
+    # a vertex name that is not one of P1..P7, l1..l7, or a vertex that is
+    # not a list of two numbers (a string is not unpacked into its digits),
+    # is a usage error for both commands whose message names the vertex, and
+    # no SVG is written
+    for k, (name, value) in enumerate(
+        [
+            ("Q1", ["0", "1"]), ("P8", ["0", "1"]), ("p1", ["0", "1"]),
+            ("P1", "12"), ("P1", ["1"]), ("P1", ["1", "2", "3"]),
+        ]
+    ):
         data = json.loads(one.read_text())
-        data[0]["vertices"][name] = ["0", "1"]
-        bad = tmp_path / f"vertex_{name}.json"
+        data[0]["vertices"][name] = value
+        bad = tmp_path / f"vertex_{k}.json"
         bad.write_text(json.dumps(data))
-        figs = tmp_path / f"figs_vertex_{name}"
-        assert run(["verify", "--json", str(bad)]) == 2, name
-        assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, name
+        figs = tmp_path / f"figs_vertex_{k}"
+        capsys.readouterr()
+        assert run(["verify", "--json", str(bad)]) == 2, value
+        assert name in capsys.readouterr().err
+        assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, value
+        assert name in capsys.readouterr().err
         assert not figs.exists()
     # the grid bound is checked before the sweep allocates anything
     assert run(["solve", "--grid", "10000000000"]) == 2
@@ -316,6 +326,26 @@ def test_json_float_literals_are_read_exactly(tmp_path, capsys):
     expected = capsys.readouterr().out
     assert run(["verify", "--json", str(bare)]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        # a bogus P1 ahead of the real one, which would replace it unseen
+        ("P1", '"P1": [', '"P1": ["5", "5"], "P1": ['),
+        ("precision", '"precision": 60', '"precision": 60, "precision": 60'),
+    ],
+)
+def test_repeated_json_key_is_a_usage_error(key, old, new, tmp_path, capsys):
+    text = json.dumps(json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1])
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(old, new, 1))
+    figs = tmp_path / "figs"
+    assert run(["verify", "--json", str(path)]) == 2
+    assert f"repeated key '{key}' in embeddings file" in capsys.readouterr().err
+    assert run(["render", "--json", str(path), "--svg", str(figs)]) == 2
+    assert f"repeated key '{key}' in embeddings file" in capsys.readouterr().err
+    assert not figs.exists()
 
 
 def test_verify_fails_an_edge_whose_ends_coincide(tmp_path, capsys):

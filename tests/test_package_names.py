@@ -39,3 +39,56 @@ def test_all_lists_exactly_the_imported_names():
     assert len(set(heawood_udg.__all__)) == len(heawood_udg.__all__)
     for name in heawood_udg.__all__:
         assert getattr(heawood_udg, name) is not None, name
+
+
+# Names kept although nothing in the package refers to them, each for a
+# reason outside the package
+UNREFERENCED_ON_PURPOSE = {
+    # the tests' reference for the blocked sweep, and a name the
+    # benchmark's tracer wraps
+    ("solver", "closure_grid"),
+    # the exact reference that sign_at is tested against
+    ("charpoly", "eval_exact"),
+}
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, node) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set:
+    """Every name read in ``tree``, bare or as an attribute, outside ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_top_level_name_is_used(path):
+    # a definition that nothing else in the package reads is dead code, or
+    # code that only the tests run; imports in __init__ do not count
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    elsewhere = set().union(*(_references(t) for p, t in trees.items() if p != path))
+    unused = [
+        name
+        for name, node in _top_level_definitions(trees[path])
+        if (path.stem, name) not in UNREFERENCED_ON_PURPOSE
+        and name not in elsewhere | _references(trees[path], skip=node)
+    ]
+    assert unused == []

@@ -148,7 +148,7 @@ def test_every_raw_bracket_is_accounted_for():
     survivors, lost, degenerate = 0, 0, 0
     for b in sweep(SolveConfig()):
         try:
-            cand = refine_bracket(b, 30)
+            cand = refine_bracket(b)
         except LostBracket:
             lost += 1
             continue
@@ -273,7 +273,7 @@ def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blo
 
 def test_refine_bracket_reproduces_first_reference_row(tables):
     bracket = _bracket_around(float(DISCOVERED_THETAS[0]), DISCOVERED_BRANCHES[0])
-    cand = refine_bracket(bracket, 30)
+    cand = refine_bracket(bracket)
     ctx = cand.context()
     row = tables[0]
     for name in ("P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"):
@@ -284,12 +284,15 @@ def test_refine_bracket_reproduces_first_reference_row(tables):
 
 
 def test_refine_bracket_narrow_input_returns_midpoint():
-    # endpoints already inside the width target: no bisection happens
-    theta = float(DISCOVERED_THETAS[0])
-    bracket = _bracket_around(theta, DISCOVERED_BRANCHES[0], half_width=1e-13)
-    cand = refine_bracket(bracket, 20)
-    assert abs(float(cand.theta) - theta) < 2e-13
-    assert float(cand.theta) == (bracket.theta_lo + bracket.theta_hi) / 2
+    # end points already inside the 30-digit width target of 1e-17, which
+    # float end points never are: no bisection happens, and the bracket's
+    # own midpoint comes back
+    ctx = context(30)
+    theta = ctx.mpf(DISCOVERED_THETAS[0])
+    lo, hi = theta - ctx.mpf("1e-18"), theta + ctx.mpf("1e-18")
+    res_lo, res_hi = (build_chain(t, DISCOVERED_BRANCHES[0], 30).closure for t in (lo, hi))
+    cand = refine_bracket(Bracket(DISCOVERED_BRANCHES[0], lo, hi, float(res_lo), float(res_hi)))
+    assert cand.theta == (lo + hi) / 2
 
 
 def test_refine_bracket_steps_inward_from_a_broken_end_point():
@@ -300,7 +303,7 @@ def test_refine_bracket_steps_inward_from_a_broken_end_point():
     assert abs(bracket.theta_hi - 5 * math.pi / 6) < 1e-15
     with pytest.raises(ChainBroken):
         build_chain(bracket.theta_hi, bracket.branch, 30)
-    assert abs(float(refine_bracket(bracket, 30).theta) - 2.6160704) < 1e-7
+    assert abs(float(refine_bracket(bracket).theta) - 2.6160704) < 1e-7
     assert len(solve_all(SolveConfig(grid_points=3000, digits=30))) == 11
 
 
@@ -315,7 +318,7 @@ def test_refine_bracket_rejects_junk_near_half_pi():
     assert junk, "expected spurious brackets at the l4 = l7 crossing"
     for b in junk:
         with pytest.raises(LostBracket):
-            refine_bracket(b, 30)
+            refine_bracket(b)
 
 
 def test_refine_bracket_rejects_sign_agreement():
@@ -323,7 +326,7 @@ def test_refine_bracket_rejects_sign_agreement():
     res = closure_grid(np.array([2.58, 2.60]), branch)
     fake = Bracket(branch, 2.58, 2.60, float(res[0]), -float(res[1]))
     with pytest.raises(LostBracket):
-        refine_bracket(fake, 30)
+        refine_bracket(fake)
 
 
 def test_degenerate_zero_has_coincident_vertices():
@@ -334,7 +337,7 @@ def test_degenerate_zero_has_coincident_vertices():
         if b.branch == "001000" and b.theta_lo < DEGENERATE_THETA < b.theta_hi
     ]
     assert len(brackets) == 1
-    cand = refine_bracket(brackets[0], 30)
+    cand = refine_bracket(brackets[0])
     ctx = cand.context()
     assert abs(cand.coords["l4"].x + ctx.mpf(3) / 5) < ctx.mpf(10) ** -15
     assert abs(cand.coords["l4"].y - ctx.mpf(6) / 5) < ctx.mpf(10) ** -15
@@ -345,7 +348,7 @@ def test_degenerate_zero_has_coincident_vertices():
 
 def _refine_outcome(bracket: Bracket):
     try:
-        return refine_bracket(bracket, 30).theta
+        return refine_bracket(bracket).theta
     except LostBracket as exc:
         return str(exc)
 
@@ -658,9 +661,8 @@ def test_solve_all_excludes_the_rational_degenerate(solutions):
 
 
 def test_dedupe_keeps_one_of_identical_pair(solutions):
-    tol = context(60).mpf("1e-20")
     doubled = [solutions[0], solutions[0], solutions[1]]
-    assert len(dedupe_candidates(doubled, tol)) == 2
+    assert len(dedupe_candidates(doubled)) == 2
 
 
 def test_default_solve_matches_benchmark_embeddings(solutions):

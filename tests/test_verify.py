@@ -187,17 +187,17 @@ def test_certify_solutions_pass(solutions, poly, tables):
     assert all(c.precision == 60 for c in certs)
 
 
-def test_low_precision_solutions_pass(low_precision_solutions, solutions, poly):
+def test_low_precision_solutions_pass(low_precision_solutions, solutions, poly, tables):
     # the bracket around x_l4 widens with the residual tolerance below 24
     # digits, so solve's own 15- and 20-digit output certifies
     for digits, found in low_precision_solutions.items():
         assert len(found) == 11
-        failing = [k for k, c in enumerate(found) if not certify(c, poly).passes]
+        failing = [k for k, c in enumerate(found) if not certify(c, poly, tables).passes]
         assert failing == [], f"{digits}-digit solutions {failing} fail"
     # below MIN_DIGITS nothing passes, though the wider bracket and the
     # residual bound alone would let these through
     coarse = [candidate_from_coords(c.coords, 14) for c in solutions]
-    assert not any(certify(c, poly).passes for c in coarse)
+    assert not any(certify(c, poly, tables).passes for c in coarse)
 
 
 def test_certificate_json_fields(solutions, poly, tables):
