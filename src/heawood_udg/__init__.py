@@ -14,7 +14,6 @@ from .charpoly import (
     IsolatingInterval,
     NotSquarefree,
     charpoly_xl4,
-    eval_exact,
     isolate_real_roots,
     refine_root,
 )
@@ -23,7 +22,6 @@ from .incidence import LINE_POINTS
 from .refdata import reference_tables
 from .render import render_svg
 from .solver import (
-    Bracket,
     LostBracket,
     NoConvergence,
     SingularJacobian,
@@ -39,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigPoly",
-    "Bracket",
     "Certificate",
     "ChainBroken",
     "EmbeddingCandidate",
@@ -57,7 +54,6 @@ __all__ = [
     "certify",
     "charpoly_xl4",
     "circle_circle_intersect",
-    "eval_exact",
     "flag_residuals",
     "isolate_real_roots",
     "newton_polish",

@@ -245,8 +245,9 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     """Inverse of :func:`candidate_to_json_dict`; ValueError when the
     precision is not a JSON integer from 3 to ``MAX_DIGITS``, the branch is
     not a list of six JSON integers 0 or 1, a vertex name is not one of
-    "P1".."l7", a vertex is not a list of two numbers, or a number is a
-    JSON boolean, not finite, or a string longer than ``2 * MAX_DIGITS``."""
+    "P1".."l7", a vertex is not a list of two numbers, or a coordinate,
+    ``theta`` or ``closure`` is not a JSON string or number (the message
+    names which), not finite, or a string longer than ``2 * MAX_DIGITS``."""
     precision = data["precision"]
     if type(precision) is not int:
         raise ValueError(f"precision must be a JSON integer, got {precision!r}")
@@ -260,9 +261,10 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
         raise ValueError(f"unknown vertex names in embeddings file: {unknown}")
     ctx = context(precision)
 
-    def finite(value):
-        if type(value) is bool:
-            raise ValueError(f"boolean {value!r} in embeddings file is not a number")
+    def finite(value, where):
+        # a JSON boolean, null, list or object is not a number
+        if type(value) not in (str, int, float):
+            raise ValueError(f"{where} holds {value!r}, which is not a number")
         x = _read_decimal(ctx, value) if type(value) is str else ctx.mpf(value)
         if not ctx.isfinite(x):
             raise ValueError(f"non-finite number {value!r} in embeddings file")
@@ -272,12 +274,12 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     for name, xy in data["vertices"].items():
         if type(xy) is not list or len(xy) != 2:
             raise ValueError(f"vertex {name} must be a list of two numbers, got {xy!r}")
-        coords[name] = Point2(finite(xy[0]), finite(xy[1]))
+        coords[name] = Point2(finite(xy[0], f"vertex {name}"), finite(xy[1], f"vertex {name}"))
     return EmbeddingCandidate(
         coords=coords,
-        theta=finite(data["theta"]),
+        theta=finite(data["theta"], "theta"),
         branch="".join(map(str, branch)),
-        closure=finite(data["closure"]),
+        closure=finite(data["closure"], "closure"),
         precision=precision,
     )
 

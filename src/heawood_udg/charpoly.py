@@ -208,15 +208,6 @@ def charpoly_xl4() -> BigPoly:
     return poly
 
 
-def eval_exact(p: BigPoly, t) -> Fraction:
-    """Exact Horner evaluation at an integer or rational point."""
-    t = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(p.coefficients):
-        acc = acc * t + c
-    return acc
-
-
 def _sign_at(p: BigPoly, num: int, den: int) -> int:
     """Sign of p(num/den) for den > 0 via homogeneous integer evaluation."""
     acc = 0

@@ -4,15 +4,16 @@ The construction chain makes every dependent vertex an explicit function of
 the angle parameter and the branch bits, so root finding is one-dimensional
 per branch vector: only the closure residual d(P1, l1)^2 - 1 remains.  The
 sweep scans a dense angle grid over all 64 branch vectors in hardware
-floats, bracketing sign changes.  Each chain vertex depends on only a few
-branch bits (``chain.STEP_BITS``), so the 64 walks share their circle
-steps: 30 array steps per block of the grid serve all of them, where a
-walk per branch vector takes 384.  Brackets are then bisected at 30 digits
-and polished with Newton's method on the square 16-equation system in the
-positions of the eight dependent vertices, at 30 digits and then at the
-requested precision.  The Jacobian is the linearization of the chain, so
-each Newton step is solved by walking the chain, not by a general linear
-solver.
+floats through its one float chain walk, :func:`closure_grid`, and reports
+each sign change as a (branch, theta_lo, theta_hi) grid cell.  Each chain
+vertex depends on only a few branch bits (``chain.STEP_BITS``), so the 64
+walks share their circle steps: 30 array steps per block of the grid serve
+all of them, where a walk per branch vector takes 384.  The cells are then
+bisected at 30 digits and polished with Newton's method on the square
+16-equation system in the positions of the eight dependent vertices, at 30
+digits and then at the requested precision.  The Jacobian is the
+linearization of the chain, so each Newton step is solved by walking the
+chain, not by a general linear solver.
 
 Degenerate zeros are real solutions of the equation set that are not graph
 embeddings: configurations where distinct vertices coincide (a constructed
@@ -81,21 +82,6 @@ class NoConvergence(Exception):
 
 
 @dataclass(frozen=True)
-class Bracket:
-    """A same-branch grid interval whose closure residual changes sign."""
-
-    branch: str
-    theta_lo: float
-    theta_hi: float
-    residual_lo: float
-    residual_hi: float
-
-    def __post_init__(self):
-        if not self.residual_lo * self.residual_hi < 0:
-            raise ValueError("bracket endpoints must have strictly opposite signs")
-
-
-@dataclass(frozen=True)
 class SolveConfig:
     """Sweep grid and output precision of :func:`solve_all`.
 
@@ -148,33 +134,33 @@ def _cci_grid(c1: Point2, c2: Point2, bit: int) -> Point2:
         return Point2(mx + h * uy, my - h * ux)
 
 
-def closure_grid(thetas: np.ndarray, branch: str) -> np.ndarray:
-    """Closure residual on an angle grid for one branch vector (float64).
+def closure_grid(l4: Point2, branch: str, memo: dict) -> np.ndarray:
+    """Closure residual of one branch vector at float64 arrays of l4
+    positions (:func:`chain.place_l4`), the sweep's one float chain walk.
 
-    The sweep's fast path: the chain walk of :func:`chain.construct` on
-    float64 arrays, with a circle step that returns NaN where the circles
-    miss instead of raising, so NaN marks angles where the chain breaks.
-    Tests cross-check it pointwise against :func:`chain.build_chain`, and
-    :func:`sweep` against it.
+    It is the walk of :func:`chain.construct` with a circle step that
+    returns NaN where the circles miss instead of raising, so NaN marks
+    positions where the chain breaks.  Walks of the same positions share
+    their circle steps through ``memo``: :func:`sweep` passes one per block
+    of its grid, and a fresh ``{}`` walks one branch vector alone.  Tests
+    cross-check it pointwise against :func:`chain.build_chain`.
     """
-    import numpy as np
-
-    thetas = np.asarray(thetas, dtype=float)
-    _, closure = construct(place_l4(np, thetas), branch, _FIXED_F, _cci_grid)
-    return closure
+    return construct(l4, branch, _FIXED_F, _cci_grid, memo)[1]
 
 
 def sweep(config: SolveConfig | None = None) -> list:
-    """Bracket every same-branch sign change of the closure residual.
+    """Every same-branch sign change of the closure residual, as
+    (branch, theta_lo, theta_hi) grid cells.
 
     Scans ``grid_points`` angles over [0, 2 pi) for each of the 64 branch
     vectors, the wrap-around pair included; grid cells where the chain
-    breaks are skipped.  Brackets come branch by branch, each branch's in
+    breaks are skipped.  Cells come branch by branch, each branch's in
     order of angle.
 
-    The grid is walked in blocks of ``SWEEP_BLOCK`` cells.  Within a block
-    the 64 chain walks share one memo, so each circle step is computed
-    once per value of the branch bits it depends on: 30 steps, not 384.
+    l4 is placed once for the whole grid, which is then walked in blocks of
+    ``SWEEP_BLOCK`` cells.  Within a block the 64 :func:`closure_grid` walks
+    share one memo, so each circle step is computed once per value of the
+    branch bits it depends on: 30 steps, not 384.
     """
     import numpy as np
 
@@ -192,24 +178,23 @@ def sweep(config: SolveConfig | None = None) -> list:
         block_l4 = Point2(l4.x[ends], l4.y[ends])
         memo: dict = {}
         for branch, out in found.items():
-            _, res = construct(block_l4, branch, _FIXED_F, _cci_grid, memo)
+            res = closure_grid(block_l4, branch, memo)
             lo, hi = res[:-1], res[1:]
             with np.errstate(invalid="ignore"):
                 hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
-            out.extend(
-                Bracket(branch, float(edges[start + i]), float(edges[start + i + 1]), float(lo[i]), float(hi[i]))
-                for i in np.flatnonzero(hits)
-            )
-    return [bracket for out in found.values() for bracket in out]
+            out.extend((branch, float(edges[start + i]), float(edges[start + i + 1])) for i in np.flatnonzero(hits))
+    return [cell for out in found.values() for cell in out]
 
 
 # ---------------------------------------------------------------------------
 # High-precision refinement
 
 
-def refine_bracket(bracket: Bracket) -> EmbeddingCandidate:
-    """Bisect the bracket at ``BISECTION_DIGITS`` = d working precision down
-    to an angle interval below 10^(-d/2) and return the chain at its midpoint.
+def refine_bracket(branch: str, theta_lo, theta_hi) -> EmbeddingCandidate:
+    """Bisect the sign change of ``branch``'s closure between the angles
+    ``theta_lo`` and ``theta_hi`` (a cell of :func:`sweep`, floats or mpf) at
+    ``BISECTION_DIGITS`` = d working precision down to an angle interval
+    below 10^(-d/2) and return the chain at its midpoint.
 
     An Illinois estimate of the root names the bisection's final cell,
     which two chain evaluations confirm; without an estimate,
@@ -225,7 +210,7 @@ def refine_bracket(bracket: Bracket) -> EmbeddingCandidate:
     ctx = context(BISECTION_DIGITS)
 
     def closure_at(theta):
-        return build_chain(theta, bracket.branch, BISECTION_DIGITS).closure
+        return build_chain(theta, branch, BISECTION_DIGITS).closure
 
     def end_point(theta, step):
         # a grid point can land where the chain breaks (at 5 pi / 6 P6's
@@ -238,15 +223,15 @@ def refine_bracket(bracket: Bracket) -> EmbeddingCandidate:
             theta, step = theta + step, 2 * step
         raise LostBracket(f"chain breaks at a bracket endpoint: {broken}") from broken
 
-    lo = ctx.mpf(bracket.theta_lo)
-    hi = ctx.mpf(bracket.theta_hi)
+    lo = ctx.mpf(theta_lo)
+    hi = ctx.mpf(theta_hi)
     step = (hi - lo) / 1024
     lo, f_lo = end_point(lo, step)
     hi, f_hi = end_point(hi, -step)
     if f_lo == 0:
-        return build_chain(lo, bracket.branch, BISECTION_DIGITS)
+        return build_chain(lo, branch, BISECTION_DIGITS)
     if f_hi == 0:
-        return build_chain(hi, bracket.branch, BISECTION_DIGITS)
+        return build_chain(hi, branch, BISECTION_DIGITS)
     if (f_lo < 0) == (f_hi < 0):
         raise LostBracket("no sign change at working precision")
 
@@ -259,7 +244,7 @@ def refine_bracket(bracket: Bracket) -> EmbeddingCandidate:
         lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target, estimate=estimate)
     except ChainBroken as exc:
         raise LostBracket(f"chain breaks inside the bracket: {exc}") from exc
-    candidate = build_chain((lo + hi) / 2, bracket.branch, BISECTION_DIGITS)
+    candidate = build_chain((lo + hi) / 2, branch, BISECTION_DIGITS)
     if abs(candidate.closure) >= residual_bound:
         raise LostBracket(
             f"refined midpoint residual {ctx.nstr(candidate.closure, 6)} "
@@ -451,7 +436,7 @@ def solve_all(config: SolveConfig | None = None) -> list:
     polished = []
     for bracket in sweep(config):
         try:
-            cand = refine_bracket(bracket)
+            cand = refine_bracket(*bracket)
         except LostBracket:
             continue
         if min_vertex_separation(cand) < config.min_vertex_separation:

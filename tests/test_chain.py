@@ -47,7 +47,7 @@ def test_branch_vector_validation():
         with pytest.raises(ValueError):
             build_chain("2.5", bad, 30)
         with pytest.raises(ValueError):
-            closure_grid(np.array([2.5]), bad)
+            closure_grid(place_l4(np, np.array([2.5])), bad, {})
     assert list(all_branch_vectors()) == [format(k, "06b") for k in range(64)]
     assert list(all_branch_vectors())[0b011000] == "011000"
 

@@ -12,7 +12,6 @@ from heawood_udg.charpoly import (
     IsolatingInterval,
     NotSquarefree,
     charpoly_xl4,
-    eval_exact,
     isolate_real_roots,
     refine_root,
     root_bound,
@@ -24,6 +23,16 @@ from heawood_udg.geom import bisect_sign_change, context
 # development: the exact coefficient sum p(1) and alternating sum p(-1)
 P_AT_ONE = 270121907476767733497473890516992000000000000000
 P_AT_MINUS_ONE = -968232702940866945220608
+
+
+def eval_exact(p: BigPoly, t) -> Fraction:
+    """Exact Horner evaluation at an integer or rational point, the
+    reference for ``sign_at``."""
+    t = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * t + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,14 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert run(["render", "--json", str(bad), "--svg", str(figs)]) == 2, name
         assert not figs.exists()
     # a vertex name that is not one of P1..P7, l1..l7, or a vertex that is
-    # not a list of two numbers (a string is not unpacked into its digits),
-    # is a usage error for both commands whose message names the vertex, and
-    # no SVG is written
+    # not a list of two numbers (a string is not unpacked into its digits,
+    # and a list or null is not a coordinate), is a usage error for both
+    # commands whose message names the vertex, and no SVG is written
     for k, (name, value) in enumerate(
         [
             ("Q1", ["0", "1"]), ("P8", ["0", "1"]), ("p1", ["0", "1"]),
             ("P1", "12"), ("P1", ["1"]), ("P1", ["1", "2", "3"]),
+            ("P1", [[1], "2"]), ("P1", [None, "2"]),
         ]
     ):
         data = json.loads(one.read_text())

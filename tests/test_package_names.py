@@ -41,17 +41,6 @@ def test_all_lists_exactly_the_imported_names():
         assert getattr(heawood_udg, name) is not None, name
 
 
-# Names kept although nothing in the package refers to them, each for a
-# reason outside the package
-UNREFERENCED_ON_PURPOSE = {
-    # the tests' reference for the blocked sweep, and a name the
-    # benchmark's tracer wraps
-    ("solver", "closure_grid"),
-    # the exact reference that sign_at is tested against
-    ("charpoly", "eval_exact"),
-}
-
-
 def _top_level_definitions(tree: ast.Module):
     """(name, node) for each top-level function, class and assigned name."""
     for node in tree.body:
@@ -88,7 +77,6 @@ def test_every_top_level_name_is_used(path):
     unused = [
         name
         for name, node in _top_level_definitions(trees[path])
-        if (path.stem, name) not in UNREFERENCED_ON_PURPOSE
-        and name not in elsewhere | _references(trees[path], skip=node)
+        if name not in elsewhere | _references(trees[path], skip=node)
     ]
     assert unused == []

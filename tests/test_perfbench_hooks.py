@@ -37,7 +37,9 @@ def test_tracer_installs_on_the_package():
 
 def test_traced_solve_passes_the_benchmark_self_check(tmp_path, monkeypatch):
     # one traced request as the benchmark runs it: its bracket funnel must
-    # add up and its spans must nest and cover the request
+    # add up, its spans must nest and cover the request, and the sweep's
+    # chain walks are seen: one per branch vector in each of the three
+    # blocks of grid 5,000
     runner = _benchmark_runner(monkeypatch)
     spec = {
         "request_id": 1,
@@ -52,3 +54,5 @@ def test_traced_solve_passes_the_benchmark_self_check(tmp_path, monkeypatch):
     assert errors == []
     assert layers["solver.brackets_kept"] == 11
     assert layers["solver.brackets"] > layers["solver.brackets_kept"]
+    assert layers["solver.closure_grid_calls"] == 64 * 3
+    assert layers["solver.closure_grid_s"] > 0

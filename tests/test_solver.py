@@ -24,10 +24,10 @@ from heawood_udg.chain import (
     all_branch_vectors,
     candidate_from_coords,
     dump_candidates,
+    place_l4,
 )
 from heawood_udg.geom import Point2, bisect_sign_change, circle_circle_intersect, context
 from heawood_udg.solver import (
-    Bracket,
     LostBracket,
     NoConvergence,
     SingularJacobian,
@@ -53,10 +53,9 @@ DEEP300_GRID5000_SHA256 = "3c4070f564128743a1e892a1ca8bf6c2cbb610024531be38c02c0
 DEGENERATE_THETA = math.acos(-0.8)  # l4 = (-3/5, 6/5), unit distance from P2
 
 
-def _bracket_around(theta: float, branch: str, half_width: float = 2e-4) -> Bracket:
-    lo, hi = theta - half_width, theta + half_width
-    res = closure_grid(np.array([lo, hi]), branch)
-    return Bracket(branch, lo, hi, float(res[0]), float(res[1]))
+def _walk(thetas, branch: str) -> np.ndarray:
+    """The closure of one branch vector at float angles, walked alone."""
+    return closure_grid(place_l4(np, np.asarray(thetas, dtype=float)), branch, {})
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +82,6 @@ def test_config_validation():
     assert SolveConfig().digits == 60
 
 
-def test_bracket_requires_sign_change():
-    branch = "000000"
-    with pytest.raises(ValueError):
-        Bracket(branch, 2.0, 2.1, -1.0, -0.5)
-
-
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -96,7 +89,7 @@ def test_bracket_requires_sign_change():
 def test_closure_grid_matches_chain():
     thetas = np.array([2.0, 2.3, 2.55])
     for branch in ("000000", "011000", "110111"):
-        grid = closure_grid(thetas, branch)
+        grid = _walk(thetas, branch)
         for t, g in zip(thetas, grid):
             try:
                 exact = float(build_chain(float(t), branch, 30).closure)
@@ -108,7 +101,7 @@ def test_closure_grid_matches_chain():
 
 def test_closure_grid_nan_where_chain_breaks():
     branch = "000000"
-    res = closure_grid(np.array([0.0, 0.2, math.pi / 2]), branch)
+    res = _walk([0.0, 0.2, math.pi / 2], branch)
     assert not np.isfinite(res[0])  # P3 circles disjoint
     assert not np.isfinite(res[1])
 
@@ -136,9 +129,10 @@ def test_float_and_mpf_circle_steps_pick_the_same_branch(x, y, d, phi):
 def test_sweep_finds_at_least_eleven_brackets():
     brackets = sweep(SolveConfig())
     assert len(brackets) >= 11
-    for b in brackets:
-        assert b.residual_lo * b.residual_hi < 0
-        assert b.theta_lo < b.theta_hi
+    for branch, lo, hi in brackets:
+        assert lo < hi
+        res_lo, res_hi = _walk([lo, hi], branch)
+        assert res_lo * res_hi < 0
 
 
 def test_every_raw_bracket_is_accounted_for():
@@ -148,7 +142,7 @@ def test_every_raw_bracket_is_accounted_for():
     survivors, lost, degenerate = 0, 0, 0
     for b in sweep(SolveConfig()):
         try:
-            cand = refine_bracket(b)
+            cand = refine_bracket(*b)
         except LostBracket:
             lost += 1
             continue
@@ -166,7 +160,7 @@ def test_closure_grid_nan_near_zero_for_every_branch():
     # every branch, so the sweep has nothing to bracket there
     thetas = np.linspace(0.0, 0.3, 1000, endpoint=False)
     for branch in all_branch_vectors():
-        assert np.isnan(closure_grid(thetas, branch)).all(), branch
+        assert np.isnan(_walk(thetas, branch)).all(), branch
 
 
 def test_doubled_grid_brackets_cover_original_cells():
@@ -175,13 +169,9 @@ def test_doubled_grid_brackets_cover_original_cells():
     coarse = sweep(base)
     fine = sweep(dense)
     assert len(fine) >= len(coarse)
-    for b in coarse:
-        hits = [
-            f
-            for f in fine
-            if f.branch == b.branch and f.theta_lo >= b.theta_lo - 1e-12 and f.theta_hi <= b.theta_hi + 1e-12
-        ]
-        assert hits, f"no refined sign change inside {b}"
+    for branch, lo, hi in coarse:
+        hits = [f for f in fine if f[0] == branch and f[1] >= lo - 1e-12 and f[2] <= hi + 1e-12]
+        assert hits, f"no refined sign change inside {branch, lo, hi}"
 
 
 def _scalar_sweep(grid_points: int, residuals) -> list:
@@ -197,23 +187,33 @@ def _scalar_sweep(grid_points: int, residuals) -> list:
             a, b = res[i], res[j]
             if math.isfinite(a) and math.isfinite(b) and a * b < 0:
                 t_hi = thetas[j] if j != 0 else TWO_PI
-                brackets.append(Bracket(branch, float(thetas[i]), float(t_hi), a, b))
+                brackets.append((branch, float(thetas[i]), float(t_hi)))
     return brackets
 
 
 def _bracket_bits(brackets) -> list:
-    return [
-        (b.branch, *(float.hex(v) for v in (b.theta_lo, b.theta_hi, b.residual_lo, b.residual_hi)))
-        for b in brackets
-    ]
+    return [(branch, float.hex(lo), float.hex(hi)) for branch, lo, hi in brackets]
 
 
 # grids on and around the edges of the sweep's blocks
 @pytest.mark.parametrize("grid_points", [1000, 2048, 2049, 4096, 5000, 20000])
-def test_sweep_equals_scalar_pair_scan(grid_points):
-    expected = _scalar_sweep(grid_points, closure_grid)
+def test_sweep_equals_scalar_pair_scan(monkeypatch, grid_points):
+    expected = _scalar_sweep(grid_points, _walk)
     assert expected
+    walks = []
+
+    def recorded(l4, branch, memo):
+        res = closure_grid(l4, branch, memo)
+        walks.append((l4, branch, res))
+        return res
+
+    monkeypatch.setattr(solver, "closure_grid", recorded)
     assert _bracket_bits(sweep(SolveConfig(grid_points=grid_points))) == _bracket_bits(expected)
+    # every residual the sweep scanned, shared circle steps and all, is bit
+    # for bit that of the same positions walked alone
+    assert len(walks) == 64 * math.ceil(grid_points / solver.SWEEP_BLOCK)
+    for l4, branch, res in walks:
+        np.testing.assert_array_equal(res, closure_grid(l4, branch, {}), strict=True)
 
 
 def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
@@ -241,14 +241,17 @@ def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
 
     expected = _scalar_sweep(n, synthetic)
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    across = {int(b.branch, 2) for b in expected if b.theta_lo == thetas[edge - 1]}
+    across = {int(branch, 2) for branch, lo, _ in expected if lo == thetas[edge - 1]}
     assert across and not across & {8, 12}
-    assert any(b.theta_hi == TWO_PI for b in expected)
-    # l4 carries the angle itself, and the chain walk returns the residual
-    monkeypatch.setattr(solver, "place_l4", lambda ctx, t: Point2(t, t))
-    monkeypatch.setattr(
-        solver, "construct", lambda l4, branch, fixed, intersect, memo=None: (None, synthetic(l4.x, branch))
-    )
+    assert any(hi == TWO_PI for _, _, hi in expected)
+
+    # the chain walk returns the residual at the angle of each l4 position,
+    # rounded to its grid point so that the two scans see the same values
+    def walk(l4, branch, memo):
+        angle = np.arctan2(l4.y, l4.x - 1) % TWO_PI
+        return synthetic(thetas[np.rint(angle * n / TWO_PI).astype(int) % n], branch)
+
+    monkeypatch.setattr(solver, "closure_grid", walk)
     assert _bracket_bits(sweep(SolveConfig(grid_points=n))) == _bracket_bits(expected)
 
 
@@ -272,8 +275,8 @@ def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blo
 
 
 def test_refine_bracket_reproduces_first_reference_row(tables):
-    bracket = _bracket_around(float(DISCOVERED_THETAS[0]), DISCOVERED_BRANCHES[0])
-    cand = refine_bracket(bracket)
+    theta = float(DISCOVERED_THETAS[0])
+    cand = refine_bracket(DISCOVERED_BRANCHES[0], theta - 2e-4, theta + 2e-4)
     ctx = cand.context()
     row = tables[0]
     for name in ("P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"):
@@ -290,8 +293,7 @@ def test_refine_bracket_narrow_input_returns_midpoint():
     ctx = context(30)
     theta = ctx.mpf(DISCOVERED_THETAS[0])
     lo, hi = theta - ctx.mpf("1e-18"), theta + ctx.mpf("1e-18")
-    res_lo, res_hi = (build_chain(t, DISCOVERED_BRANCHES[0], 30).closure for t in (lo, hi))
-    cand = refine_bracket(Bracket(DISCOVERED_BRANCHES[0], lo, hi, float(res_lo), float(res_hi)))
+    cand = refine_bracket(DISCOVERED_BRANCHES[0], lo, hi)
     assert cand.theta == (lo + hi) / 2
 
 
@@ -299,11 +301,12 @@ def test_refine_bracket_steps_inward_from_a_broken_end_point():
     # at grid 3,000 the bracket of branch 011000 ends at the grid point
     # 5 pi / 6, where d(l4, l7) = 2 and P6's circles are tangent, so the
     # 30-digit chain breaks there; the root lies well inside the cell
-    (bracket,) = [b for b in sweep(SolveConfig(grid_points=3000)) if b.branch == "011000"]
-    assert abs(bracket.theta_hi - 5 * math.pi / 6) < 1e-15
+    (bracket,) = [b for b in sweep(SolveConfig(grid_points=3000)) if b[0] == "011000"]
+    branch, _, theta_hi = bracket
+    assert abs(theta_hi - 5 * math.pi / 6) < 1e-15
     with pytest.raises(ChainBroken):
-        build_chain(bracket.theta_hi, bracket.branch, 30)
-    assert abs(float(refine_bracket(bracket).theta) - 2.6160704) < 1e-7
+        build_chain(theta_hi, branch, 30)
+    assert abs(float(refine_bracket(*bracket).theta) - 2.6160704) < 1e-7
     assert len(solve_all(SolveConfig(grid_points=3000, digits=30))) == 11
 
 
@@ -311,33 +314,28 @@ def test_refine_bracket_rejects_junk_near_half_pi():
     # spurious sign changes next to theta = pi/2 come from the collapse of
     # P6's construction there (l4 passes through l7, concentric circles),
     # not from zeros; refinement must reject every one of them
-    junk = [
-        b for b in sweep(SolveConfig())
-        if abs(0.5 * (b.theta_lo + b.theta_hi) - math.pi / 2) < 0.01
-    ]
+    junk = [b for b in sweep(SolveConfig()) if abs(0.5 * (b[1] + b[2]) - math.pi / 2) < 0.01]
     assert junk, "expected spurious brackets at the l4 = l7 crossing"
     for b in junk:
         with pytest.raises(LostBracket):
-            refine_bracket(b)
+            refine_bracket(*b)
 
 
 def test_refine_bracket_rejects_sign_agreement():
+    # an interval with no sign change, as a sweep cell never is
     branch = DISCOVERED_BRANCHES[0]
-    res = closure_grid(np.array([2.58, 2.60]), branch)
-    fake = Bracket(branch, 2.58, 2.60, float(res[0]), -float(res[1]))
-    with pytest.raises(LostBracket):
-        refine_bracket(fake)
+    res = _walk([2.58, 2.60], branch)
+    assert res[0] * res[1] > 0
+    with pytest.raises(LostBracket, match="no sign change"):
+        refine_bracket(branch, 2.58, 2.60)
 
 
 def test_degenerate_zero_has_coincident_vertices():
     # at l4 = (-3/5, 6/5) the closure vanishes but the configuration
     # collapses: P1 lands on P6 and l2 on l4 (it is not an embedding)
-    brackets = [
-        b for b in sweep(SolveConfig())
-        if b.branch == "001000" and b.theta_lo < DEGENERATE_THETA < b.theta_hi
-    ]
+    brackets = [b for b in sweep(SolveConfig()) if b[0] == "001000" and b[1] < DEGENERATE_THETA < b[2]]
     assert len(brackets) == 1
-    cand = refine_bracket(brackets[0])
+    cand = refine_bracket(*brackets[0])
     ctx = cand.context()
     assert abs(cand.coords["l4"].x + ctx.mpf(3) / 5) < ctx.mpf(10) ** -15
     assert abs(cand.coords["l4"].y - ctx.mpf(6) / 5) < ctx.mpf(10) ** -15
@@ -346,9 +344,9 @@ def test_degenerate_zero_has_coincident_vertices():
     assert sep_p1_p6 < ctx.mpf(10) ** -12
 
 
-def _refine_outcome(bracket: Bracket):
+def _refine_outcome(bracket: tuple):
     try:
-        return refine_bracket(bracket).theta
+        return refine_bracket(*bracket).theta
     except LostBracket as exc:
         return str(exc)
 
