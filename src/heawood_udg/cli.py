@@ -1,7 +1,8 @@
 """Command-line surface: solve, roots, verify, render, incidence.
 
 Exit status: 0 on success, 1 on an acceptance-relevant mismatch (wrong
-embedding or root count, failing certificate), 2 on usage errors.
+embedding or root count, a failing certificate, two rows that may hold one
+root), 2 on usage errors.
 Coordinates serialize as decimal strings, never binary floats, so output
 stays diffable at any precision.
 """
@@ -13,11 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from . import charpoly, refdata, solver, verify
+from . import charpoly, solver, verify
 from .chain import dump_candidates, load_candidates
 from .geom import MAX_DIGITS
 from .incidence import HEAWOOD_FLAGS, LINE_POINTS
-from .render import SCALE, render_svg
+from .render import render_svg
 
 EXPECTED_EMBEDDINGS = 11
 
@@ -44,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render = sub.add_parser("render", help="render embeddings from a JSON file to SVG")
     p_render.add_argument("--json", type=Path, required=True, help="embeddings JSON to render")
     p_render.add_argument("--svg", type=Path, required=True, help="output directory")
-    p_render.add_argument("--scale", type=float, default=SCALE, help="pixels per unit length")
 
     sub.add_parser("incidence", help="print the line triples and flag list as JSON")
     return parser
@@ -86,15 +86,25 @@ def _cmd_roots(args) -> int:
 
 def _cmd_verify(args) -> int:
     embeddings = load_candidates(args.json.read_text())
-    tables = refdata.reference_tables()
-    poly = charpoly.charpoly_xl4()
-    certificates = [verify.certify(e, poly, tables) for e in embeddings]
+    certificates = [verify.certify(e) for e in embeddings]
     print(json.dumps([c.to_json_dict() for c in certificates], indent=2))
-    return 0 if all(c.passes for c in certificates) else 1
+    # the set: one row per real root of p; each bracket is a sign change,
+    # so pairwise disjoint brackets hold distinct roots, and two brackets
+    # overlap only if two neighbours in the order of their low ends do
+    faults = []
+    if len(certificates) != EXPECTED_EMBEDDINGS:
+        faults.append(f"expected {EXPECTED_EMBEDDINGS} embeddings, the file holds {len(certificates)}")
+    brackets = sorted((c.bracket, k) for k, c in enumerate(certificates, start=1))
+    for ((_, hi), j), ((lo, _), k) in zip(brackets, brackets[1:]):
+        if lo <= hi:
+            faults.append(f"rows {j} and {k} may hold one root: their x_l4 brackets overlap")
+    for fault in faults:
+        print(f"verify: {fault}", file=sys.stderr)
+    return 0 if all(c.passes for c in certificates) and not faults else 1
 
 
-def _write_svgs(embeddings, directory: Path, scale: float = SCALE) -> list:
-    svgs = [render_svg(emb, scale=scale) for emb in embeddings]
+def _write_svgs(embeddings, directory: Path) -> list:
+    svgs = [render_svg(emb) for emb in embeddings]
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for k, svg in enumerate(svgs, start=1):
@@ -106,7 +116,7 @@ def _write_svgs(embeddings, directory: Path, scale: float = SCALE) -> list:
 
 def _cmd_render(args) -> int:
     embeddings = load_candidates(args.json.read_text())
-    paths = _write_svgs(embeddings, args.svg, args.scale)
+    paths = _write_svgs(embeddings, args.svg)
     print(f"wrote {len(paths)} SVG files to {args.svg}")
     return 0
 

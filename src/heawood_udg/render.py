@@ -13,7 +13,7 @@ import math
 from .chain import EmbeddingCandidate
 from .incidence import HEAWOOD_FLAGS, POINTS
 
-SCALE = 200.0  # default pixels per unit length
+SCALE = 200.0  # pixels per unit length
 VERTEX_RADIUS = 5.0
 LABEL_OFFSET = (7.0, -7.0)
 PADDING = 0.2  # in unit lengths
@@ -28,30 +28,23 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def render_svg(candidate: EmbeddingCandidate, scale: float = SCALE) -> str:
-    """Render one embedding as an SVG document string, ``scale`` pixels
-    per unit length."""
+def render_svg(candidate: EmbeddingCandidate) -> str:
+    """Render one embedding as an SVG document string at :data:`SCALE`;
+    ValueError when the drawing size overflows a float."""
     pos = {v: (float(p.x), float(p.y)) for v, p in candidate.coords.items()}
 
     xs = [x for x, _ in pos.values()]
     ys = [y for _, y in pos.values()]
     min_x, max_x = min(xs) - PADDING, max(xs) + PADDING
     min_y, max_y = min(ys) - PADDING, max(ys) + PADDING
-    if not (math.isfinite(max_x - min_x) and math.isfinite(max_y - min_y)):
+    width = (max_x - min_x) * SCALE
+    height = (max_y - min_y) * SCALE
+    if not (math.isfinite(width) and math.isfinite(height)):
         raise ValueError(f"coordinates too large to draw: x from {min(xs)} to {max(xs)}, y from {min(ys)} to {max(ys)}")
-    width = (max_x - min_x) * scale
-    height = (max_y - min_y) * scale
-    # NaN, infinite and overflowing scales all give a non-finite drawing
-    # size; a tiny one gives a size that prints as 0.000
-    finite = scale > 0 and math.isfinite(width) and math.isfinite(height)
-    if not finite or float(_fmt(min(width, height))) == 0:
-        raise ValueError(
-            f"scale must be positive and give a drawing size that is finite and prints as non-zero, got {scale}"
-        )
 
     def to_px(x: float, y: float) -> tuple:
         # y flipped: mathematical orientation, origin at bottom-left
-        return (x - min_x) * scale, (max_y - y) * scale
+        return (x - min_x) * SCALE, (max_y - y) * SCALE
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

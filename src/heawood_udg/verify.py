@@ -6,9 +6,9 @@ A certificate records the worst unit-distance (flag) residual, the residual
 of the collinearity restriction on l4, P4, l5, an exact-arithmetic sign
 change of the coordinate polynomial across a tight rational bracket around
 x_l4 (as wide as the residual tolerance of the candidate's precision, and
-at most 10^-20 wide from 24 digits up), the regularity margin (no vertex
-may lie on a non-incident edge), and which reference table the candidate
-reproduces.
+at most 10^-20 wide from 24 digits up), whether the stated branch vector is
+the one the coordinates lie on, the regularity margin (no vertex may lie on
+a non-incident edge), and which reference table the candidate reproduces.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import Any, Sequence
 
 from mpmath.libmp import to_rational
 
-from .chain import EmbeddingCandidate
-from .charpoly import BigPoly, root_bound, sign_at
+from .chain import EmbeddingCandidate, branch_vector_of
+from .charpoly import charpoly_xl4, root_bound, sign_at
 from .geom import MIN_DIGITS, Point2, context, distance_squared
 from .incidence import HEAWOOD_FLAGS
-from .refdata import TABLE_VERTICES
+from .refdata import TABLE_VERTICES, reference_tables
 
 MATCH_TOL = "1e-13"  # reference rows are accurate to their 15 printed digits
 
@@ -32,14 +32,17 @@ MATCH_TOL = "1e-13"  # reference rows are accurate to their 15 printed digits
 class Certificate:
     """Verification record for one candidate embedding.
 
-    ``matched_table`` is the 1-based index of the reference table the
-    candidate reproduces coordinate-wise within the matching tolerance,
-    or None.
+    ``bracket`` is the exact rational (lo, hi) around x_l4 whose end
+    points ``charpoly_bracket_ok`` compares in sign.  ``matched_table`` is
+    the 1-based index of the reference table the candidate reproduces
+    coordinate-wise within the matching tolerance, or None.
     """
 
     max_flag_residual: Any
     collinearity_residual: Any
+    bracket: tuple
     charpoly_bracket_ok: bool
+    branch_ok: bool
     regularity_margin: Any
     precision: int
     matched_table: int | None = None
@@ -48,14 +51,15 @@ class Certificate:
     def passes(self) -> bool:
         """Every check holds: the flag and collinearity residuals are below
         10^(4 - precision), the tolerance of Newton's polish, x_l4's bracket
-        shows a sign change, the margin is positive, and the precision is
-        at least ``MIN_DIGITS``."""
+        shows a sign change, the branch vector is the coordinates' own, the
+        margin is positive, and the precision is at least ``MIN_DIGITS``."""
         bound = context(self.precision).mpf(10) ** (4 - self.precision)
         return (
             self.precision >= MIN_DIGITS
             and self.max_flag_residual < bound
             and self.collinearity_residual < bound
             and self.charpoly_bracket_ok
+            and self.branch_ok
             and self.regularity_margin > 0
         )
 
@@ -66,6 +70,7 @@ class Certificate:
             "max_flag_residual": ctx.nstr(self.max_flag_residual, 8),
             "collinearity_residual": ctx.nstr(self.collinearity_residual, 8),
             "charpoly_bracket_ok": self.charpoly_bracket_ok,
+            "branch_ok": self.branch_ok,
             "regularity_margin": ctx.nstr(self.regularity_margin, 8),
             "precision": self.precision,
             "matched_table": self.matched_table,
@@ -134,9 +139,9 @@ def regularity_check(candidate: EmbeddingCandidate):
     return ctx.sqrt(least)
 
 
-def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly):
+def charpoly_bracket(candidate: EmbeddingCandidate):
     """Exact rational bracket centered at the candidate's x_l4; returns
-    (lo, hi, sign_change_ok).
+    (lo, hi, sign_change_ok) for :func:`~heawood_udg.charpoly.charpoly_xl4`.
 
     The width is max(10^-20, 10^(4 - precision)): the tolerance of
     Newton's polish and of :attr:`Certificate.passes`, so that it spans
@@ -145,6 +150,7 @@ def charpoly_bracket(candidate: EmbeddingCandidate, poly: BigPoly):
     [-B - width, B + width], no root lying outside (-B, B) for B the
     :func:`~heawood_udg.charpoly.root_bound`, so the end points stay small.
     """
+    poly = charpoly_xl4()
     width = Fraction(10) ** max(-20, 4 - candidate.precision)
     unit, bound = width / 2**64, root_bound(poly) + width
     center = round(Fraction(*to_rational(candidate.coords["l4"].x._mpf_)) / unit) * unit
@@ -174,19 +180,21 @@ def match_table(candidate: EmbeddingCandidate, tables: Sequence[dict]) -> int | 
     return None
 
 
-def certify(candidate: EmbeddingCandidate, poly: BigPoly, tables: Sequence[dict]) -> Certificate:
+def certify(candidate: EmbeddingCandidate) -> Certificate:
     """Assemble the full certificate for a candidate.
 
     Failing checks yield a non-passing certificate rather than an error.
-    Tables are matched at :data:`MATCH_TOL`; see :mod:`heawood_udg.refdata`
-    for the corrected row 9.
+    The bundled reference tables are matched at :data:`MATCH_TOL`; see
+    :mod:`heawood_udg.refdata` for the corrected row 9.
     """
-    _, _, bracket_ok = charpoly_bracket(candidate, poly)
+    lo, hi, bracket_ok = charpoly_bracket(candidate)
     return Certificate(
         max_flag_residual=max_flag_residual(candidate),
         collinearity_residual=collinearity_residual(candidate),
+        bracket=(lo, hi),
         charpoly_bracket_ok=bracket_ok,
+        branch_ok=candidate.branch == branch_vector_of(candidate.coords),
         regularity_margin=regularity_check(candidate),
         precision=candidate.precision,
-        matched_table=match_table(candidate, tables),
+        matched_table=match_table(candidate, reference_tables()),
     )

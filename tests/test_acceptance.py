@@ -84,7 +84,7 @@ def test_criterion_3_root_coordinate_cross_certification(solutions, poly):
     assert len(solutions) == 11
     width = Fraction(1, 10 ** 20)
     for cand in solutions:
-        lo, hi, ok = charpoly_bracket(cand, poly)
+        lo, hi, ok = charpoly_bracket(cand)
         assert ok, f"no sign change in the width-1e-20 bracket around {cand.context().nstr(cand.coords['l4'].x, 20)}"
         assert hi - lo == width
     intervals = charpoly.isolate_real_roots(poly)

@@ -23,9 +23,9 @@ BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
 # SHA-256 of the stdout of `roots --digits 300`
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
 # SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
-VERIFY60_SHA256 = "2964b9fa5c78db90eb7805a368ea70d834dc97993585100fec4a55ae530ec5dd"
-# SHA-256 of the 11 `render_svg` outputs of perfbench/data/embeddings60.json
-# at the default scale, concatenated
+VERIFY60_SHA256 = "8655f10a3d7481695e51d3cb768f77c22c8913bcbac2444ec09aa38ed9d64d72"
+# SHA-256 of the 11 `render_svg` outputs of perfbench/data/embeddings60.json,
+# concatenated
 SVG60_SHA256 = "ea2527c3752e6875c0b5755d1a756d3e32ea0cf1ebbe9e497513791f01fd120f"
 # SHA-256 of the stdout of `incidence`
 INCIDENCE_SHA256 = "2fd84d69f67cce2f0d8dedcfd3afbae19368e6e3d1c36eb3ea3a058c3ee084d2"
@@ -81,12 +81,6 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert run(["render", "--json", str(empty), "--svg", str(tmp_path / "out")]) == 2
     one = tmp_path / "one.json"
     one.write_text(dump_candidates([build_chain("2.5", "000000", 30)]))
-    # a scale that is not positive, makes the drawing size overflow or
-    # prints it as zero writes no SVG
-    for scale in ("nan", "inf", "1e308", "1e-320", "1e-6"):
-        figs = tmp_path / f"figs_{scale}"
-        assert run(["render", "--json", str(one), "--svg", str(figs), "--scale", scale]) == 2
-        assert not figs.exists()
     # a non-finite or boolean number, a precision that is not a JSON
     # integer from 3 up or a branch that is not six JSON integers 0 or 1 is a
     # usage error for both commands, not a traceback, a NaN drawing, a
@@ -123,13 +117,15 @@ def test_usage_error_exit_code(tmp_path, capsys):
         assert not figs.exists()
     # a vertex name that is not one of P1..P7, l1..l7, or a vertex that is
     # not a list of two numbers (a string is not unpacked into its digits,
-    # and a list or null is not a coordinate), is a usage error for both
-    # commands whose message names the vertex, and no SVG is written
+    # a list or null is not a coordinate, and a string must be a finite
+    # decimal literal), is a usage error for both commands whose message
+    # names the vertex, and no SVG is written
     for k, (name, value) in enumerate(
         [
             ("Q1", ["0", "1"]), ("P8", ["0", "1"]), ("p1", ["0", "1"]),
             ("P1", "12"), ("P1", ["1"]), ("P1", ["1", "2", "3"]),
             ("P1", [[1], "2"]), ("P1", [None, "2"]),
+            ("l6", ["abc", "2"]), ("l6", ["1e", "2"]), ("l6", ["inf", "2"]),
         ]
     ):
         data = json.loads(one.read_text())
@@ -288,8 +284,8 @@ def test_numbers_past_python_int_string_limit(tmp_path, capsys):
 def test_long_json_integer_literals(digits, code, tmp_path, capsys):
     # json.loads reads integer literals with int(), capped at 4,300 digits;
     # the loader reads them up to its own limit and refuses longer ones
-    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
-    text = json.dumps(data)[:-2] + f', "extra": {"7" * digits}}}]'
+    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())
+    text = json.dumps(data).replace('"precision": 60', f'"precision": 60, "extra": {"7" * digits}', 1)
     path = tmp_path / "long_int.json"
     path.write_text(text)
     assert len(json.loads(text, parse_int=str)[0]["extra"]) == digits
@@ -301,25 +297,26 @@ def test_long_json_integer_literals(digits, code, tmp_path, capsys):
 
 
 def test_render_names_coordinates_too_large_to_draw(tmp_path, capsys):
-    # l4.x of 1e100000 overflows a float: the error is the coordinates',
-    # not the default scale's
-    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
-    data[0]["vertices"]["l4"][0] = "1e100000"
-    path = tmp_path / "far.json"
-    path.write_text(json.dumps(data))
-    figs = tmp_path / "figs"
-    assert run(["render", "--json", str(path), "--svg", str(figs)]) == 2
-    err = capsys.readouterr().err
-    assert "coordinates too large to draw: x from" in err and "to inf" in err
-    assert "scale" not in err
-    assert not figs.exists() or not list(figs.iterdir())
+    # l4.x of 1e100000 overflows a float, and 1e307 the drawing size: the
+    # error names the coordinates, not the scale
+    for x_l4, x_max in [("1e100000", "inf"), ("1e307", "1e+307")]:
+        data = json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]
+        data[0]["vertices"]["l4"][0] = x_l4
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        figs = tmp_path / f"figs_{x_l4}"
+        assert run(["render", "--json", str(path), "--svg", str(figs)]) == 2
+        err = capsys.readouterr().err
+        assert "coordinates too large to draw: x from" in err and f"to {x_max}," in err, x_l4
+        assert "scale" not in err
+        assert not figs.exists() or not list(figs.iterdir())
 
 
 def test_json_float_literals_are_read_exactly(tmp_path, capsys):
     # the 60-digit coordinates written as bare JSON numbers verify exactly
     # as the same digits written as strings, not cut to 53-bit floats
     strings = tmp_path / "strings.json"
-    strings.write_text(json.dumps(json.loads(BENCHMARK_EMBEDDINGS.read_text())[:1]))
+    strings.write_text(json.dumps(json.loads(BENCHMARK_EMBEDDINGS.read_text())))
     bare = tmp_path / "bare.json"
     bare.write_text(re.sub(r'"(-?[0-9][0-9.e+-]*)"', r"\1", strings.read_text()))
     assert '"P1": [' in bare.read_text() and '"-0.' not in bare.read_text()
@@ -361,6 +358,49 @@ def test_verify_fails_an_edge_whose_ends_coincide(tmp_path, capsys):
     assert cert["pass"] is False
     assert cert["max_flag_residual"] == "1.0"
     assert cert["regularity_margin"] == "0.0"
+
+
+@pytest.mark.parametrize("case", ["row 1 eleven times", "one row", "twelve rows", "flipped branch"])
+def test_verify_certifies_the_set(case, tmp_path, capsys):
+    # a passing file holds one embedding per real root of p: a repeated
+    # row, a wrong row count or a branch that the coordinates do not lie on
+    # fails it; stderr names the fault, and stdout stays one JSON list of
+    # certificates
+    rows = json.loads(BENCHMARK_EMBEDDINGS.read_text())
+    rows, faults = {
+        "row 1 eleven times": (rows[:1] * 11, [f"rows {k} and {k + 1} may hold one root" for k in range(1, 11)]),
+        "one row": (rows[:1], ["expected 11 embeddings, the file holds 1"]),
+        "twelve rows": (
+            rows + rows[3:4],
+            ["expected 11 embeddings, the file holds 12", "rows 4 and 12 may hold one root"],
+        ),
+        "flipped branch": (rows, []),
+    }[case]
+    if case == "flipped branch":
+        rows[0]["branch"] = [1, 1, 1, 1, 1, 1]
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(rows))
+    assert run(["verify", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == len(faults)
+    assert all(fault in captured.err for fault in faults)
+    certs = json.loads(captured.out)
+    assert len(certs) == len(rows)
+    assert [c["branch_ok"] for c in certs] == [case != "flipped branch"] + [True] * (len(rows) - 1)
+    assert [c["pass"] for c in certs] == [c["branch_ok"] for c in certs]
+
+
+def test_verify_passes_a_fresh_solve(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "e15.json"
+    assert run(["solve", "--digits", "15", "--json", str(path)]) == 0
+    signs = []
+    sign_at = verify.sign_at
+    monkeypatch.setattr(verify, "sign_at", lambda poly, x: signs.append(x) or sign_at(poly, x))
+    capsys.readouterr()
+    assert run(["verify", "--json", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    # the set check reads the brackets the certificates kept: two signs a row
+    assert len(signs) == 2 * 11
 
 
 def test_verify_subcommand_passes(tmp_path, capsys, solutions):

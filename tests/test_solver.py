@@ -675,7 +675,7 @@ def test_deep_solve_bytes_unchanged():
     assert digest == DEEP300_GRID5000_SHA256
 
 
-def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
+def test_shared_contexts_stay_read_only(monkeypatch):
     # record every context the run asks for with the precision it had
     # then; each module that imported the factory holds its own name for
     # it, so each one is patched
@@ -696,7 +696,7 @@ def test_shared_contexts_stay_read_only(monkeypatch, poly, tables):
     for module in users:
         monkeypatch.setattr(module, "context", recording)
     found = solve_all(SolveConfig(grid_points=1000, digits=40))
-    assert all(verify.certify(c, poly, tables).passes for c in found)
+    assert all(verify.certify(c).passes for c in found)
     # the two stages are the only contexts the run asks for
     assert set(seen) == {30, 40}
     for dps, (mp, dps_then, prec_then) in seen.items():

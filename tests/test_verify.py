@@ -132,22 +132,22 @@ def test_degenerate_candidate_has_zero_margin(solutions):
 # charpoly cross-certification
 
 
-def test_bracket_sign_change_for_all_solutions(solutions, poly):
+def test_bracket_sign_change_for_all_solutions(solutions):
     for cand in solutions:
-        lo, hi, ok = charpoly_bracket(cand, poly)
+        lo, hi, ok = charpoly_bracket(cand)
         assert ok
         assert hi - lo == Fraction(1, 10 ** 20)
 
 
 @pytest.mark.parametrize("x_l4", ["1e100000", "-1e100000", "1e-100000", "1e-10000", "1e1000000"])
-def test_bracket_of_extreme_x_l4_stays_small(x_l4, solutions, poly):
+def test_bracket_of_extreme_x_l4_stays_small(x_l4, solutions):
     # far outside the root bound, or with a huge denominator, x_l4 yields a
     # bracket of small rationals, exactly the default width, and no sign change
     cand = solutions[0]
     coords = {v: (p.x, p.y) for v, p in cand.coords.items()}
     coords["l4"] = (cand.context().mpf(x_l4), coords["l4"][1])
     started = time.perf_counter()
-    lo, hi, ok = charpoly_bracket(candidate_from_coords(_dependent_only(coords), 60), poly)
+    lo, hi, ok = charpoly_bracket(candidate_from_coords(_dependent_only(coords), 60))
     assert time.perf_counter() - started < 5
     assert not ok
     assert hi - lo == Fraction(1, 10 ** 20)
@@ -180,38 +180,41 @@ def test_match_table_strict_tolerance(solutions, tables, printed_row_nine):
     assert all(match_table(c, [printed_row_nine]) is None for c in solutions)
 
 
-def test_certify_solutions_pass(solutions, poly, tables):
-    certs = [certify(c, poly, tables) for c in solutions]
+def test_certify_solutions_pass(solutions):
+    certs = [certify(c) for c in solutions]
     assert all(c.passes for c in certs)
+    assert all(c.branch_ok for c in certs)
+    # the certificate keeps the bracket whose end point signs it compared
+    assert [c.bracket for c in certs] == [charpoly_bracket(c)[:2] for c in solutions]
     assert certs[0].matched_table == 1
     assert all(c.precision == 60 for c in certs)
 
 
-def test_low_precision_solutions_pass(low_precision_solutions, solutions, poly, tables):
+def test_low_precision_solutions_pass(low_precision_solutions, solutions):
     # the bracket around x_l4 widens with the residual tolerance below 24
     # digits, so solve's own 15- and 20-digit output certifies
     for digits, found in low_precision_solutions.items():
         assert len(found) == 11
-        failing = [k for k, c in enumerate(found) if not certify(c, poly, tables).passes]
+        failing = [k for k, c in enumerate(found) if not certify(c).passes]
         assert failing == [], f"{digits}-digit solutions {failing} fail"
     # below MIN_DIGITS nothing passes, though the wider bracket and the
     # residual bound alone would let these through
     coarse = [candidate_from_coords(c.coords, 14) for c in solutions]
-    assert not any(certify(c, poly, tables).passes for c in coarse)
+    assert not any(certify(c).passes for c in coarse)
 
 
-def test_certificate_json_fields(solutions, poly, tables):
-    cert = certify(solutions[0], poly, tables)
+def test_certificate_json_fields(solutions):
+    cert = certify(solutions[0])
     data = cert.to_json_dict()
     assert data["pass"] is True
-    assert set(data) >= {"pass", "max_flag_residual", "regularity_margin", "matched_table"}
+    assert set(data) >= {"pass", "max_flag_residual", "branch_ok", "regularity_margin", "matched_table"}
 
 
-def test_certify_non_solution_fails_on_closure_flag(poly, tables):
+def test_certify_non_solution_fails_on_closure_flag():
     # a chain candidate away from any zero satisfies every constraint
     # except the closure flag, whose residual (about 0.51 here) dominates
     cand = build_chain("2.2", "000000", 60)
-    cert = certify(cand, poly, tables)
+    cert = certify(cand)
     assert not cert.passes
     assert abs(float(cert.max_flag_residual) - abs(float(cand.closure))) < 1e-12
     assert 0.4 < float(cert.max_flag_residual) < 0.6
@@ -220,14 +223,14 @@ def test_certify_non_solution_fails_on_closure_flag(poly, tables):
     assert cert.matched_table is None
 
 
-def test_certification_is_path_independent(solutions, poly, tables):
+def test_certification_is_path_independent(solutions):
     # serialize, reload, recertify: identical verdicts
     from heawood_udg.chain import candidate_from_json_dict, candidate_to_json_dict
 
     cand = solutions[0]
     reloaded = candidate_from_json_dict(candidate_to_json_dict(cand))
-    a = certify(cand, poly, tables)
-    b = certify(reloaded, poly, tables)
+    a = certify(cand)
+    b = certify(reloaded)
     assert a.passes and b.passes
     assert a.matched_table == b.matched_table
 
