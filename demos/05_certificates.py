@@ -5,10 +5,14 @@ Certifying the embeddings
 Certification takes an embedding alone and recomputes everything from its
 coordinates: worst flag residual, the collinearity restriction, an exact
 sign change of the degree-79 polynomial inside a width-1e-20 rational
-bracket around x_l4, whether the branch vector is the coordinates' own, and
-the regularity margin (least distance from a vertex to a non-incident
-edge).  Matching against the bundled reference tables uses 1e-13, and each
-embedding matches its own row.  Row 9 as printed was only ~1e-11 accurate;
+bracket around x_l4, whether the branch vector is the coordinates' own,
+whether the six pinned vertices sit exactly on the 1 x 2 rectangle, and the
+regularity margin: the least distance from a vertex to a non-incident edge,
+that is the least of the vertex separation and the distances to an edge's
+line whose perpendicular foot falls inside the edge.  Every margin below is
+such a foot, under the least distance between two vertices.  Matching
+against the bundled reference tables uses 1e-13, and each embedding
+matches its own row.  Row 9 as printed was only ~1e-11 accurate;
 the bundled row is its Newton refinement, with the printed digits kept as
 an erratum in the data file.  The eleven brackets are pairwise disjoint,
 so the eleven embeddings lie on eleven distinct roots.

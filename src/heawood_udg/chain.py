@@ -90,6 +90,19 @@ class EmbeddingCandidate:
         return context(self.precision)
 
 
+def min_vertex_separation(candidate: EmbeddingCandidate):
+    """Smallest pairwise distance between the 14 vertex positions."""
+    ctx = candidate.context()
+    labels = list(candidate.coords)
+    best = None
+    for i, a in enumerate(labels):
+        for b in labels[i + 1 :]:
+            d2 = distance_squared(candidate.coords[a], candidate.coords[b])
+            if best is None or d2 < best:
+                best = d2
+    return ctx.sqrt(best)
+
+
 def fixed_points(ctx: MPContext) -> dict:
     """The pinned rectangle at the context's precision (exact values)."""
     return {v: Point2(ctx.mpf(x), ctx.mpf(y)) for v, (x, y) in FIXED_POSITIONS.items()}

@@ -47,6 +47,7 @@ from .chain import (
     candidate_from_coords,
     construct,
     fixed_points,
+    min_vertex_separation,
     place_l4,
 )
 from .geom import MAX_DIGITS, MIN_DIGITS, MPContext, Point2, context, distance_squared
@@ -387,19 +388,6 @@ def newton_polish(
 
 # ---------------------------------------------------------------------------
 # Assembly
-
-
-def min_vertex_separation(candidate: EmbeddingCandidate):
-    """Smallest pairwise distance between the 14 vertex positions."""
-    ctx = candidate.context()
-    labels = list(candidate.coords)
-    best = None
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            d2 = distance_squared(candidate.coords[a], candidate.coords[b])
-            if best is None or d2 < best:
-                best = d2
-    return ctx.sqrt(best)
 
 
 def dedupe_candidates(candidates: Sequence[EmbeddingCandidate]) -> list:

@@ -7,8 +7,13 @@ of the collinearity restriction on l4, P4, l5, an exact-arithmetic sign
 change of the coordinate polynomial across a tight rational bracket around
 x_l4 (as wide as the residual tolerance of the candidate's precision, and
 at most 10^-20 wide from 24 digits up), whether the stated branch vector is
-the one the coordinates lie on, the regularity margin (no vertex may lie on
-a non-incident edge), and which reference table the candidate reproduces.
+the one the coordinates lie on, whether the six pinned vertices sit exactly
+on the rectangle of ``chain.FIXED_POSITIONS``, the regularity margin (no
+vertex may lie on a non-incident edge), and which reference table the
+candidate reproduces.  The margin is the least of the vertex separation
+and the distances from each vertex to the line of each non-incident edge
+whose perpendicular foot lies strictly inside the edge; see
+:func:`regularity_check` for why that is the least distance to the edges.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from typing import Any, Sequence
 
 from mpmath.libmp import to_rational
 
-from .chain import EmbeddingCandidate, branch_vector_of
+from .chain import FIXED_POSITIONS, EmbeddingCandidate, branch_vector_of, min_vertex_separation
 from .charpoly import charpoly_xl4, root_bound, sign_at
-from .geom import MIN_DIGITS, Point2, context, distance_squared
+from .geom import MIN_DIGITS, context, distance_squared
 from .incidence import HEAWOOD_FLAGS
 from .refdata import TABLE_VERTICES, reference_tables
 
@@ -43,6 +48,7 @@ class Certificate:
     bracket: tuple
     charpoly_bracket_ok: bool
     branch_ok: bool
+    pinned_ok: bool
     regularity_margin: Any
     precision: int
     matched_table: int | None = None
@@ -52,7 +58,8 @@ class Certificate:
         """Every check holds: the flag and collinearity residuals are below
         10^(4 - precision), the tolerance of Newton's polish, x_l4's bracket
         shows a sign change, the branch vector is the coordinates' own, the
-        margin is positive, and the precision is at least ``MIN_DIGITS``."""
+        pinned vertices are exact, the margin is positive, and the
+        precision is at least ``MIN_DIGITS``."""
         bound = context(self.precision).mpf(10) ** (4 - self.precision)
         return (
             self.precision >= MIN_DIGITS
@@ -60,6 +67,7 @@ class Certificate:
             and self.collinearity_residual < bound
             and self.charpoly_bracket_ok
             and self.branch_ok
+            and self.pinned_ok
             and self.regularity_margin > 0
         )
 
@@ -71,6 +79,7 @@ class Certificate:
             "collinearity_residual": ctx.nstr(self.collinearity_residual, 8),
             "charpoly_bracket_ok": self.charpoly_bracket_ok,
             "branch_ok": self.branch_ok,
+            "pinned_ok": self.pinned_ok,
             "regularity_margin": ctx.nstr(self.regularity_margin, 8),
             "precision": self.precision,
             "matched_table": self.matched_table,
@@ -104,39 +113,28 @@ def collinearity_residual(candidate: EmbeddingCandidate):
     return max(abs(cross), abs(spacing), abs(mid_x), abs(mid_y))
 
 
-def _point_segment_distance_squared(p: Point2, a: Point2, b: Point2, zero, one):
-    vx = b.x - a.x
-    vy = b.y - a.y
-    length2 = vx * vx + vy * vy
-    # an edge whose ends coincide is the point a
-    t = ((p.x - a.x) * vx + (p.y - a.y) * vy) / length2 if length2 else zero
-    t = max(zero, min(one, t))
-    qx = a.x + t * vx
-    qy = a.y + t * vy
-    return (p.x - qx) ** 2 + (p.y - qy) ** 2
-
-
 def regularity_check(candidate: EmbeddingCandidate):
     """Minimum distance from any vertex to any edge it is not an endpoint
-    of; a positive margin certifies the embedding is regular (vertices only
-    touch their own edges).
+    of; a positive margin certifies the embedding is regular.
 
-    Squared distances are compared and only the least is rooted: mpmath's
-    square root is correctly rounded, hence monotone, so this is the
-    minimum of the rooted distances to the bit."""
-    ctx = candidate.context()
-    zero, one = ctx.mpf(0), ctx.mpf(1)
-    least = None
-    for v in candidate.coords:
-        for p, ln in HEAWOOD_FLAGS:
-            if v == p or v == ln:
-                continue
-            d2 = _point_segment_distance_squared(
-                candidate.coords[v], candidate.coords[p], candidate.coords[ln], zero, one
-            )
-            if least is None or d2 < least:
-                least = d2
-    return ctx.sqrt(least)
+    That distance is to the edge's line where the foot of the perpendicular
+    lies strictly inside the edge, and to its nearer end otherwise.  Each
+    vertex has degree 3, so any two vertices v, w have an edge at w without
+    v: the ends add exactly the vertex separation, which also gives an edge
+    with coincident ends the margin 0.  Squared foot distances are compared
+    and only the least is rooted, mpmath's square root being monotone."""
+    coords = candidate.coords
+    feet = []
+    for a, b in HEAWOOD_FLAGS:
+        pa, pb = coords[a], coords[b]
+        vx, vy = pb.x - pa.x, pb.y - pa.y
+        length2 = vx * vx + vy * vy
+        for v, p in coords.items():
+            wx, wy = p.x - pa.x, p.y - pa.y
+            if v not in (a, b) and 0 < wx * vx + wy * vy < length2:
+                feet.append((wx * vy - wy * vx) ** 2 / length2)
+    separation = min_vertex_separation(candidate)
+    return min(separation, candidate.context().sqrt(min(feet))) if feet else separation
 
 
 def charpoly_bracket(candidate: EmbeddingCandidate):
@@ -194,6 +192,7 @@ def certify(candidate: EmbeddingCandidate) -> Certificate:
         bracket=(lo, hi),
         charpoly_bracket_ok=bracket_ok,
         branch_ok=candidate.branch == branch_vector_of(candidate.coords),
+        pinned_ok=all(tuple(candidate.coords[v]) == xy for v, xy in FIXED_POSITIONS.items()),
         regularity_margin=regularity_check(candidate),
         precision=candidate.precision,
         matched_table=match_table(candidate, reference_tables()),

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import random
 import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import pytest
 
-from heawood_udg.chain import build_chain, candidate_from_coords
+from heawood_udg import chain, solver, verify
+from heawood_udg.chain import FIXED_POSITIONS, build_chain, candidate_from_coords, min_vertex_separation
 from heawood_udg.charpoly import isolate_real_roots
 from heawood_udg.geom import context
 from heawood_udg.incidence import HEAWOOD_FLAGS
@@ -23,6 +25,7 @@ from heawood_udg.verify import (
     regularity_check,
 )
 
+from clamped import clamped_margin
 from conftest import MARGIN_BASELINES
 
 
@@ -126,6 +129,72 @@ def test_degenerate_candidate_has_zero_margin(solutions):
     ctx = context(60)
     degenerate = candidate_from_coords(_dependent_only(coords), 60)
     assert regularity_check(degenerate) < ctx.mpf(10) ** -50
+    assert _agrees_with_clamped(degenerate) == 0
+
+
+def _agrees_with_clamped(cand):
+    # the margin equals the clamped point-segment minimum to within ten
+    # units of the candidate's last digit
+    margin = regularity_check(cand)
+    assert abs(margin - clamped_margin(cand)) <= cand.context().mpf(10) ** (1 - cand.precision)
+    return margin
+
+
+def test_one_separation_scan():
+    # solve filters degenerate zeros and verify measures the margin with
+    # the one scan that chain defines
+    assert solver.min_vertex_separation is chain.min_vertex_separation
+    assert verify.min_vertex_separation is chain.min_vertex_separation
+
+
+def test_regularity_matches_clamped_formula_on_solutions(solutions, low_precision_solutions):
+    deep = [newton_polish(c, 300) for c in solutions]
+    for found in (low_precision_solutions[15], solutions, deep):
+        assert len(found) == 11
+        for cand in found:
+            _agrees_with_clamped(cand)
+
+
+def test_regularity_minimum_at_a_foot_and_at_a_vertex_pair(solutions):
+    # every embedding's margin is a perpendicular foot inside an edge
+    foot = solutions[0]
+    assert _agrees_with_clamped(foot) < min_vertex_separation(foot)
+    # l1 just off P1, on the side away from every other edge at either of
+    # them: the margin is the distance of the pair
+    ctx = context(60)
+    coords = {v: (p.x, p.y) for v, p in foot.coords.items()}
+    x, y = coords["P1"]
+    coords["l1"] = (x + ctx.mpf("0.001"), y - ctx.mpf("0.001"))
+    pair = candidate_from_coords(coords, 60)
+    margin = _agrees_with_clamped(pair)
+    assert margin == min_vertex_separation(pair)
+    assert abs(margin - ctx.sqrt(2) / 1000) < ctx.mpf(10) ** -55
+
+
+@pytest.mark.parametrize("kind", ["moved", "coincident", "on an edge"])
+def test_regularity_matches_clamped_formula_on_perturbations(kind, solutions):
+    # seeded moves of every vertex by up to 0.05; then two vertices made to
+    # coincide, or a vertex put inside an edge it is not an end of
+    rng = random.Random(f"regularity {kind}")
+    for _ in range(50):
+        digits = rng.choice((15, 60, 300))
+        ctx = context(digits)
+        coords = {
+            v: (ctx.mpf(p.x) + rng.uniform(-0.05, 0.05), ctx.mpf(p.y) + rng.uniform(-0.05, 0.05))
+            for v, p in rng.choice(solutions).coords.items()
+        }
+        if kind == "coincident":
+            v, w = rng.sample(sorted(coords), 2)
+            coords[v] = coords[w]
+        elif kind == "on an edge":
+            a, b = rng.choice(HEAWOOD_FLAGS)
+            v = rng.choice(sorted(set(coords) - {a, b}))
+            t = ctx.mpf(rng.uniform(0.1, 0.9))
+            (ax, ay), (bx, by) = coords[a], coords[b]
+            coords[v] = (ax + t * (bx - ax), ay + t * (by - ay))
+        margin = _agrees_with_clamped(candidate_from_coords(coords, digits))
+        if kind != "moved":
+            assert margin < ctx.mpf(10) ** (1 - digits)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +252,7 @@ def test_match_table_strict_tolerance(solutions, tables, printed_row_nine):
 def test_certify_solutions_pass(solutions):
     certs = [certify(c) for c in solutions]
     assert all(c.passes for c in certs)
-    assert all(c.branch_ok for c in certs)
+    assert all(c.branch_ok and c.pinned_ok for c in certs)
     # the certificate keeps the bracket whose end point signs it compared
     assert [c.bracket for c in certs] == [charpoly_bracket(c)[:2] for c in solutions]
     assert certs[0].matched_table == 1
@@ -203,11 +272,35 @@ def test_low_precision_solutions_pass(low_precision_solutions, solutions):
     assert not any(certify(c).passes for c in coarse)
 
 
+@pytest.mark.parametrize("vertex", sorted(FIXED_POSITIONS))
+@pytest.mark.parametrize("axis", [0, 1])
+def test_pinned_coordinate_moved_by_1e_50_fails(vertex, axis, solutions):
+    ctx = context(60)
+    coords = {v: [p.x, p.y] for v, p in solutions[0].coords.items()}
+    coords[vertex][axis] += ctx.mpf(10) ** -50
+    cert = certify(candidate_from_coords(coords, 60))
+    assert not cert.pinned_ok
+    assert not cert.passes
+
+
+def test_pinned_check_alone_fails_a_move_below_the_residual_tolerance(solutions):
+    # P2 raised by 1e-58 keeps every residual under 10^-56: only the
+    # pinned check sees it
+    ctx = context(60)
+    coords = {v: (p.x, p.y) for v, p in solutions[0].coords.items()}
+    coords["P2"] = (ctx.mpf(0), 2 + ctx.mpf(10) ** -58)
+    cert = certify(candidate_from_coords(coords, 60))
+    assert cert.max_flag_residual < ctx.mpf(10) ** -56
+    assert cert.charpoly_bracket_ok and cert.branch_ok and cert.regularity_margin > 0
+    assert not cert.pinned_ok
+    assert not cert.passes
+
+
 def test_certificate_json_fields(solutions):
     cert = certify(solutions[0])
     data = cert.to_json_dict()
     assert data["pass"] is True
-    assert set(data) >= {"pass", "max_flag_residual", "branch_ok", "regularity_margin", "matched_table"}
+    assert set(data) >= {"pass", "max_flag_residual", "branch_ok", "pinned_ok", "regularity_margin", "matched_table"}
 
 
 def test_certify_non_solution_fails_on_closure_flag():
