@@ -148,7 +148,7 @@ def construct(
     return coords, _closure_from_coords(coords)
 
 
-def build_chain(theta: Any, branch: str, precision: int = 60) -> EmbeddingCandidate:
+def build_chain(theta: Any, branch: str, precision: int) -> EmbeddingCandidate:
     """Construct all 14 vertices for the given angle and branch vector.
 
     Raises :class:`ChainBroken` naming the first vertex whose defining
@@ -156,12 +156,8 @@ def build_chain(theta: Any, branch: str, precision: int = 60) -> EmbeddingCandid
     """
     ctx = context(precision)
     t = ctx.mpf(theta)
-    coords, closure = construct(
-        place_l4(ctx, t),
-        branch,
-        fixed_points(ctx),
-        lambda c1, c2, bit: circle_circle_intersect(ctx, c1, 1, c2, 1, bit),
-    )
+    # looked up per call, so a wrapper set on this module's name sees each step
+    coords, closure = construct(place_l4(ctx, t), branch, fixed_points(ctx), circle_circle_intersect)
     return EmbeddingCandidate(
         coords=coords, theta=t, branch=branch, closure=closure, precision=precision
     )

@@ -1,10 +1,10 @@
 """Extended-precision planar geometry kernel.
 
 Provides the mpmath context of each precision (no ambient global
-precision state), 2D points, and the two-valued circle-circle intersection
-that drives the compass-and-ruler construction chain, and the root estimate
-and sign-change bisection shared by the solver and the exact root
-refinement.
+precision state), 2D points, the two-valued intersection of two unit
+circles that drives the compass-and-ruler construction chain, at the
+precision its centres carry, and the root estimate and sign-change
+bisection shared by the solver and the exact root refinement.
 
 Every mpmath context comes from one read-only cache keyed by decimal
 precision, :func:`context`; every mpf carries its own as ``x.context``.
@@ -72,33 +72,24 @@ def distance_squared(p: Point2, q: Point2):
     return dx * dx + dy * dy
 
 
-def circle_circle_intersect(
-    ctx: MPContext,
-    c1: Point2,
-    r1: Any,
-    c2: Point2,
-    r2: Any,
-    bit: int,
-) -> Point2:
-    """Intersect the circles around ``c1`` (radius ``r1``) and ``c2`` (``r2``).
+def circle_circle_intersect(c1: Point2, c2: Point2, bit: int) -> Point2:
+    """Intersect the unit circles around ``c1`` and ``c2``, at the precision
+    of the centres' own context, ``c1.x.context``.
 
     Two-valued: ``bit`` 0 selects the intersection on the left of the
     directed center line c1 -> c2 (positive cross product), bit 1 the right.
     The orientation convention is stable under translation and rotation and
     independent of coordinate magnitudes.
 
-    The tolerance is 10^(-dps/2) at the precision of the context ``ctx``:
-    the discriminant loses about half the working digits near tangency.
-    Raises :class:`GeometryError` when the centers coincide within it,
-    the discriminant vanishes within it or is negative beyond it.
+    The tolerance is 10^(-dps/2) at that precision: the discriminant loses
+    about half the working digits near tangency.  Raises
+    :class:`GeometryError` when the centers coincide within it, the
+    discriminant vanishes within it or is negative beyond it.
     """
     if bit not in (0, 1):
         raise ValueError(f"branch bit must be 0 or 1, got {bit!r}")
+    ctx = c1.x.context
     tol = _intersect_tol(ctx.dps)
-    r1 = ctx.mpf(r1)
-    r2 = ctx.mpf(r2)
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("circle radii must be positive")
 
     dx = c2.x - c1.x
     dy = c2.y - c1.y
@@ -107,9 +98,10 @@ def circle_circle_intersect(
     if d <= tol:
         raise GeometryError(f"center distance {ctx.nstr(d, 8)} below tolerance")
 
-    # foot of the chord on the center line, measured from c1
-    a = (d2 + r1 * r1 - r2 * r2) / (2 * d)
-    h2 = r1 * r1 - a * a
+    # the chord's foot from c1 by the law of cosines with both radii 1, so it
+    # rounds bit for bit as the two-radius form; d / 2 differs for ~60% of pairs
+    a = (d2 + 1 - 1) / (2 * d)
+    h2 = 1 - a * a
     if abs(h2) <= tol:
         raise GeometryError(f"discriminant {ctx.nstr(h2, 8)} within tolerance of zero")
     if h2 < 0:

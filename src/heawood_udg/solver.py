@@ -50,7 +50,7 @@ from .chain import (
     min_vertex_separation,
     place_l4,
 )
-from .geom import MAX_DIGITS, MIN_DIGITS, MPContext, Point2, context, distance_squared
+from .geom import MAX_DIGITS, MIN_DIGITS, Point2, context, distance_squared
 from .geom import bisect_sign_change, illinois_estimate
 from .incidence import ALL_VERTICES
 
@@ -290,7 +290,7 @@ def _gradient(u: Point2, v: Point2) -> Point2:
     return Point2(2 * (u.x - v.x), 2 * (u.y - v.y))
 
 
-def _chain_step(ctx: MPContext, pos: Mapping, residuals: Sequence) -> dict:
+def _chain_step(pos: Mapping, residuals: Sequence) -> dict:
     """Newton's step: solve J·δ = −``residuals`` for the Jacobian J of
     :func:`system_residuals` at the positions ``pos`` by walking the
     construction chain.  Returns each dependent vertex's move as a
@@ -306,12 +306,12 @@ def _chain_step(ctx: MPContext, pos: Mapping, residuals: Sequence) -> dict:
     row then fixes t.
 
     Raises ZeroDivisionError when a vertex's determinant, or the closure
-    row's coefficient of t, is at most ``eps`` times the product of the
-    1-norms of the two vectors it is formed from.
+    row's coefficient of t, is at most ``eps`` of the positions' precision
+    times the product of the 1-norms of the two vectors it is formed from.
     """
-    eps = ctx.eps
-    rows = iter(residuals)
     l4 = pos["l4"]
+    eps = l4.x.context.eps
+    rows = iter(residuals)
     g = Point2(2 * (l4.x - 1), 2 * l4.y)
     s = -next(rows) / _dot(g, g)
     # how each vertex moves along p and along n; pinned vertices stay put
@@ -374,7 +374,7 @@ def newton_polish(
         if max(abs(r) for r in residuals) < target:
             break
         try:
-            step = _chain_step(ctx, pos, residuals)
+            step = _chain_step(pos, residuals)
         except ZeroDivisionError as exc:
             raise SingularJacobian(f"Jacobian is numerically singular: {exc}") from exc
         if trace is not None:

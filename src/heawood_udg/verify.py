@@ -6,14 +6,15 @@ A certificate records the worst unit-distance (flag) residual, the residual
 of the collinearity restriction on l4, P4, l5, an exact-arithmetic sign
 change of the coordinate polynomial across a tight rational bracket around
 x_l4 (as wide as the residual tolerance of the candidate's precision, and
-at most 10^-20 wide from 24 digits up), whether the stated branch vector is
-the one the coordinates lie on, whether the six pinned vertices sit exactly
-on the rectangle of ``chain.FIXED_POSITIONS``, the regularity margin (no
-vertex may lie on a non-incident edge), and which reference table the
-candidate reproduces.  The margin is the least of the vertex separation
-and the distances from each vertex to the line of each non-incident edge
-whose perpendicular foot lies strictly inside the edge; see
-:func:`regularity_check` for why that is the least distance to the edges.
+at most 10^-20 wide from 24 digits up), whether the stated branch vector,
+angle and closure are those the coordinates give, whether the six pinned
+vertices sit exactly on the rectangle of ``chain.FIXED_POSITIONS``, the
+regularity margin (no vertex may lie on a non-incident edge), and which
+reference table the candidate reproduces.  The margin is the least of the
+vertex separation and the distances from each vertex to the line of each
+non-incident edge whose perpendicular foot lies strictly inside the edge;
+see :func:`regularity_check` for why that is the least distance to the
+edges.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Sequence
 
 from mpmath.libmp import to_rational
 
-from .chain import FIXED_POSITIONS, EmbeddingCandidate, branch_vector_of, min_vertex_separation
+from .chain import FIXED_POSITIONS, EmbeddingCandidate, candidate_from_coords, min_vertex_separation
 from .charpoly import charpoly_xl4, root_bound, sign_at
 from .geom import MIN_DIGITS, context, distance_squared
 from .incidence import HEAWOOD_FLAGS
@@ -38,16 +39,20 @@ class Certificate:
     """Verification record for one candidate embedding.
 
     ``bracket`` is the exact rational (lo, hi) around x_l4 whose end
-    points ``charpoly_bracket_ok`` compares in sign.  ``matched_table`` is
-    the 1-based index of the reference table the candidate reproduces
-    coordinate-wise within the matching tolerance, or None.
+    points ``charpoly_bracket_ok`` compares in sign.  ``provenance_ok``
+    holds when the row's branch vector is the one its coordinates lie on,
+    and its angle and closure are within 10^(4 - precision) of those
+    :func:`~heawood_udg.chain.candidate_from_coords` derives from them.
+    ``matched_table`` is the 1-based index of the reference table the
+    candidate reproduces coordinate-wise within the matching tolerance, or
+    None.
     """
 
     max_flag_residual: Any
     collinearity_residual: Any
     bracket: tuple
     charpoly_bracket_ok: bool
-    branch_ok: bool
+    provenance_ok: bool
     pinned_ok: bool
     regularity_margin: Any
     precision: int
@@ -57,8 +62,8 @@ class Certificate:
     def passes(self) -> bool:
         """Every check holds: the flag and collinearity residuals are below
         10^(4 - precision), the tolerance of Newton's polish, x_l4's bracket
-        shows a sign change, the branch vector is the coordinates' own, the
-        pinned vertices are exact, the margin is positive, and the
+        shows a sign change, the provenance agrees with the coordinates,
+        the pinned vertices are exact, the margin is positive, and the
         precision is at least ``MIN_DIGITS``."""
         bound = context(self.precision).mpf(10) ** (4 - self.precision)
         return (
@@ -66,7 +71,7 @@ class Certificate:
             and self.max_flag_residual < bound
             and self.collinearity_residual < bound
             and self.charpoly_bracket_ok
-            and self.branch_ok
+            and self.provenance_ok
             and self.pinned_ok
             and self.regularity_margin > 0
         )
@@ -78,7 +83,7 @@ class Certificate:
             "max_flag_residual": ctx.nstr(self.max_flag_residual, 8),
             "collinearity_residual": ctx.nstr(self.collinearity_residual, 8),
             "charpoly_bracket_ok": self.charpoly_bracket_ok,
-            "branch_ok": self.branch_ok,
+            "provenance_ok": self.provenance_ok,
             "pinned_ok": self.pinned_ok,
             "regularity_margin": ctx.nstr(self.regularity_margin, 8),
             "precision": self.precision,
@@ -186,12 +191,16 @@ def certify(candidate: EmbeddingCandidate) -> Certificate:
     :mod:`heawood_udg.refdata` for the corrected row 9.
     """
     lo, hi, bracket_ok = charpoly_bracket(candidate)
+    derived = candidate_from_coords(candidate.coords, candidate.precision)
+    tol = candidate.context().mpf(10) ** (4 - candidate.precision)
     return Certificate(
         max_flag_residual=max_flag_residual(candidate),
         collinearity_residual=collinearity_residual(candidate),
         bracket=(lo, hi),
         charpoly_bracket_ok=bracket_ok,
-        branch_ok=candidate.branch == branch_vector_of(candidate.coords),
+        provenance_ok=candidate.branch == derived.branch
+        and abs(candidate.theta - derived.theta) < tol
+        and abs(candidate.closure - derived.closure) < tol,
         pinned_ok=all(tuple(candidate.coords[v]) == xy for v, xy in FIXED_POSITIONS.items()),
         regularity_margin=regularity_check(candidate),
         precision=candidate.precision,

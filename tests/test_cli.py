@@ -14,7 +14,7 @@ import pytest
 from heawood_udg import charpoly, cli, solver, verify
 from heawood_udg.chain import build_chain, dump_candidates, load_candidates
 from heawood_udg.cli import run
-from heawood_udg.geom import MAX_DIGITS
+from heawood_udg.geom import MAX_DIGITS, context
 from heawood_udg.render import render_svg
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,7 +23,7 @@ BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
 # SHA-256 of the stdout of `roots --digits 300`
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
 # SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
-VERIFY60_SHA256 = "175685fe4194ef3e25d2a9e1b357fa964dfb57a6da71c9b712c31f2ed908d866"
+VERIFY60_SHA256 = "7bb0c245adbc9338e9195cc874a6cc0366a617df08ca5bc5394d4f7cd274e337"
 # SHA-256 of the 11 `render_svg` outputs of perfbench/data/embeddings60.json,
 # concatenated
 SVG60_SHA256 = "ea2527c3752e6875c0b5755d1a756d3e32ea0cf1ebbe9e497513791f01fd120f"
@@ -386,19 +386,21 @@ def test_verify_certifies_the_set(case, tmp_path, capsys):
     assert all(fault in captured.err for fault in faults)
     certs = json.loads(captured.out)
     assert len(certs) == len(rows)
-    assert [c["branch_ok"] for c in certs] == [case != "flipped branch"] + [True] * (len(rows) - 1)
-    assert [c["pass"] for c in certs] == [c["branch_ok"] for c in certs]
+    assert [c["provenance_ok"] for c in certs] == [case != "flipped branch"] + [True] * (len(rows) - 1)
+    assert [c["pass"] for c in certs] == [c["provenance_ok"] for c in certs]
 
 
 def test_verify_fails_a_mirrored_row(tmp_path, capsys):
     # row 1 mirrored in y keeps every distance, x_l4 and the margin, and its
-    # flipped branch bits are the mirror's own; but the pinned rectangle
-    # now hangs below the x axis, P2 at (0, -2).  The other rows' pinned
-    # "0.0", "1.0" and "2.0" are read exactly
+    # flipped branch bits and angle 2 pi - theta are the mirror's own; but
+    # the pinned rectangle now hangs below the x axis, P2 at (0, -2).  The
+    # other rows' pinned "0.0", "1.0" and "2.0" are read exactly
     rows = json.loads(BENCHMARK_EMBEDDINGS.read_text())
     for xy in rows[0]["vertices"].values():
         xy[1] = xy[1][1:] if xy[1].startswith("-") else "-" + xy[1]
     rows[0]["branch"] = [1 - b for b in rows[0]["branch"]]
+    ctx = context(60)
+    rows[0]["theta"] = ctx.nstr(2 * ctx.pi - ctx.mpf(rows[0]["theta"]), 60)
     path = tmp_path / "mirrored.json"
     path.write_text(json.dumps(rows))
     assert run(["verify", "--json", str(path)]) == 1
@@ -407,8 +409,27 @@ def test_verify_fails_a_mirrored_row(tmp_path, capsys):
     certs = json.loads(captured.out)
     assert [c["pinned_ok"] for c in certs] == [False] + [True] * 10
     assert [c["pass"] for c in certs] == [False] + [True] * 10
-    assert certs[0]["branch_ok"] is True
+    assert certs[0]["provenance_ok"] is True
     assert certs[0]["regularity_margin"] == "0.04741145"
+
+
+@pytest.mark.parametrize("field, value", [("theta", "123.0"), ("closure", "0.5")])
+def test_verify_checks_a_rows_provenance(field, value, tmp_path, capsys):
+    # a row's theta and closure, like its branch, must be what its
+    # coordinates give; the coordinates themselves still certify, and
+    # render, which certifies nothing, still draws the row
+    rows = json.loads(BENCHMARK_EMBEDDINGS.read_text())
+    rows[0][field] = value
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(rows))
+    assert run(["verify", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    certs = json.loads(captured.out)
+    assert [c["provenance_ok"] for c in certs] == [False] + [True] * 10
+    assert [c["pass"] for c in certs] == [False] + [True] * 10
+    assert certs[0]["max_flag_residual"] == "9.1789475e-60" and certs[0]["charpoly_bracket_ok"]
+    assert run(["render", "--json", str(path), "--svg", str(tmp_path / "figs")]) == 0
 
 
 def test_verify_passes_a_fresh_solve(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from heawood_udg.geom import (
     distance_squared,
     illinois_estimate,
 )
+from cosines import general_intersect
 
 
 def test_decimal_round_trip_at_60_digits():
@@ -43,11 +44,11 @@ def test_contexts_are_shared_per_precision():
 def test_equilateral_intersection():
     ctx = context(60)
     origin, east = Point2(ctx.mpf(0), ctx.mpf(0)), Point2(ctx.mpf(1), ctx.mpf(0))
-    q = circle_circle_intersect(ctx, origin, 1, east, 1, bit=0)
+    q = circle_circle_intersect(origin, east, bit=0)
     assert abs(q.x - ctx.mpf("0.5")) < ctx.mpf(10) ** -55
     assert abs(q.y - ctx.mpf("0.866025403784439")) < ctx.mpf(10) ** -15
     # bit 1 is the mirror image below the center line
-    q1 = circle_circle_intersect(ctx, origin, 1, east, 1, bit=1)
+    q1 = circle_circle_intersect(origin, east, bit=1)
     assert abs(q1.y + q.y) < ctx.mpf(10) ** -55
 
 
@@ -57,7 +58,7 @@ def test_reference_intersection_for_p3():
     ctx = context(60)
     l3 = Point2(ctx.mpf(0), ctx.mpf(1))
     l4 = Point2(ctx.mpf("-0.730124164909779"), ctx.mpf("1.003329643733922"))
-    q = circle_circle_intersect(ctx, l3, 1, l4, 1, bit=0)
+    q = circle_circle_intersect(l3, l4, bit=0)
     assert abs(q.x - ctx.mpf("-0.369307668700666")) < ctx.mpf(10) ** -13
     assert abs(q.y - ctx.mpf("0.070692814060453")) < ctx.mpf(10) ** -13
 
@@ -69,34 +70,32 @@ def _on_x_axis(ctx, x):
 def test_no_intersection():
     ctx = context(30)
     with pytest.raises(GeometryError, match=r"^discriminant .* is negative$"):
-        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 3), 1, bit=0)
+        circle_circle_intersect(_on_x_axis(ctx, 0), _on_x_axis(ctx, 3), bit=0)
 
 
 def test_externally_tangent():
     ctx = context(30)
     with pytest.raises(GeometryError, match=r"^discriminant .* within tolerance of zero$"):
-        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 2), 1, bit=0)
+        circle_circle_intersect(_on_x_axis(ctx, 0), _on_x_axis(ctx, 2), bit=0)
 
 
 def test_near_tangent_within_tolerance():
     ctx = context(30)
     d = ctx.mpf(2) - ctx.mpf(10) ** -20  # discriminant ~1e-20, tol 1e-15
     with pytest.raises(GeometryError, match=r"^discriminant .* within tolerance of zero$"):
-        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, d), 1, bit=0)
+        circle_circle_intersect(_on_x_axis(ctx, 0), _on_x_axis(ctx, d), bit=0)
 
 
 def test_concentric():
     ctx = context(30)
     with pytest.raises(GeometryError, match=r"^center distance 0\.0 below tolerance$"):
-        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 0), 1, bit=0)
+        circle_circle_intersect(_on_x_axis(ctx, 0), _on_x_axis(ctx, 0), bit=0)
 
 
 def test_input_validation():
     ctx = context(30)
     with pytest.raises(ValueError):
-        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 1, _on_x_axis(ctx, 1), 1, bit=2)
-    with pytest.raises(ValueError):
-        circle_circle_intersect(ctx, _on_x_axis(ctx, 0), 0, _on_x_axis(ctx, 1), 1, bit=0)
+        circle_circle_intersect(_on_x_axis(ctx, 0), _on_x_axis(ctx, 1), bit=2)
 
 
 def _random_config(ctx, rng):
@@ -114,7 +113,7 @@ def test_residuals_scale_with_precision(dps):
     while checked < 50:
         c1, c2 = _random_config(ctx, rng)
         try:
-            q = circle_circle_intersect(ctx, c1, 1, c2, 1, bit=rng.choice((0, 1)))
+            q = circle_circle_intersect(c1, c2, bit=rng.choice((0, 1)))
         except Exception:
             continue
         assert abs(ctx.sqrt(distance_squared(q, c1)) - 1) < bound
@@ -131,8 +130,8 @@ def test_branch_symmetry():
     while checked < 50:
         c1, c2 = _random_config(ctx, rng)
         try:
-            q0 = circle_circle_intersect(ctx, c1, 1, c2, 1, bit=0)
-            q1 = circle_circle_intersect(ctx, c1, 1, c2, 1, bit=1)
+            q0 = circle_circle_intersect(c1, c2, bit=0)
+            q1 = circle_circle_intersect(c1, c2, bit=1)
         except Exception:
             continue
         mid = Point2((q0.x + q1.x) / 2, (q0.y + q1.y) / 2)
@@ -150,7 +149,7 @@ def test_branch_zero_is_left_of_center_line():
     while checked < 30:
         c1, c2 = _random_config(ctx, rng)
         try:
-            q = circle_circle_intersect(ctx, c1, 1, c2, 1, bit=0)
+            q = circle_circle_intersect(c1, c2, bit=0)
         except Exception:
             continue
         cross = (c2.x - c1.x) * (q.y - c1.y) - (c2.y - c1.y) * (q.x - c1.x)
@@ -163,10 +162,58 @@ def test_determinism_bit_identical():
     for _ in range(2):
         ctx = context(60)
         q = circle_circle_intersect(
-            ctx, Point2(ctx.mpf("0.25"), ctx.mpf("-1.5")), 1, Point2(ctx.mpf("1.125"), ctx.mpf("-0.875")), 1, bit=1
+            Point2(ctx.mpf("0.25"), ctx.mpf("-1.5")), Point2(ctx.mpf("1.125"), ctx.mpf("-0.875")), bit=1
         )
         results.append((ctx.nstr(q.x, 60), ctx.nstr(q.y, 60)))
     assert results[0] == results[1]
+
+
+def _random_mpf(ctx, rng, lo, hi):
+    # every bit of the mantissa random, so a 300-digit centre is 300 digits
+    return lo + (hi - lo) * ctx.ldexp(ctx.mpf(rng.getrandbits(ctx.prec)), -ctx.prec)
+
+
+def _centre_pairs(ctx, rng, count):
+    """Seeded centre pairs at every distance the step meets: random ones
+    up to 2.5 apart, near-tangent ones straddling the tolerance, and the
+    tangent (d = 2), missing (d = 3) and concentric cases."""
+    tol = ctx.mpf(10) ** -(ctx.dps // 2)
+    for k in range(count):
+        c1 = Point2(_random_mpf(ctx, rng, -3, 3), _random_mpf(ctx, rng, -3, 3))
+        phi = _random_mpf(ctx, rng, 0, 2 * ctx.pi)
+        if k % 4 == 3:
+            d = 2 + _random_mpf(ctx, rng, -4, 4) * tol  # near-tangent
+        else:
+            d = _random_mpf(ctx, rng, 0, 2.5)
+        yield c1, Point2(c1.x + d * ctx.cos(phi), c1.y + d * ctx.sin(phi))
+    for x2 in (2, 3, 0, tol / 2):  # tangent, missing, concentric, nearly concentric
+        yield Point2(ctx.mpf(0), ctx.mpf(0)), Point2(ctx.mpf(x2), ctx.mpf(0))
+
+
+@pytest.mark.parametrize("dps", [15, 30, 60, 300])
+def test_unit_step_is_the_law_of_cosines_bit_for_bit(dps):
+    # the unit step writes the chord foot as (d² + 1 − 1) / 2d so that it
+    # rounds as the general form does at r1 = r2 = 1; d / 2 would not
+    ctx = context(dps)
+    one = ctx.mpf(1)
+    rng = random.Random(dps)
+    outcomes = set()
+    for c1, c2 in _centre_pairs(ctx, rng, 400):
+        for bit in (0, 1):
+            try:
+                expected = general_intersect(ctx, c1, one, c2, one, bit)
+            except GeometryError as exc:
+                with pytest.raises(GeometryError) as raised:
+                    circle_circle_intersect(c1, c2, bit)
+                assert str(raised.value) == str(exc)
+                outcomes.add(str(exc).split()[-1])
+                continue
+            q = circle_circle_intersect(c1, c2, bit)
+            assert (q.x._mpf_, q.y._mpf_) == (expected.x._mpf_, expected.y._mpf_)
+            assert q.x.context is ctx and q.y.context is ctx
+            outcomes.add("point")
+    # every outcome of the step was met: a point, a miss, a touch, a centre
+    assert outcomes == {"point", "negative", "zero", "tolerance"}
 
 
 def test_illinois_estimate_converges_on_sqrt_two():

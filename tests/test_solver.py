@@ -121,7 +121,7 @@ def test_float_and_mpf_circle_steps_pick_the_same_branch(x, y, d, phi):
     c2 = (x + d * math.cos(phi), y + d * math.sin(phi))
     for bit in (0, 1):
         fast = _cci_grid(Point2(*c1), Point2(*c2), bit)
-        exact = circle_circle_intersect(ctx, Point2(*map(ctx.mpf, c1)), 1, Point2(*map(ctx.mpf, c2)), 1, bit)
+        exact = circle_circle_intersect(Point2(*map(ctx.mpf, c1)), Point2(*map(ctx.mpf, c2)), bit)
         assert abs(float(fast.x) - float(exact.x)) < 1e-12
         assert abs(float(fast.y) - float(exact.y)) < 1e-12
 
@@ -543,7 +543,7 @@ def test_newton_singular_jacobian_when_p1_meets_l1(solutions):
     rhs = [-r for r in residuals]
     assert _dense_lu_solve(ctx, system_jacobian(ctx, vec), rhs) is ZeroDivisionError
     with pytest.raises(ZeroDivisionError):
-        solver._chain_step(ctx, pos, residuals)
+        solver._chain_step(pos, residuals)
 
 
 def test_newton_singular_jacobian_when_p3_lies_on_its_centre_line(solutions):
@@ -596,7 +596,7 @@ def test_chain_step_agrees_with_mpmath(solutions, digits):
             vec = [v + ctx.mpf(size) * rng.uniform(-1, 1) for v in exact]
             pos = to_positions(ctx, vec)
             residuals = system_residuals(pos)
-            step = to_vector(ctx, solver._chain_step(ctx, pos, residuals))
+            step = to_vector(ctx, solver._chain_step(pos, residuals))
             ref = _dense_lu_solve(ctx, system_jacobian(ctx, vec), [-r for r in residuals])
             assert ref is not ZeroDivisionError
             bound = ctx.mpf(10) ** (4 - digits) * max(abs(r) for r in ref)

@@ -252,7 +252,7 @@ def test_match_table_strict_tolerance(solutions, tables, printed_row_nine):
 def test_certify_solutions_pass(solutions):
     certs = [certify(c) for c in solutions]
     assert all(c.passes for c in certs)
-    assert all(c.branch_ok and c.pinned_ok for c in certs)
+    assert all(c.provenance_ok and c.pinned_ok for c in certs)
     # the certificate keeps the bracket whose end point signs it compared
     assert [c.bracket for c in certs] == [charpoly_bracket(c)[:2] for c in solutions]
     assert certs[0].matched_table == 1
@@ -291,7 +291,7 @@ def test_pinned_check_alone_fails_a_move_below_the_residual_tolerance(solutions)
     coords["P2"] = (ctx.mpf(0), 2 + ctx.mpf(10) ** -58)
     cert = certify(candidate_from_coords(coords, 60))
     assert cert.max_flag_residual < ctx.mpf(10) ** -56
-    assert cert.charpoly_bracket_ok and cert.branch_ok and cert.regularity_margin > 0
+    assert cert.charpoly_bracket_ok and cert.provenance_ok and cert.regularity_margin > 0
     assert not cert.pinned_ok
     assert not cert.passes
 
@@ -300,7 +300,7 @@ def test_certificate_json_fields(solutions):
     cert = certify(solutions[0])
     data = cert.to_json_dict()
     assert data["pass"] is True
-    assert set(data) >= {"pass", "max_flag_residual", "branch_ok", "pinned_ok", "regularity_margin", "matched_table"}
+    assert set(data) >= {"pass", "max_flag_residual", "provenance_ok", "pinned_ok", "regularity_margin", "matched_table"}
 
 
 def test_certify_non_solution_fails_on_closure_flag():
