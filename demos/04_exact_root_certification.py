@@ -4,12 +4,13 @@ Exact real-root certification
 
 The x-coordinate of l4 satisfies a degree-79 polynomial with integer
 coefficients up to 47 digits.  Bisection tested by Descartes' rule of signs,
-in exact integer arithmetic, isolates each real root in its own rational
-interval, which makes the real-root count a theorem rather than a
-floating-point observation: exactly eleven real roots, one per embedding.
+in exact integer arithmetic, finds each real root in a small power-of-two
+interval, and the bisection of a wider rational interval places it in its
+own printed interval, which makes the real-root count a theorem rather than
+a floating-point observation: exactly eleven real roots, one per embedding.
 Refinement narrows each interval to any number of digits: an Illinois
-estimate of the root names the final interval of exact bisection, and
-exact signs confirm it.
+estimate of the root, with the polynomial evaluated in fixed point, names
+the final interval of exact bisection, and two exact signs confirm it.
 """
 
 import time

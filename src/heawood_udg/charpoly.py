@@ -6,13 +6,15 @@ values that coordinate takes over all complex solutions.  The degree-79
 polynomial for the x-coordinate of l4 is hard-coded in the table below.
 Exact integer arithmetic isolates its real roots, which certifies the
 solver's embeddings independently of the floating-point path that found
-them: bisection tested by Descartes' rule of signs (Collins and Akritas,
-1976) isolates each root, and :func:`refine_root` narrows it to any number
-of digits: an Illinois estimate of the root names the interval that exact
-bisection would reach, and exact signs confirm it.  Isolation requires a
-squarefree polynomial, as this one is: a gcd modulo a prime proves it, the
-exact Sturm chain decides when the prime cannot, and :class:`NotSquarefree`
-is raised otherwise.
+them.  Bisection of a small power-of-two interval, tested by Descartes'
+rule of signs (Collins and Akritas, 1976), finds each root; the interval
+printed for it is the largest node of a bisection of the Cauchy interval
+that holds it alone.  :func:`refine_root` narrows it to any number of
+digits: an Illinois estimate of the root, evaluated in fixed point, names
+the interval that exact bisection would reach, and exact signs confirm it.
+Isolation requires a squarefree polynomial, as this one is: a gcd modulo a
+prime proves it, the exact Sturm chain decides when the prime cannot, and
+:class:`NotSquarefree` is raised otherwise.
 
 Coefficients are stored as decimal strings in one table and parsed at load
 time; a checksum plus digit-count guard protects the transcription, which is
@@ -25,10 +27,10 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
 from .geom import bisect_sign_change, context, illinois_estimate
 
@@ -130,11 +132,9 @@ _XL4_DEGREE = 79
 # gcd(p, p') is taken modulo this prime (2^61 - 1) to prove squarefreeness.
 _SQUAREFREE_PRIME = 2 ** 61 - 1
 
-# refine_root bisects exactly to this width, then estimates the root with
-# this many digits beyond the requested ones (10 were too few to land in the
-# final cell: evaluating the degree-79 polynomial near its roots cancels up
-# to 26 digits)
-_ESTIMATE_START_WIDTH = Fraction(1, 10 ** 8)
+# refine_root estimates the root with this many digits beyond the requested
+# ones (10 were too few to land in the final cell: evaluating the degree-79
+# polynomial near its roots cancels up to 26 digits)
 _ESTIMATE_GUARD_DIGITS = 40
 
 
@@ -282,8 +282,9 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def root_bound(p: BigPoly) -> int:
-    """Cauchy bound: every real root lies in (-B, B).  Isolation bisects
-    (-B, B], so B fixes the end points of the isolating intervals."""
+    """Cauchy bound: every real root lies in (-B, B).  Isolation returns
+    nodes of a bisection of (-B, B], so B fixes only the end points of the
+    isolating intervals; the roots are found from a smaller bound."""
     lead = abs(p.leading_coefficient)
     biggest = max(abs(c) for c in p.coefficients[:-1]) if p.degree > 0 else 0
     bound = Fraction(biggest, lead) + 1
@@ -374,73 +375,115 @@ def _gcd_degree_mod(f: Sequence[int], g: Sequence[int], prime: int) -> int:
     return len(a) - 1
 
 
+def _split(p: BigPoly, a: Fraction, b: Fraction) -> tuple:
+    """Where (a, b] is split, as the fraction of the way from ``a``, and the
+    sign of ``p`` there: the midpoint, or when that is a root the first of
+    3/7, 13/28, ... of the way that is not.  The ratios are all distinct and
+    ``p`` has finitely many roots, so this terminates."""
+    ratio, next_ratio = Fraction(1, 2), Fraction(3, 7)
+    while True:
+        sign = sign_at(p, a + (b - a) * ratio)
+        if sign:
+            return ratio, sign
+        ratio, next_ratio = next_ratio, (next_ratio + Fraction(1, 2)) / 2
+
+
+def _descartes_intervals(p: BigPoly) -> list:
+    """Disjoint intervals (lo, hi], sorted, each holding exactly one root
+    of the squarefree ``p`` strictly inside.
+
+    Bisects (-2F, 2F], F the power-of-two Fujiwara bound, testing each node
+    by Descartes' rule of signs: a node with no sign variation is dropped,
+    one with a single variation kept, and the rest split.  The rule counts
+    the open interval, so the start is 2F: a root may sit on F itself.
+    """
+    top = 2 * _power_of_two_bound(p)
+    found: list = []
+    # (a, b, source): source is (parent polynomial, den, shift, scale) for
+    # _compose; each node's polynomial is made when it is visited, so the
+    # right child's exists only after the left subtree is done
+    todo: list = [(Fraction(-top), Fraction(top), (p.coefficients, 1, -top, 2 * top))]
+    while todo:
+        a, b, source = todo.pop()
+        q = _compose(*source)
+        variations = _descartes_variations(q)
+        if variations < 2:
+            if variations == 1:
+                found.append((a, b))
+            continue
+        ratio, _ = _split(p, a, b)
+        mid = a + (b - a) * ratio
+        u, v = ratio.numerator, ratio.denominator
+        todo.append((mid, b, (q, v, u, v - u)))
+        todo.append((a, mid, (q, v, 0, u)))
+    return found
+
+
 def isolate_real_roots(p: BigPoly) -> list:
     """Disjoint rational isolating intervals, one per real root, sorted
     ascending; requires ``p`` squarefree.
 
-    Bisects (-B, B], B the Cauchy bound :func:`root_bound`, at midpoints,
-    moving a split point that is a root, and returns the largest node of
-    that tree holding exactly one root.  Descartes' rule of signs on the
-    node's polynomial decides 0 or 1 roots; a node whose test is
-    inconclusive, or skipped because it is wider than twice the power-of-two
-    Fujiwara bound F, is itself returned when its children hold exactly one
-    root between them.  Nodes outside [-F, F] hold no root.  The walk keeps
-    its own stack, so the depth of the tree is not limited by recursion.
+    Descartes' rule of signs on a bisection of (-2F, 2F], F the power-of-two
+    Fujiwara bound, finds an interval around each root.  The intervals
+    returned are those of a second tree: it bisects (-B, B], B the Cauchy
+    bound :func:`root_bound`, at midpoints, moving a split point that is a
+    root, and returns the largest nodes that hold exactly one root.  A node
+    carries the intervals of its roots, and the sign of ``p`` at its split
+    point places each interval that straddles the split and narrows it.
+    Both walks keep their own stacks, so the depth of a tree is not limited
+    by recursion.
     """
     _require_squarefree(p)
-    fujiwara = _power_of_two_bound(p)
+    roots = _descartes_intervals(p)
+    # p has the sign of its leading coefficient above its largest root and
+    # changes sign at each simple root, so these are its signs at each hi
+    sign_top = 1 if p.leading_coefficient > 0 else -1
+    inside = [(lo, hi, sign_top * (-1) ** (len(roots) - 1 - k)) for k, (lo, hi) in enumerate(roots)]
     bound = root_bound(p)
     found: list = []
-    # ("visit", a, b, source): the node (a, b], whose end points are not
-    # roots; source is (parent polynomial, den, shift, scale) for
-    # _compose, or None while the node is too wide to test.
-    # ("close", a, b, start): the node's children are done and found
-    # their intervals from found[start] on.
-    todo: list = [("visit", Fraction(-bound), Fraction(bound), None)]
+    todo: list = [(Fraction(-bound), Fraction(bound), inside)]
     while todo:
-        action, a, b, extra = todo.pop()
-        if action == "close":
-            if len(found) == extra + 1:
-                found[extra] = IsolatingInterval(a, b)
+        a, b, inside = todo.pop()
+        if len(inside) < 2:
+            if inside:
+                found.append(IsolatingInterval(a, b))
             continue
-        if b <= -fujiwara or a >= fujiwara:
-            continue
-        q = None
-        if extra is not None:
-            q = _compose(*extra)
-        elif b - a <= 2 * fujiwara:
-            width = b - a
-            den = lcm(a.denominator, width.denominator)
-            q = _compose(p.coefficients, den, int(a * den), int(width * den))
-        if q is not None:
-            variations = _descartes_variations(q)
-            if variations < 2:
-                if variations == 1:
-                    found.append(IsolatingInterval(a, b))
-                continue
-        ratio, next_ratio = Fraction(1, 2), Fraction(3, 7)
-        while sign_at(p, a + (b - a) * ratio) == 0:
-            # dodge a root at the split point; the ratios are all distinct
-            # and p has finitely many roots, so this terminates
-            ratio, next_ratio = next_ratio, (next_ratio + Fraction(1, 2)) / 2
+        ratio, sign_mid = _split(p, a, b)
         mid = a + (b - a) * ratio
-        u, v = ratio.numerator, ratio.denominator
-        # each child's polynomial is made when it is visited, so the right
-        # child's exists only after the left subtree is done
-        todo.append(("close", a, b, len(found)))
-        todo.append(("visit", mid, b, None if q is None else (q, v, u, v - u)))
-        todo.append(("visit", a, mid, None if q is None else (q, v, 0, u)))
+        left, right = [], []
+        for lo, hi, sign_hi in inside:
+            if hi <= mid:
+                left.append((lo, hi, sign_hi))
+            elif lo >= mid:
+                right.append((lo, hi, sign_hi))
+            elif sign_mid == sign_hi:
+                left.append((lo, mid, sign_mid))
+            else:
+                right.append((mid, hi, sign_hi))
+        todo.append((mid, b, right))
+        todo.append((a, mid, left))
     return found
+
+
+def _fixed_value(coeffs: Sequence[int], mp, x):
+    """``p(x)`` for the mpf ``x`` by integer Horner in fixed point at
+    ``mp.prec`` fraction bits; ``coeffs`` is highest degree first."""
+    prec = mp.prec
+    t = to_fixed(x._mpf_, prec)
+    acc = 0
+    for c in coeffs:
+        acc = ((acc * t) >> prec) + (c << prec)
+    return mp.make_mpf(from_man_exp(acc, -prec, prec, "n"))
 
 
 def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     """The midpoint, at a matching working precision, of the interval that
     halving ``interval`` until its width is below 10^-digits reaches.
 
-    Exact bisection narrows the root to width 1e-8; an Illinois estimate of
-    the root in mpf at ``digits`` plus guard digits then names the final
-    cell, which two exact signs confirm.  An unconfirmed cell falls back to
-    bisection, so the result is always the bisection's.
+    An Illinois estimate of the root over the whole of ``interval``, with
+    ``p`` evaluated in fixed point at ``digits`` plus guard digits, names
+    the final cell, which two exact signs confirm.  An unconfirmed cell
+    falls back to bisection, so the result is always the bisection's.
     """
     if digits < 1:
         raise ValueError(f"digits must be at least 1, got {digits}")
@@ -452,15 +495,13 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     if s_lo == s_hi:
         raise ValueError("no sign change over the interval; not an isolating interval")
     width = Fraction(1, 10 ** digits)
-    lo, hi = bisect_sign_change(sign, lo, hi, s_lo, max(width, _ESTIMATE_START_WIDTH))
-    if hi - lo >= width:
-        mp = context(digits + _ESTIMATE_GUARD_DIGITS)
-        value = partial(mp.polyval, [mp.mpf(c) for c in reversed(p.coefficients)])
-        a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, width / 1000))
-        x = illinois_estimate(value, a, b, value(a), value(b), tol)
-        # the exact value of x, sign included, which ``man_exp`` drops
-        estimate = None if x is None else Fraction(*to_rational(x._mpf_))
-        lo, hi = bisect_sign_change(sign, lo, hi, s_lo, width, estimate=estimate)
+    mp = context(digits + _ESTIMATE_GUARD_DIGITS)
+    value = partial(_fixed_value, p.coefficients[::-1], mp)
+    a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, width / 1000))
+    x = illinois_estimate(value, a, b, value(a), value(b), tol)
+    # the exact value of x, sign included, which ``man_exp`` drops
+    estimate = None if x is None else Fraction(*to_rational(x._mpf_))
+    lo, hi = bisect_sign_change(sign, lo, hi, s_lo, width, estimate=estimate)
     ctx = context(max(digits + 5, 15))
     mid = (lo + hi) / 2
     return ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)

@@ -192,6 +192,23 @@ def test_isolation_tests_no_node_twice(poly, monkeypatch):
     assert len(tested) == len(set(tested))
 
 
+def test_descartes_tests_stay_small(poly, monkeypatch):
+    # the Descartes tree starts at the power-of-two Fujiwara bound, not at
+    # the Cauchy bound 4.3e17, so no tested polynomial grows past 1,000 bits
+    # (started at the Cauchy bound, they reach 5,387)
+    bits = []
+    variations = charpoly._descartes_variations
+
+    def recording(q):
+        bits.append(max(abs(c).bit_length() for c in q))
+        return variations(q)
+
+    monkeypatch.setattr(charpoly, "_descartes_variations", recording)
+    assert len(isolate_real_roots(poly)) == 11
+    assert bits
+    assert max(bits) < 1000
+
+
 def test_isolation_dodges_root_at_split_point():
     # T^3 - T has a root at 0, the exact midpoint of the first bisection of
     # (-3, 3]; the split moves to 3/7 of the way, and these are the intervals
@@ -295,6 +312,14 @@ def _sturm_bisection(p):
         (1, -20001, 100010000),  # roots 1/10000 and 1/10001
         (3, -7, 0, 5, -1, -2, 1),
         (-5, 0, 0, 0, 0, 0, 0, 1),
+        # roots on the power-of-two Fujiwara bound F: Descartes' rule counts
+        # an open interval, so a tree started at (-F, F] loses the root 2 of
+        # T - 2 and -2 of T + 2 (F = 2), and 4 of T^2 - 2T - 8 (F = 4); T^2 - 4
+        # has F = 4 as well, with its roots inside
+        (-2, 1),
+        (2, 1),
+        (-4, 0, 1),
+        (-8, -2, 1),
     ],
 )
 def test_isolation_matches_sturm_bisection(coeffs):
@@ -339,37 +364,49 @@ def test_refine_rejects_sign_consistent_interval():
 
 
 def test_refine_equals_exact_bisection_for_every_root(poly):
-    # the Newton jump must land on the cell that halving to 1e-60 ends in
-    width = Fraction(1, 10 ** 60)
-    ctx = context(65)
-    for iv in isolate_real_roots(poly):
-        lo, hi = bisect_sign_change(lambda t: sign_at(poly, t), iv.lo, iv.hi, sign_at(poly, iv.lo), width)
-        mid = (lo + hi) / 2
-        root = refine_root(poly, iv, 60)
-        assert root.context.dps == ctx.dps
-        assert root == ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)
+    # the estimate must name the cell that halving to 10^-digits ends in
+    for digits in (15, 60):
+        width = Fraction(1, 10 ** digits)
+        ctx = context(digits + 5)
+        for iv in isolate_real_roots(poly):
+            lo, hi = bisect_sign_change(lambda t: sign_at(poly, t), iv.lo, iv.hi, sign_at(poly, iv.lo), width)
+            mid = (lo + hi) / 2
+            root = refine_root(poly, iv, digits)
+            assert root.context.dps == ctx.dps
+            assert root == ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)
 
 
 def test_refine_falls_back_to_bisection_on_a_root_at_a_cell_edge(monkeypatch):
     # 2^40 T - 1 vanishes at 2^-40, an end point of a 1e-20 cell of (0, 1]:
     # the exact signs cannot confirm a cell, and bisection stops at the root
-    calls = []
+    p = BigPoly((-1, 2 ** 40))
+    calls, signs = [], []
 
     def recording(*args, **kwargs):
         calls.append(kwargs)
         return bisect_sign_change(*args, **kwargs)
 
+    def counted(q, t):
+        signs.append(t)
+        return sign_at(q, t)
+
     monkeypatch.setattr(charpoly, "bisect_sign_change", recording)
-    root = refine_root(BigPoly((-1, 2 ** 40)), IsolatingInterval(0, 1), 20)
+    monkeypatch.setattr(charpoly, "sign_at", counted)
+    root = refine_root(p, IsolatingInterval(0, 1), 20)
     assert root == mpmath.mpf(2) ** -40
-    assert len(calls) == 2
-    assert calls[1].get("estimate") is not None
+    # one bisection, given an estimate; the two end points and the two
+    # confirming signs are not all it evaluates, so the halving ran
+    assert len(calls) == 1
+    assert calls[0].get("estimate") is not None
+    assert len(signs) > 4
 
 
 def test_refine_confirms_the_estimated_cell_for_every_root(poly, monkeypatch):
     # an estimate that misses its cell still gives the bisection's bytes but
     # falls back to halving to 10^-digits; only the count of exact signs
-    # shows it (an estimate with its sign dropped misses every negative root)
+    # shows it (an estimate with its sign dropped misses every negative
+    # root).  Each root takes its two end points and the two signs that
+    # confirm the estimated cell, and nothing more
     intervals = isolate_real_roots(poly)
     assert any(iv.hi < 0 for iv in intervals)
     calls = []
@@ -379,11 +416,11 @@ def test_refine_confirms_the_estimated_cell_for_every_root(poly, monkeypatch):
         return sign_at(p, t)
 
     monkeypatch.setattr(charpoly, "sign_at", counted)
-    for digits in (60, 300):
-        calls.clear()
+    for digits in (15, 60, 300):
         for iv in intervals:
+            calls.clear()
             refine_root(poly, iv, digits)
-        assert len(calls) <= 280, digits
+            assert len(calls) == 4, (digits, iv, len(calls))
 
 
 def test_isolating_interval_end_points_become_fractions():
