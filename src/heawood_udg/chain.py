@@ -255,7 +255,8 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     precision is not a JSON integer from 3 to ``MAX_DIGITS``, the branch is
     not a list of six JSON integers 0 or 1, a vertex name is not one of
     "P1".."l7", a vertex is not a list of two numbers, or a coordinate,
-    ``theta`` or ``closure`` is not a JSON string or number, not a decimal
+    ``theta`` or ``closure`` is not a JSON string or integer (as
+    :func:`load_candidates` gives every JSON number), not a decimal
     literal, not finite, or a string longer than ``2 * MAX_DIGITS`` (the
     message names which vertex or field)."""
     precision = data["precision"]
@@ -272,16 +273,14 @@ def candidate_from_json_dict(data: dict) -> EmbeddingCandidate:
     ctx = context(precision)
 
     def finite(value, where):
-        # a JSON boolean, null, list or object is not a number
-        if type(value) not in (str, int, float):
+        # a JSON boolean, null, list or object is not a number; the loader
+        # reads every float literal as a string, and an integer is finite
+        if type(value) not in (str, int):
             raise ValueError(f"{where} holds {value!r}, which is not a number")
         try:
-            x = _read_decimal(ctx, value) if type(value) is str else ctx.mpf(value)
+            return _read_decimal(ctx, value) if type(value) is str else ctx.mpf(value)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
-        if not ctx.isfinite(x):
-            raise ValueError(f"{where}: non-finite number {value!r} in embeddings file")
-        return x
 
     coords = {}
     for name, xy in data["vertices"].items():

@@ -136,6 +136,9 @@ _SQUAREFREE_PRIME = 2 ** 61 - 1
 # ones (10 were too few to land in the final cell: evaluating the degree-79
 # polynomial near its roots cancels up to 26 digits)
 _ESTIMATE_GUARD_DIGITS = 40
+# the precision of refine_root's first, whole-interval estimate, so that
+# only a narrow bracket is searched at the requested precision
+_ESTIMATE_STAGE_DIGITS = 30
 
 
 @dataclass(frozen=True)
@@ -480,10 +483,14 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     """The midpoint, at a matching working precision, of the interval that
     halving ``interval`` until its width is below 10^-digits reaches.
 
-    An Illinois estimate of the root over the whole of ``interval``, with
-    ``p`` evaluated in fixed point at ``digits`` plus guard digits, names
-    the final cell, which two exact signs confirm.  An unconfirmed cell
-    falls back to bisection, so the result is always the bisection's.
+    An Illinois estimate of the root names the final cell, which two exact
+    signs confirm; ``p`` is evaluated in fixed point with guard digits.
+    The estimate runs over the whole of ``interval`` at no more than
+    ``_ESTIMATE_STAGE_DIGITS`` digits, then at ``digits`` from
+    10^-``_ESTIMATE_STAGE_DIGITS`` either side of its result when that
+    bracket lies inside ``interval`` and shows the sign change.  An
+    unconfirmed cell falls back to bisection, so the result is always the
+    bisection's.
     """
     if digits < 1:
         raise ValueError(f"digits must be at least 1, got {digits}")
@@ -495,10 +502,22 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     if s_lo == s_hi:
         raise ValueError("no sign change over the interval; not an isolating interval")
     width = Fraction(1, 10 ** digits)
-    mp = context(digits + _ESTIMATE_GUARD_DIGITS)
-    value = partial(_fixed_value, p.coefficients[::-1], mp)
-    a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, width / 1000))
-    x = illinois_estimate(value, a, b, value(a), value(b), tol)
+    x = None
+    for stage in sorted({min(digits, _ESTIMATE_STAGE_DIGITS), digits}):
+        mp = context(stage + _ESTIMATE_GUARD_DIGITS)
+        value = partial(_fixed_value, p.coefficients[::-1], mp)
+        a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, Fraction(1, 1000 * 10 ** stage)))
+        f_a = None
+        if x is not None:
+            r = mp.mpf(10) ** -_ESTIMATE_STAGE_DIGITS
+            c, d = mp.mpf(x) - r, mp.mpf(x) + r
+            if a < c and d < b:
+                f_c, f_d = value(c), value(d)
+                if f_c * f_d < 0:
+                    a, b, f_a, f_b = c, d, f_c, f_d
+        if f_a is None:
+            f_a, f_b = value(a), value(b)
+        x = illinois_estimate(value, a, b, f_a, f_b, tol)
     # the exact value of x, sign included, which ``man_exp`` drops
     estimate = None if x is None else Fraction(*to_rational(x._mpf_))
     lo, hi = bisect_sign_change(sign, lo, hi, s_lo, width, estimate=estimate)

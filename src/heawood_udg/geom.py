@@ -22,11 +22,11 @@ from mpmath.ctx_mp import MPContext
 # digits of the reference tables
 MIN_DIGITS = 15
 # the largest precision a command accepts: at 10,000 digits `roots` already
-# takes about 80 s, and at 10^8 digits reading one number takes seconds
+# takes about 60 s, and at 10^8 digits reading one number takes seconds
 MAX_DIGITS = 10_000
 # the step cap of :func:`illinois_estimate`: a solver bracket takes up to 9
-# steps, a root of the exact side refined from its whole isolating interval
-# to 10,000 digits up to 52
+# steps; a root of the exact side up to 37 over its whole isolating interval
+# at 30 digits, and then up to 17 over a narrow bracket at 10,000 digits
 ESTIMATE_MAX_STEPS = 64
 
 

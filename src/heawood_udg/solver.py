@@ -149,14 +149,16 @@ def closure_grid(l4: Point2, branch: str, memo: dict) -> np.ndarray:
     return construct(l4, branch, _FIXED_F, _cci_grid, memo)[1]
 
 
-def sweep(config: SolveConfig | None = None) -> list:
+def sweep(config: SolveConfig) -> list:
     """Every same-branch sign change of the closure residual, as
     (branch, theta_lo, theta_hi) grid cells.
 
     Scans ``grid_points`` angles over [0, 2 pi) for each of the 64 branch
-    vectors, the wrap-around pair included; grid cells where the chain
-    breaks are skipped.  Cells come branch by branch, each branch's in
-    order of angle.
+    vectors; grid cells where the chain breaks are skipped.  Cells come
+    branch by branch, each branch's in order of angle.  There is no
+    wrap-around cell from the last angle to 2 pi: P3's circles around l3
+    and l4 meet only for theta in [1.1468, 3.5656], so the closure is NaN
+    at both of its ends on every branch.
 
     l4 is placed once for the whole grid, which is then walked in blocks of
     ``SWEEP_BLOCK`` cells.  Within a block the 64 :func:`closure_grid` walks
@@ -165,25 +167,21 @@ def sweep(config: SolveConfig | None = None) -> list:
     """
     import numpy as np
 
-    config = config or SolveConfig()
     n = config.grid_points
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     l4 = place_l4(np, thetas)
-    # cell i is [edges[i], edges[i + 1]]; the last one wraps around to 2 pi
-    edges = np.append(thetas, TWO_PI)
     found: dict = {branch: [] for branch in all_branch_vectors()}
     for start in range(0, n, SWEEP_BLOCK):
-        stop = min(start + SWEEP_BLOCK, n)
         # the block's cells and the point that ends its last cell
-        ends = np.arange(start, stop + 1) % n
-        block_l4 = Point2(l4.x[ends], l4.y[ends])
+        points = slice(start, min(start + SWEEP_BLOCK + 1, n))
+        block_l4 = Point2(l4.x[points], l4.y[points])
         memo: dict = {}
         for branch, out in found.items():
             res = closure_grid(block_l4, branch, memo)
             lo, hi = res[:-1], res[1:]
             with np.errstate(invalid="ignore"):
                 hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
-            out.extend((branch, float(edges[start + i]), float(edges[start + i + 1])) for i in np.flatnonzero(hits))
+            out.extend((branch, float(thetas[start + i]), float(thetas[start + i + 1])) for i in np.flatnonzero(hits))
     return [cell for out in found.values() for cell in out]
 
 
@@ -410,7 +408,7 @@ def dedupe_candidates(candidates: Sequence[EmbeddingCandidate]) -> list:
     return kept
 
 
-def solve_all(config: SolveConfig | None = None) -> list:
+def solve_all(config: SolveConfig) -> list:
     """All real embeddings at ``config.digits``, sorted by the coordinates
     of l4; expected cardinality is eleven.
 
@@ -420,7 +418,6 @@ def solve_all(config: SolveConfig | None = None) -> list:
     ``BISECTION_DIGITS`` the second Newton pass takes no step; it only
     rounds the 30-digit solution.
     """
-    config = config or SolveConfig()
     polished = []
     for bracket in sweep(config):
         try:

@@ -423,6 +423,34 @@ def test_refine_confirms_the_estimated_cell_for_every_root(poly, monkeypatch):
             assert len(calls) == 4, (digits, iv, len(calls))
 
 
+@pytest.mark.parametrize("digits", [300, 1000])
+def test_refine_estimates_at_full_precision_from_a_narrow_bracket(poly, monkeypatch, digits):
+    # the whole-interval estimate runs at 30 digits and the full-precision
+    # one from 10^-30 around its result, so the costly evaluations stay few
+    # however wide the interval: a one-pass estimate takes up to 48 per root
+    # at 1,000 digits
+    full = context(digits + charpoly._ESTIMATE_GUARD_DIGITS).prec
+    fixed_value = charpoly._fixed_value
+    precisions, signs = [], []
+
+    def recorded_value(coeffs, mp, x):
+        precisions.append(mp.prec)
+        return fixed_value(coeffs, mp, x)
+
+    def counted_sign(p, t):
+        signs.append(t)
+        return sign_at(p, t)
+
+    monkeypatch.setattr(charpoly, "_fixed_value", recorded_value)
+    monkeypatch.setattr(charpoly, "sign_at", counted_sign)
+    for iv in isolate_real_roots(poly):
+        precisions.clear()
+        signs.clear()
+        refine_root(poly, iv, digits)
+        assert precisions.count(full) <= 20, (iv, precisions.count(full))
+        assert len(signs) == 4, (iv, len(signs))
+
+
 def test_isolating_interval_end_points_become_fractions():
     iv = IsolatingInterval(0, 0.5)
     assert (iv.lo, iv.hi) == (Fraction(0), Fraction(1, 2))

@@ -1,11 +1,14 @@
 """Static checks on the package's names, read with ``ast``: a module
 imports nothing it does not use, and ``heawood_udg.__all__`` lists exactly
-the names the package imports, each of which resolves.  A change that
-deletes code and leaves an import or an export behind fails here."""
+the names the package imports, each of which resolves and is imported
+from the root by a demo or the README unless it is an exception.  A
+change that deletes code and leaves an import or an export behind fails
+here."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,32 @@ def test_all_lists_exactly_the_imported_names():
     assert len(set(heawood_udg.__all__)) == len(heawood_udg.__all__)
     for name in heawood_udg.__all__:
         assert getattr(heawood_udg, name) is not None, name
+
+
+def _root_imports(source: str) -> set:
+    """The names ``source`` imports from the package root."""
+    return {
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "heawood_udg"
+        for a in node.names
+    }
+
+
+def test_root_exports_only_what_demos_and_readme_import():
+    # the root is the surface the demos and the README's python blocks use,
+    # plus the exceptions their functions raise
+    root = Path(__file__).resolve().parents[1]
+    sources = [p.read_text() for p in sorted((root / "demos").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S)
+    imported = set().union(*map(_root_imports, sources))
+    exported = {name: getattr(heawood_udg, name) for name in heawood_udg.__all__}
+    unread = [
+        name
+        for name, obj in exported.items()
+        if name not in imported and not (isinstance(obj, type) and issubclass(obj, Exception))
+    ]
+    assert unread == []
 
 
 def _top_level_definitions(tree: ast.Module):

@@ -156,9 +156,10 @@ def test_every_raw_bracket_is_accounted_for():
 
 
 def test_closure_grid_nan_near_zero_for_every_branch():
-    # near theta = 0 the unit circles around l3 and l4 are disjoint for
-    # every branch, so the sweep has nothing to bracket there
-    thetas = np.linspace(0.0, 0.3, 1000, endpoint=False)
+    # P3's unit circles around l3 and l4 meet only for theta in [1.1468,
+    # 3.5656], so on either side of theta = 0 the sweep has nothing to
+    # bracket, and it needs no cell from its last angle to 2 pi
+    thetas = np.concatenate([np.linspace(0.0, 1.1, 1000), np.linspace(3.6, TWO_PI, 1000, endpoint=False)])
     for branch in all_branch_vectors():
         assert np.isnan(_walk(thetas, branch)).all(), branch
 
@@ -182,12 +183,10 @@ def _scalar_sweep(grid_points: int, residuals) -> list:
     brackets = []
     for branch in all_branch_vectors():
         res = residuals(thetas, branch).tolist()
-        for i in range(grid_points):
-            j = (i + 1) % grid_points
-            a, b = res[i], res[j]
+        for i in range(grid_points - 1):
+            a, b = res[i], res[i + 1]
             if math.isfinite(a) and math.isfinite(b) and a * b < 0:
-                t_hi = thetas[j] if j != 0 else TWO_PI
-                brackets.append((branch, float(thetas[i]), float(t_hi)))
+                brackets.append((branch, float(thetas[i]), float(thetas[i + 1])))
     return brackets
 
 
@@ -216,11 +215,10 @@ def test_sweep_equals_scalar_pair_scan(monkeypatch, grid_points):
         np.testing.assert_array_equal(res, closure_grid(l4, branch, {}), strict=True)
 
 
-def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
-    # the real closure is NaN near theta = 0, so its wrap-around pair never
-    # brackets; a synthetic residual with sign changes across 2 pi and in
-    # the last cell of a block, NaN and infinite cells, drives the sweep's
-    # own scan and is checked against the pair loop
+def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
+    # a synthetic residual with sign changes in the last cell of a block,
+    # NaN and infinite cells, drives the sweep's own scan and is checked
+    # against the pair loop
     n = 5000
     edge = solver.SWEEP_BLOCK  # the point that ends the first block
 
@@ -243,7 +241,6 @@ def test_sweep_scan_wraps_around_and_skips_non_finite(monkeypatch):
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     across = {int(branch, 2) for branch, lo, _ in expected if lo == thetas[edge - 1]}
     assert across and not across & {8, 12}
-    assert any(hi == TWO_PI for _, _, hi in expected)
 
     # the chain walk returns the residual at the angle of each l4 position,
     # rounded to its grid point so that the two scans see the same values
