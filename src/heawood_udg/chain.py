@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import combinations
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from mpmath.libmp import from_int, from_rational, ften, mpf_mul, mpf_pow_int
 
@@ -90,17 +91,54 @@ class EmbeddingCandidate:
         return context(self.precision)
 
 
+# The float screen of the separation and regularity scans.  With at least
+# the 53 bits of a float and every coordinate within SCREEN_BOUND = 8, a
+# float coordinate is within 8u of the mpf one (u = 2^-53).  A squared
+# distance, or the dot product, squared length, cross product or foot
+# distance of a vertex against an edge whose float squared length lies in
+# [1/4, 4], then differs between floats and mpf, each rounding by at most u
+# per operation, by less than 2^-36 (1 + v) for a term of value v.  So the
+# term of least mpf value is within 2^-35 (1 + m) < SCREEN_SLACK (1 + m) of
+# the least float value m, and an end of the test 0 < dot < length^2 that
+# the float dot misses by more than SCREEN_SLACK is missed in mpf too.
+SCREEN_BOUND = 8
+SCREEN_SLACK = 1e-9
+
+
+def float_screen(candidate: EmbeddingCandidate) -> dict | None:
+    """The vertex positions as pairs of floats, keyed by vertex name, or
+    None when the float screen does not apply: a precision below 53 bits,
+    or a coordinate that is not finite or exceeds ``SCREEN_BOUND`` in size."""
+    if candidate.context().prec < 53:
+        return None
+    flt = {v: Point2(float(p.x), float(p.y)) for v, p in candidate.coords.items()}
+    if all(abs(p.x) <= SCREEN_BOUND and abs(p.y) <= SCREEN_BOUND for p in flt.values()):
+        return flt
+    return None
+
+
+def near_minimum(terms: Sequence, values: Sequence, least: float) -> list:
+    """The ``terms`` whose float ``values`` are at most ``SCREEN_SLACK``
+    (1 + least) above ``least``, the float value of a term whose mpf value
+    counts: by the bound above, the term of least mpf value is among them."""
+    cut = (1 + SCREEN_SLACK) * least + SCREEN_SLACK
+    return [term for term, value in zip(terms, values) if value <= cut]
+
+
 def min_vertex_separation(candidate: EmbeddingCandidate):
-    """Smallest pairwise distance between the 14 vertex positions."""
-    ctx = candidate.context()
-    labels = list(candidate.coords)
-    best = None
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            d2 = distance_squared(candidate.coords[a], candidate.coords[b])
-            if best is None or d2 < best:
-                best = d2
-    return ctx.sqrt(best)
+    """Smallest pairwise distance between the 14 vertex positions.
+
+    Floats screen the 91 pairs (:func:`float_screen`): only those near the
+    least float distance are evaluated in mpf.  The pair of least mpf
+    distance is among them, so the value is that of the full mpf scan,
+    which runs when the screen does not apply."""
+    coords = candidate.coords
+    pairs = list(combinations(coords, 2))
+    flt = float_screen(candidate)
+    if flt is not None:
+        d2 = [distance_squared(flt[a], flt[b]) for a, b in pairs]
+        pairs = near_minimum(pairs, d2, min(d2))
+    return candidate.context().sqrt(min(distance_squared(coords[a], coords[b]) for a, b in pairs))
 
 
 def fixed_points(ctx: MPContext) -> dict:

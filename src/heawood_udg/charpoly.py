@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
@@ -279,11 +279,6 @@ def sturm_chain(p: BigPoly) -> tuple:
     return tuple(chain)
 
 
-def _variations(signs: Iterable[int]) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
-
-
 def root_bound(p: BigPoly) -> int:
     """Cauchy bound: every real root lies in (-B, B).  Isolation returns
     nodes of a bisection of (-B, B], so B fixes only the end points of the
@@ -310,14 +305,17 @@ def _power_of_two_bound(p: BigPoly) -> int:
     return 2 ** (half + 1)
 
 
-def _taylor_shift(coeffs: Sequence[int]) -> list:
-    """Coefficients of f(y + 1), by repeated synthetic division."""
+def _taylor_shifted(coeffs: Sequence[int]) -> Iterator[int]:
+    """Coefficients of f(y + 1), lowest first, by repeated synthetic
+    division; each is yielded as soon as it is final, coefficient i after
+    pass i."""
     a = list(coeffs)
     n = len(a) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] += a[j + 1]
-    return a
+        yield a[i]
+    yield a[n]
 
 
 def _compose(coeffs: Sequence[int], den: int, shift: int, scale: int) -> tuple:
@@ -326,14 +324,25 @@ def _compose(coeffs: Sequence[int], den: int, shift: int, scale: int) -> tuple:
     if not shift:
         return _primitive([c * den ** (n - k) * scale ** k for k, c in enumerate(coeffs)])
     # f(shift (1 + w) / den), then w = scale y / shift: the shift is by one
-    a = _taylor_shift([c * den ** (n - k) * shift ** k for k, c in enumerate(coeffs)])
+    a = list(_taylor_shifted([c * den ** (n - k) * shift ** k for k, c in enumerate(coeffs)]))
     return _primitive([c * scale ** k * shift ** (n - k) for k, c in enumerate(a)])
 
 
 def _descartes_variations(q: Sequence[int]) -> int:
-    """Sign variations of ``(1 + z)^n q(1 / (1 + z))``: an upper bound on
-    the number of roots of ``q`` in (0, 1), equal to it in parity."""
-    return _variations((c > 0) - (c < 0) for c in _taylor_shift(q[::-1]))
+    """Sign variations of ``(1 + z)^n q(1 / (1 + z))``, capped at 2: an
+    upper bound on the number of roots of ``q`` in (0, 1), equal to it in
+    parity below the cap.  Isolation asks only whether it is 0, 1 or more,
+    so the Taylor shift stops at the second variation."""
+    variations, last = 0, 0
+    for c in _taylor_shifted(q[::-1]):
+        sign = (c > 0) - (c < 0)
+        if sign:
+            if sign == -last:
+                variations += 1
+                if variations == 2:
+                    return 2
+            last = sign
+    return variations
 
 
 def _require_squarefree(p: BigPoly) -> None:

@@ -14,20 +14,26 @@ reference table the candidate reproduces.  The margin is the least of the
 vertex separation and the distances from each vertex to the line of each
 non-incident edge whose perpendicular foot lies strictly inside the edge;
 see :func:`regularity_check` for why that is the least distance to the
-edges.
+edges.  Hardware floats choose which terms of those two scans are
+evaluated in mpf: the ones near the float minimum, and the ones whose
+inside test floats cannot decide.  The term of least mpf value is always
+among them, so the margin is the mpf number that the scan over every term
+gives, and each printed byte is the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
 from mpmath.libmp import to_rational
 
-from .chain import FIXED_POSITIONS, EmbeddingCandidate, candidate_from_coords, min_vertex_separation
+from .chain import FIXED_POSITIONS, SCREEN_SLACK, EmbeddingCandidate, candidate_from_coords, float_screen
+from .chain import min_vertex_separation, near_minimum
 from .charpoly import charpoly_xl4, root_bound, sign_at
-from .geom import MIN_DIGITS, context, distance_squared
+from .geom import MIN_DIGITS, Point2, context, distance_squared
 from .incidence import HEAWOOD_FLAGS
 from .refdata import TABLE_VERTICES, reference_tables
 
@@ -118,6 +124,48 @@ def collinearity_residual(candidate: EmbeddingCandidate):
     return max(abs(cross), abs(spacing), abs(mid_x), abs(mid_y))
 
 
+def _foot(p: Point2, a: Point2, b: Point2) -> tuple:
+    """(dot, length^2, cross) of the vertex ``p`` against the edge from
+    ``a`` to ``b``: the foot of the perpendicular lies strictly inside the
+    edge when 0 < dot < length^2, at distance^2 cross^2 / length^2."""
+    vx, vy = b.x - a.x, b.y - a.y
+    wx, wy = p.x - a.x, p.y - a.y
+    return wx * vx + wy * vy, vx * vx + vy * vy, wx * vy - wy * vx
+
+
+def _screened_feet(candidate: EmbeddingCandidate) -> list:
+    """The (vertex, edge end, edge end) terms of :func:`regularity_check`
+    that may hold its least foot distance, chosen in floats.
+
+    This applies under :func:`~heawood_udg.chain.float_screen`, when every
+    edge's float squared length lies in [1/4, 4]; otherwise every term is
+    kept.  A term whose float dot misses (0, length^2) by more than
+    ``SCREEN_SLACK`` goes.  One inside by more than that is inside in mpf
+    too, and the least float foot distance among those sets the cut of
+    :func:`~heawood_udg.chain.near_minimum`, which every other term is held
+    to: a term left undecided by its float dot has an accurate float foot
+    distance all the same.  When no term is clearly inside, the cut is
+    infinite and every undecided term is kept.
+    """
+    coords = candidate.coords
+    flt = float_screen(candidate)
+    if flt is None or not all(0.25 <= distance_squared(flt[a], flt[b]) <= 4 for a, b in HEAWOOD_FLAGS):
+        return [(v, a, b) for a, b in HEAWOOD_FLAGS for v in coords if v not in (a, b)]
+    terms, feet, least = [], [], math.inf
+    for a, b in HEAWOOD_FLAGS:
+        for v in coords:
+            if v in (a, b):
+                continue
+            dot, length2, cross = _foot(flt[v], flt[a], flt[b])
+            if -SCREEN_SLACK < dot < length2 + SCREEN_SLACK:
+                foot = cross * cross / length2
+                terms.append((v, a, b))
+                feet.append(foot)
+                if SCREEN_SLACK < dot < length2 - SCREEN_SLACK:
+                    least = min(least, foot)
+    return near_minimum(terms, feet, least)
+
+
 def regularity_check(candidate: EmbeddingCandidate):
     """Minimum distance from any vertex to any edge it is not an endpoint
     of; a positive margin certifies the embedding is regular.
@@ -127,17 +175,19 @@ def regularity_check(candidate: EmbeddingCandidate):
     vertex has degree 3, so any two vertices v, w have an edge at w without
     v: the ends add exactly the vertex separation, which also gives an edge
     with coincident ends the margin 0.  Squared foot distances are compared
-    and only the least is rooted, mpmath's square root being monotone."""
+    and only the least is rooted, mpmath's square root being monotone.
+
+    Floats choose which of the 252 (vertex, edge) terms are evaluated in
+    mpf (:func:`_screened_feet`), as they choose the vertex pairs of
+    :func:`~heawood_udg.chain.min_vertex_separation`: the term of least
+    mpf foot distance is always among them, so the margin is the same mpf
+    number as that of the scan over every term."""
     coords = candidate.coords
     feet = []
-    for a, b in HEAWOOD_FLAGS:
-        pa, pb = coords[a], coords[b]
-        vx, vy = pb.x - pa.x, pb.y - pa.y
-        length2 = vx * vx + vy * vy
-        for v, p in coords.items():
-            wx, wy = p.x - pa.x, p.y - pa.y
-            if v not in (a, b) and 0 < wx * vx + wy * vy < length2:
-                feet.append((wx * vy - wy * vx) ** 2 / length2)
+    for v, a, b in _screened_feet(candidate):
+        dot, length2, cross = _foot(coords[v], coords[a], coords[b])
+        if 0 < dot < length2:
+            feet.append(cross ** 2 / length2)
     separation = min_vertex_separation(candidate)
     return min(separation, candidate.context().sqrt(min(feet))) if feet else separation
 

@@ -87,6 +87,13 @@ def low_precision_solutions():
 
 
 @pytest.fixture(scope="session")
+def deep_solutions():
+    """The solve of the benchmark's deep300 workload: 300 digits at grid
+    5,000."""
+    return solver.solve_all(solver.SolveConfig(grid_points=5000, digits=300))
+
+
+@pytest.fixture(scope="session")
 def polished_seeds(table_seeds):
     """Newton refinements of the reference rows: the independent oracle
     route against which the sweep-based solve is compared."""

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from sturm import count_real_roots, sturm_chain
+from sturm import _variations, count_real_roots, sturm_chain
 
 from heawood_udg import charpoly
 from heawood_udg.charpoly import (
@@ -87,6 +89,34 @@ def test_sign_at_matches_eval(poly):
         v = eval_exact(poly, t)
         s = sign_at(poly, t)
         assert s == (v > 0) - (v < 0)
+
+
+def _shifted_by_binomials(q):
+    # the coefficients of q(y + 1), lowest first, expanded term by term
+    return [sum(c * math.comb(i, k) for i, c in enumerate(q) if i >= k) for k in range(len(q))]
+
+
+def test_descartes_variations_stop_at_two(poly, monkeypatch):
+    # the count is the full count of sign variations, capped at 2, on every
+    # node isolation tests and on seeded polynomials
+    tested = []
+    variations = charpoly._descartes_variations
+
+    def recording(q):
+        tested.append(q)
+        return variations(q)
+
+    monkeypatch.setattr(charpoly, "_descartes_variations", recording)
+    assert len(isolate_real_roots(poly)) == 11
+    rng = random.Random("descartes cap")
+    tested += [[rng.randint(-50, 50) for _ in range(rng.randint(1, 12))] for _ in range(300)]
+    counts = set()
+    for q in tested:
+        shifted = _shifted_by_binomials(q[::-1])
+        full = _variations((c > 0) - (c < 0) for c in shifted)
+        assert variations(q) == min(full, 2)
+        counts.add(full)
+    assert {0, 1, 2, 3} <= counts
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
 # SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
 VERIFY60_SHA256 = "7bb0c245adbc9338e9195cc874a6cc0366a617df08ca5bc5394d4f7cd274e337"
+# SHA-256 of the stdout of `verify` on the JSON of `solve --digits 300 --grid
+# 5000` and of `solve --digits 15`
+VERIFY300_SHA256 = "b5a312350480a619320f54daf880743e7ee0309ad40ce6c2c066172d8bd663a1"
+VERIFY15_SHA256 = "aaf5e64f86e2617aca7c2022cd2f7c498138f3df48d6ddae0e5224f0be6a2e1d"
 # SHA-256 of the 11 `render_svg` outputs of perfbench/data/embeddings60.json,
 # concatenated
 SVG60_SHA256 = "ea2527c3752e6875c0b5755d1a756d3e32ea0cf1ebbe9e497513791f01fd120f"
@@ -232,6 +236,15 @@ def test_verify_bytes_unchanged(capsys):
     assert run(["verify", "--json", str(BENCHMARK_EMBEDDINGS)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == VERIFY60_SHA256
+
+
+def test_verify_bytes_unchanged_at_15_and_300_digits(low_precision_solutions, deep_solutions, tmp_path, capsys):
+    # the certificates of the solves at the least precision and at deep300's
+    for solutions, pin in ((low_precision_solutions[15], VERIFY15_SHA256), (deep_solutions, VERIFY300_SHA256)):
+        path = tmp_path / "embeddings.json"
+        path.write_text(dump_candidates(solutions))
+        assert run(["verify", "--json", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
 
 
 def test_svg_bytes_unchanged():

@@ -665,10 +665,9 @@ def test_default_solve_matches_benchmark_embeddings(solutions):
     assert dump_candidates(solutions).encode() == BENCHMARK_EMBEDDINGS.read_bytes()
 
 
-def test_deep_solve_bytes_unchanged():
+def test_deep_solve_bytes_unchanged(deep_solutions):
     # the 300-digit path of the benchmark's deep300 workload, byte for byte
-    deep = solve_all(SolveConfig(grid_points=5000, digits=300))
-    digest = hashlib.sha256(dump_candidates(deep).encode()).hexdigest()
+    digest = hashlib.sha256(dump_candidates(deep_solutions).encode()).hexdigest()
     assert digest == DEEP300_GRID5000_SHA256
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -10,7 +11,7 @@ import pytest
 from heawood_udg import chain, solver, verify
 from heawood_udg.chain import FIXED_POSITIONS, build_chain, candidate_from_coords, min_vertex_separation
 from heawood_udg.charpoly import isolate_real_roots
-from heawood_udg.geom import context
+from heawood_udg.geom import context, distance_squared
 from heawood_udg.incidence import HEAWOOD_FLAGS
 from heawood_udg.refdata import TABLE_VERTICES
 from heawood_udg.solver import newton_polish
@@ -27,6 +28,7 @@ from heawood_udg.verify import (
 
 from clamped import clamped_margin
 from conftest import MARGIN_BASELINES
+from unscreened import full_regularity, full_separation
 
 
 def _dependent_only(coords):
@@ -134,9 +136,12 @@ def test_degenerate_candidate_has_zero_margin(solutions):
 
 def _agrees_with_clamped(cand):
     # the margin equals the clamped point-segment minimum to within ten
-    # units of the candidate's last digit
+    # units of the candidate's last digit, and the float-screened scans
+    # return the very mpf numbers of the scans over every term
     margin = regularity_check(cand)
     assert abs(margin - clamped_margin(cand)) <= cand.context().mpf(10) ** (1 - cand.precision)
+    assert margin == full_regularity(cand)
+    assert min_vertex_separation(cand) == full_separation(cand)
     return margin
 
 
@@ -195,6 +200,92 @@ def test_regularity_matches_clamped_formula_on_perturbations(kind, solutions):
         margin = _agrees_with_clamped(candidate_from_coords(coords, digits))
         if kind != "moved":
             assert margin < ctx.mpf(10) ** (1 - digits)
+
+
+def _moved(solution, digits=60, **moves):
+    coords = {v: (p.x, p.y) for v, p in solution.coords.items()}
+    coords.update(moves)
+    return candidate_from_coords(coords, digits)
+
+
+def test_screen_falls_back_beyond_its_bounds(solutions):
+    # a coordinate beyond SCREEN_BOUND, or an edge whose float squared
+    # length leaves [1/4, 4], puts every term into mpf
+    ctx = context(60)
+    x, y = solutions[0].coords["P1"]
+    far = _moved(solutions[0], P1=(x + 9, y))
+    assert chain.float_screen(far) is None
+    assert len(verify._screened_feet(far)) == 252
+    short = _moved(solutions[0], l1=(x + ctx.mpf("0.3"), y))
+    assert chain.float_screen(short) is not None
+    assert len(verify._screened_feet(short)) == 252
+    assert chain.float_screen(_moved(solutions[0], digits=14)) is None
+    for cand in (far, short):
+        _agrees_with_clamped(cand)
+
+
+def test_screen_keeps_a_foot_next_to_an_edge_end(solutions):
+    # l1 on the edge (P2, l2), 1e-12 of its length from P2: the float dot
+    # cannot tell whether the foot is inside, so the term goes to mpf, and
+    # its foot distance, not the separation of l1 and P2, is the margin
+    ctx = context(60)
+    (ax, ay), (bx, by) = solutions[0].coords["P2"], solutions[0].coords["l2"]
+    t = ctx.mpf("1e-12")
+    cand = _moved(solutions[0], l1=(ax + t * (bx - ax), ay + t * (by - ay)))
+    selected = verify._screened_feet(cand)
+    assert ("l1", "P2", "l2") in selected and len(selected) < 252
+    margin = _agrees_with_clamped(cand)
+    assert margin < ctx.mpf(10) ** -50
+    assert abs(min_vertex_separation(cand) - t) < ctx.mpf(10) ** -13
+
+
+def _place(coords, edge, distance, ctx):
+    # the point at ``distance`` from the midpoint of ``edge``, along its normal
+    (ax, ay), (bx, by) = (coords[v] for v in edge)
+    length = ctx.sqrt((bx - ax) ** 2 + (by - ay) ** 2)
+    return ((ax + bx) / 2 - distance * (by - ay) / length, (ay + by) / 2 + distance * (bx - ax) / length)
+
+
+def _foot2(points, term):
+    # the squared foot distance of a (vertex, edge end, edge end) term
+    _, length2, cross = verify._foot(*(points[u] for u in term))
+    return cross ** 2 / length2
+
+
+def test_screen_keeps_near_tied_minima(solutions):
+    # two vertex pairs, and two feet, whose distances differ by 1e-23, far
+    # below float resolution: the float order is reversed about half the
+    # time, and the mpf value of the least must still come back
+    ctx = context(60)
+    dependent = ["P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"]
+    rng = random.Random("near-tied minima")
+    reversed_pairs = reversed_feet = 0
+    for _ in range(40):
+        solution = rng.choice(solutions)
+        coords = {v: (p.x, p.y) for v, p in solution.coords.items()}
+        v, w, x, y = rng.sample(dependent, 4)
+        r = ctx.mpf("1e-3")
+        phi, psi = (ctx.mpf(rng.uniform(0, 2 * math.pi)) for _ in range(2))
+        coords[w] = (coords[v][0] + r * ctx.cos(phi), coords[v][1] + r * ctx.sin(phi))
+        r = r * (1 - ctx.mpf("1e-20"))
+        coords[y] = (coords[x][0] + r * ctx.cos(psi), coords[x][1] + r * ctx.sin(psi))
+        cand = candidate_from_coords(coords, 60)
+        flt = chain.float_screen(cand)
+        assert full_separation(cand) == ctx.sqrt(distance_squared(cand.coords[x], cand.coords[y]))
+        assert min_vertex_separation(cand) == full_separation(cand)
+        reversed_pairs += distance_squared(flt[x], flt[y]) > distance_squared(flt[v], flt[w])
+
+        coords = {v: (p.x, p.y) for v, p in solution.coords.items()}
+        first, second = rng.sample(HEAWOOD_FLAGS, 2)
+        v, w = rng.sample(sorted(set(dependent) - set(first) - set(second)), 2)
+        coords[v] = _place(coords, first, ctx.mpf("1e-3"), ctx)
+        coords[w] = _place(coords, second, ctx.mpf("1e-3") * (1 - ctx.mpf("1e-20")), ctx)
+        cand = candidate_from_coords(coords, 60)
+        assert regularity_check(cand) == full_regularity(cand)
+        least, near, flt = (w, *second), (v, *first), chain.float_screen(cand)
+        if len(verify._screened_feet(cand)) < 252 and regularity_check(cand) == ctx.sqrt(_foot2(cand.coords, least)):
+            reversed_feet += _foot2(flt, least) > _foot2(flt, near)
+    assert reversed_pairs >= 10 and reversed_feet >= 3
 
 
 # ---------------------------------------------------------------------------
