@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -192,11 +192,14 @@ class IsolatingInterval:
 
 
 
+@cache
 def charpoly_xl4() -> BigPoly:
     """The degree-79 polynomial whose real roots are the x_l4 values.
 
-    Verifies the transcription guard (checksum, digit count, degree) on
-    every call before returning the parsed polynomial.
+    Verifies the transcription guard (checksum, digit count, degree) before
+    it parses the polynomial, once per process: later calls return the same
+    immutable :class:`BigPoly`, and ``charpoly_xl4.__wrapped__`` runs the
+    guard again.
     """
     joined = ",".join(_XL4_COEFF_STRINGS)
     digest = hashlib.sha256(joined.encode("ascii")).hexdigest()

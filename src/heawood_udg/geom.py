@@ -3,8 +3,9 @@
 Provides the mpmath context of each precision (no ambient global
 precision state), 2D points, the two-valued intersection of two unit
 circles that drives the compass-and-ruler construction chain, at the
-precision its centres carry, and the root estimate and sign-change
-bisection shared by the solver and the exact root refinement.
+precision its centres carry, a binary fixed-point number with its own
+unit-circle step, and the root estimate and sign-change bisection shared
+by the solver and the exact root refinement.
 
 Every mpmath context comes from one read-only cache keyed by decimal
 precision, :func:`context`; every mpf carries its own as ``x.context``.
@@ -13,6 +14,7 @@ precision, :func:`context`; every mpf carries its own as ``x.context``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -28,6 +30,13 @@ MAX_DIGITS = 10_000
 # steps; a root of the exact side up to 37 over its whole isolating interval
 # at 30 digits, and then up to 17 over a narrow bracket at 10,000 digits
 ESTIMATE_MAX_STEPS = 64
+# the fraction bits of :class:`Fixed`.  The solver's bisection walks the
+# chain at BISECTION_DIGITS = 30 digits: mpf of 103 bits, which round a
+# value v to nearest, by up to 2^-104 |v|.  A rounding at 128 fraction bits
+# is below 2^-128, no more than that for any |v| >= 2^-24; the chain's
+# coordinates and distances are of order 1, so a walk at 128 fraction bits
+# is at least as accurate as the 30-digit walk it stands in for
+FIXED_BITS = 128
 
 
 class GeometryError(Exception):
@@ -57,7 +66,7 @@ def _intersect_tol(dps: int):
 @dataclass(frozen=True)
 class Point2:
     """A point in the plane; both components are mpf of one :func:`context`,
-    or float64 arrays in the sweep."""
+    :class:`Fixed`, or float64 arrays in the sweep."""
 
     x: Any
     y: Any
@@ -116,6 +125,88 @@ def circle_circle_intersect(c1: Point2, c2: Point2, bit: int) -> Point2:
     if bit == 0:
         return Point2(mx - h * uy, my + h * ux)
     return Point2(mx + h * uy, my - h * ux)
+
+
+class Fixed:
+    """A binary fixed-point number: the int ``man`` times 2^-FIXED_BITS.
+
+    It has the arithmetic that :func:`chain.construct` and
+    :func:`fixed_circle_intersect` use, with int operands taken as exact.
+    Sums, differences and products by an int are exact; the other
+    products, the quotients and :meth:`sqrt` round down to a multiple of
+    2^-FIXED_BITS, so each such result r of operands that are exact
+    numbers satisfies r <= exact < r + 2^-FIXED_BITS.
+    """
+
+    __slots__ = ("man",)
+
+    def __init__(self, man: int):
+        self.man = man
+
+    def __add__(self, other):
+        if type(other) is int:
+            return Fixed(self.man + (other << FIXED_BITS))
+        return Fixed(self.man + other.man)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return Fixed(self.man - (other << FIXED_BITS))
+        return Fixed(self.man - other.man)
+
+    def __rsub__(self, other: int):
+        return Fixed((other << FIXED_BITS) - self.man)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return Fixed(self.man * other)
+        return Fixed((self.man * other.man) >> FIXED_BITS)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is int:
+            return Fixed(self.man // other)
+        return Fixed((self.man << FIXED_BITS) // other.man)
+
+    def __rtruediv__(self, other: int):
+        return Fixed((other << 2 * FIXED_BITS) // self.man)
+
+    def __bool__(self) -> bool:
+        return self.man != 0
+
+    def sqrt(self) -> "Fixed":
+        """The square root; :class:`GeometryError` unless positive."""
+        if self.man <= 0:
+            raise GeometryError("the radicand of a fixed-point step is not positive")
+        return Fixed(math.isqrt(self.man << FIXED_BITS))
+
+
+def fixed_circle_intersect(c1: Point2, c2: Point2, bit: int) -> Point2:
+    """:func:`circle_circle_intersect` for centres of :class:`Fixed`
+    coordinates, with the same choice of ``bit``.
+
+    The intersection is q = (c1 + c2) / 2 ± g·(−dy, dx) for (dx, dy) =
+    c2 − c1 at distance d, where g² = 1/d² − 1/4 = (4 − d²) / (4 d²).  No
+    tolerance applies: raises :class:`GeometryError` when the centres
+    coincide or g² is not positive.  The step uses only + − × ÷, truth and
+    ``sqrt`` of its numbers, so any number type that has them with these
+    meanings, an outward-rounded interval among them, can take it.
+    """
+    dx = c2.x - c1.x
+    dy = c2.y - c1.y
+    d2 = dx * dx + dy * dy
+    if not d2:
+        raise GeometryError("the centres coincide")
+    g = ((4 - d2) / (4 * d2)).sqrt()
+    gx = g * dx
+    gy = g * dy
+    mx = (c1.x + c2.x) / 2
+    my = (c1.y + c2.y) / 2
+    if bit == 0:
+        return Point2(mx - gy, my + gx)
+    return Point2(mx + gy, my - gx)
 
 
 def illinois_estimate(value: Callable[[Any], Any], lo: Any, hi: Any, f_lo: Any, f_hi: Any, tol: Any):

@@ -15,16 +15,19 @@ which :func:`reference_tables` does not read.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
+from types import MappingProxyType
 
 from .chain import DEPENDENT_VERTICES
 
 TABLE_VERTICES = tuple(sorted(DEPENDENT_VERTICES))
 
 
+@functools.cache
 def reference_tables() -> tuple:
-    """Load the eleven bundled tables as dicts of vertex name -> (x, y)
-    strings."""
+    """The eleven bundled tables as read-only mappings of vertex name ->
+    (x, y) strings, read from the data file once per process."""
     raw = json.loads(resources.files("heawood_udg").joinpath("data/tables.json").read_text())
-    return tuple({v: tuple(row[v]) for v in TABLE_VERTICES} for row in raw["tables"])
+    return tuple(MappingProxyType({v: tuple(row[v]) for v in TABLE_VERTICES}) for row in raw["tables"])

@@ -8,7 +8,9 @@ floats through its one float chain walk, :func:`closure_grid`, and reports
 each sign change as a (branch, theta_lo, theta_hi) grid cell.  Each chain
 vertex depends on only a few branch bits (``chain.STEP_BITS``), so the 64
 walks share their circle steps: 30 array steps per block of the grid serve
-all of them, where a walk per branch vector takes 384.  The cells are then
+all of them, where a walk per branch vector takes 384.  The walks cover
+only the arc where the chain can exist: the steps that depend on l4 alone
+come first and mark it, and no walk runs outside it.  The cells are then
 bisected at 30 digits and polished with Newton's method on the square
 16-equation system in the positions of the eight dependent vertices, at 30
 digits and then at the requested precision.  The Jacobian is the
@@ -26,8 +28,9 @@ circles) are not zeros at all and are rejected during bisection.
 All functions here are pure and single-threaded, and only the float
 sweep imports numpy, so commands that never sweep do not pay for it.
 Bisection dominates the mpf run time, so it is cut short without changing
-a bit of its result: an Illinois estimate of the root names its final
-cell.
+a bit of its result: an Illinois estimate of the root, on a chain walk in
+integer fixed point (:func:`fixed_closure`), names its final cell, and mpf
+walks confirm it.
 """
 
 from __future__ import annotations
@@ -36,10 +39,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
 
+from mpmath.libmp import from_man_exp, mpf_cos_sin, to_fixed
+
 from .chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
     FIXED_POSITIONS,
+    STEP_BITS,
     ChainBroken,
     EmbeddingCandidate,
     all_branch_vectors,
@@ -50,8 +56,8 @@ from .chain import (
     min_vertex_separation,
     place_l4,
 )
-from .geom import MAX_DIGITS, MIN_DIGITS, Point2, context, distance_squared
-from .geom import bisect_sign_change, illinois_estimate
+from .geom import FIXED_BITS, MAX_DIGITS, MIN_DIGITS, Fixed, Point2, context, distance_squared
+from .geom import bisect_sign_change, fixed_circle_intersect, illinois_estimate
 from .incidence import ALL_VERTICES
 
 if TYPE_CHECKING:
@@ -149,6 +155,59 @@ def closure_grid(l4: Point2, branch: str, memo: dict) -> np.ndarray:
     return construct(l4, branch, _FIXED_F, _cci_grid, memo)[1]
 
 
+# the circle steps whose vertex depends on l4 alone, so on no other step
+_L4_STEPS = tuple(k for k, bits in enumerate(STEP_BITS) if bits == (k,))
+
+
+def _live_steps(l4: Point2) -> tuple:
+    """The circle steps of ``_L4_STEPS`` for both bits at float64 arrays of
+    l4 positions, keyed as :func:`chain.construct` keys its memo, and the
+    mask of the positions where each of them has a finite vertex for one
+    bit at least.  Off that mask NaN reaches the closure of every branch
+    vector, so no sign change of the sweep can end there."""
+    import numpy as np
+
+    coords = dict(_FIXED_F, l4=l4, P4=Point2((l4.x + 1) / 2, l4.y / 2))
+    memo = {}
+    live = np.ones(len(l4.x), dtype=bool)
+    for k in _L4_STEPS:
+        _, ca, cb = CHAIN_STEPS[k]
+        found = np.zeros_like(live)
+        for bit in "01":
+            q = memo[k, bit] = _cci_grid(coords[ca], coords[cb], int(bit))
+            found |= np.isfinite(q.x) & np.isfinite(q.y)
+        live &= found
+    return memo, live
+
+
+def _sweep_block(l4: Point2, thetas: np.ndarray, found: dict) -> None:
+    """Add each branch vector's sign changes between neighbouring grid
+    angles ``thetas``, where l4 lies at ``l4``, to its list in ``found``.
+
+    Only the span from the first to the last point where P3, P6 and l2
+    exist (:func:`_live_steps`) is walked, and none when it holds fewer
+    than two points.  The 64 :func:`closure_grid` walks share one memo,
+    seeded with those steps.  Everything the block computes is released
+    on return, before the next block's steps are computed.
+    """
+    import numpy as np
+
+    steps, live = _live_steps(l4)
+    ends = np.flatnonzero(live)
+    if len(ends) < 2:
+        return
+    span = slice(ends[0], ends[-1] + 1)
+    l4 = Point2(l4.x[span], l4.y[span])
+    thetas = thetas[span]
+    memo = {key: Point2(q.x[span], q.y[span]) for key, q in steps.items()}
+    for branch, out in found.items():
+        res = closure_grid(l4, branch, memo)
+        lo, hi = res[:-1], res[1:]
+        with np.errstate(invalid="ignore"):
+            hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
+        out.extend((branch, float(thetas[i]), float(thetas[i + 1])) for i in np.flatnonzero(hits))
+
+
 def sweep(config: SolveConfig) -> list:
     """Every same-branch sign change of the closure residual, as
     (branch, theta_lo, theta_hi) grid cells.
@@ -161,9 +220,13 @@ def sweep(config: SolveConfig) -> list:
     at both of its ends on every branch.
 
     l4 is placed once for the whole grid, which is then walked in blocks of
-    ``SWEEP_BLOCK`` cells.  Within a block the 64 :func:`closure_grid` walks
-    share one memo, so each circle step is computed once per value of the
-    branch bits it depends on: 30 steps, not 384.
+    ``SWEEP_BLOCK`` cells (:func:`_sweep_block`).  In each block the steps
+    that depend on l4 alone (P3, P6 and l2) come first, for both bits; the
+    block is cut to the span from its first to its last point where each
+    of them has a vertex, and skipped when fewer than two such points
+    remain.  Within that span the 64 :func:`closure_grid` walks share one
+    memo, seeded with those steps, so each circle step is computed once per
+    value of the branch bits it depends on: 30 steps, not 384.
     """
     import numpy as np
 
@@ -174,19 +237,32 @@ def sweep(config: SolveConfig) -> list:
     for start in range(0, n, SWEEP_BLOCK):
         # the block's cells and the point that ends its last cell
         points = slice(start, min(start + SWEEP_BLOCK + 1, n))
-        block_l4 = Point2(l4.x[points], l4.y[points])
-        memo: dict = {}
-        for branch, out in found.items():
-            res = closure_grid(block_l4, branch, memo)
-            lo, hi = res[:-1], res[1:]
-            with np.errstate(invalid="ignore"):
-                hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
-            out.extend((branch, float(thetas[start + i]), float(thetas[start + i + 1])) for i in np.flatnonzero(hits))
+        _sweep_block(Point2(l4.x[points], l4.y[points]), thetas[points], found)
     return [cell for out in found.values() for cell in out]
 
 
 # ---------------------------------------------------------------------------
 # High-precision refinement
+
+
+# the pinned rectangle in fixed point
+_FIXED_FX = {v: Point2(Fixed(x << FIXED_BITS), Fixed(y << FIXED_BITS)) for v, (x, y) in FIXED_POSITIONS.items()}
+
+
+def fixed_closure(theta, branch: str):
+    """The closure residual of ``branch`` at the mpf angle ``theta``,
+    walked by :func:`chain.construct` in :class:`geom.Fixed` numbers and
+    returned as an mpf of ``theta``'s context.
+
+    l4 is placed from cos and sin rounded to ``FIXED_BITS`` fraction bits.
+    Raises :class:`ChainBroken` when a step's circles miss or touch.
+    """
+    cos, sin = mpf_cos_sin(theta._mpf_, FIXED_BITS + 8)
+    # 2 cos and 2 sin at FIXED_BITS fraction bits
+    l4 = Point2(Fixed((1 << FIXED_BITS) + to_fixed(cos, FIXED_BITS + 1)), Fixed(to_fixed(sin, FIXED_BITS + 1)))
+    closure = construct(l4, branch, _FIXED_FX, fixed_circle_intersect)[1]
+    ctx = theta.context
+    return ctx.make_mpf(from_man_exp(closure.man, -FIXED_BITS, ctx.prec, "n"))
 
 
 def refine_bracket(branch: str, theta_lo, theta_hi) -> EmbeddingCandidate:
@@ -197,7 +273,13 @@ def refine_bracket(branch: str, theta_lo, theta_hi) -> EmbeddingCandidate:
 
     An Illinois estimate of the root names the bisection's final cell,
     which two chain evaluations confirm; without an estimate,
-    or when they do not confirm it, every midpoint is evaluated.
+    or when they do not confirm it, every midpoint is evaluated.  The
+    estimate walks the chain in fixed point (:func:`fixed_closure`), at
+    least as accurately as the mpf walk, so a bracket that reaches it takes
+    five mpf walks: its two end points, the two that confirm the cell, and
+    the midpoint returned.  When a fixed step cannot be decided there is no
+    estimate.  The end points, the confirming signs and the returned chain
+    are mpf, so the result is always the bisection's.
 
     Raises :class:`LostBracket` when the sign change is not backed by an
     actual zero: the endpoints agree in sign at working precision, the
@@ -238,7 +320,7 @@ def refine_bracket(branch: str, theta_lo, theta_hi) -> EmbeddingCandidate:
     # the 10^(-d/2) bound even for steep crossings
     width_target = ctx.mpf(10) ** (-(BISECTION_DIGITS // 2) - 2)
     residual_bound = ctx.mpf(10) ** -(BISECTION_DIGITS // 2)
-    estimate = illinois_estimate(closure_at, lo, hi, f_lo, f_hi, width_target / 1000)
+    estimate = illinois_estimate(lambda theta: fixed_closure(theta, branch), lo, hi, f_lo, f_hi, width_target / 1000)
     try:
         lo, hi = bisect_sign_change(closure_at, lo, hi, f_lo, width_target, estimate=estimate)
     except ChainBroken as exc:

@@ -57,8 +57,19 @@ def test_degree_and_length(poly):
 
 
 def test_checksum_guard_runs_on_load():
-    # charpoly_xl4 re-verifies the table every call
-    assert charpoly_xl4() == charpoly_xl4()
+    # charpoly_xl4 verifies the table on its first call and hands every
+    # later caller the same immutable polynomial; its uncached body, which
+    # runs the guard again, parses the same one
+    assert charpoly_xl4() is charpoly_xl4()
+    assert charpoly_xl4.__wrapped__() == charpoly_xl4()
+
+
+def test_checksum_guard_refuses_a_corrupted_table(monkeypatch):
+    digits = list(charpoly._XL4_COEFF_STRINGS)
+    digits[40] = digits[40][:-1] + str((int(digits[40][-1]) + 1) % 10)
+    monkeypatch.setattr(charpoly, "_XL4_COEFF_STRINGS", tuple(digits))
+    with pytest.raises(AssertionError, match="checksum mismatch"):
+        charpoly_xl4.__wrapped__()
 
 
 def test_coefficient_sum_matches_independent_total(poly):

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from mpmath.libmp import to_fixed
 
 from heawood_udg.chain import ChainBroken
 from heawood_udg.geom import (
+    FIXED_BITS,
+    Fixed,
     GeometryError,
     Point2,
     circle_circle_intersect,
     context,
     distance_squared,
+    fixed_circle_intersect,
     illinois_estimate,
 )
 from cosines import general_intersect
@@ -214,6 +219,73 @@ def test_unit_step_is_the_law_of_cosines_bit_for_bit(dps):
             outcomes.add("point")
     # every outcome of the step was met: a point, a miss, a touch, a centre
     assert outcomes == {"point", "negative", "zero", "tolerance"}
+
+
+UNIT = Fraction(1, 2**FIXED_BITS)
+
+
+def _exact(x: Fixed) -> Fraction:
+    return x.man * UNIT
+
+
+def _fixed_operand(rng) -> Fixed:
+    # either sign, every size from one unit to 16
+    man = rng.getrandbits(FIXED_BITS + 4) >> rng.randint(0, FIXED_BITS + 3)
+    return Fixed(rng.choice((-1, 1)) * man)
+
+
+def test_fixed_arithmetic_is_exact_or_rounds_down_within_a_unit():
+    # sums, differences and products by an int are exact; other products,
+    # quotients and square roots r satisfy r <= exact < r + 2^-FIXED_BITS
+    rng = random.Random(27)
+    for _ in range(2000):
+        a, b = _fixed_operand(rng), _fixed_operand(rng)
+        n = rng.choice([k for k in range(-8, 9) if k])
+        x, y = _exact(a), _exact(b)
+        exact = [(a + b, x + y), (a - b, x - y), (a + n, x + n), (n + a, n + x)]
+        exact += [(a - n, x - n), (n - a, n - x), (a * n, x * n), (n * a, n * x)]
+        for result, value in exact:
+            assert _exact(result) == value
+        rounded = [(a * b, x * y), (a / n, x / n)]
+        if b:
+            rounded.append((a / b, x / y))
+        if a:
+            rounded.append((n / a, n / x))
+        for result, value in rounded:
+            assert _exact(result) <= value < _exact(result) + UNIT
+        assert bool(a) == (a.man != 0)
+        if a.man > 0:
+            root = _exact(a.sqrt())
+            assert root * root <= x < (root + UNIT) ** 2
+        else:
+            with pytest.raises(GeometryError):
+                a.sqrt()
+
+
+def test_fixed_step_agrees_with_the_mpf_step():
+    # on the same centres the 60-digit step is exact far below a unit of
+    # 2^-FIXED_BITS, so the two steps pick the same point to within a few
+    # hundred units when the circles meet well away from tangency, and both
+    # refuse tangent, missing and concentric circles
+    ctx = context(60)
+    rng = random.Random(28)
+    met = 0
+    for c1, c2 in _centre_pairs(ctx, rng, 400):
+        f1, f2 = (Point2(*(Fixed(to_fixed(v._mpf_, FIXED_BITS)) for v in c)) for c in (c1, c2))
+        c1, c2 = (Point2(*(ctx.ldexp(v.man, -FIXED_BITS) for v in c)) for c in (f1, f2))
+        d = ctx.sqrt(distance_squared(c1, c2))
+        for bit in (0, 1):
+            if d in (0, 2, 3) or d < 1e-20:
+                with pytest.raises(GeometryError):
+                    circle_circle_intersect(c1, c2, bit)
+                with pytest.raises(GeometryError):
+                    fixed_circle_intersect(f1, f2, bit)
+            elif 0.1 < d < 1.9:
+                q, f = circle_circle_intersect(c1, c2, bit), fixed_circle_intersect(f1, f2, bit)
+                assert abs(ctx.ldexp(f.x.man, -FIXED_BITS) - q.x) < ctx.ldexp(1, -100)
+                assert abs(ctx.ldexp(f.y.man, -FIXED_BITS) - q.y) < ctx.ldexp(1, -100)
+                met += 1
+    assert met > 400
 
 
 def test_illinois_estimate_converges_on_sqrt_two():

@@ -16,6 +16,7 @@ from mpmath.libmp import dps_to_prec
 
 from conftest import DISCOVERED_BRANCHES, DISCOVERED_THETAS
 from equations import system_jacobian, to_positions, to_vector
+from full_sweep import full_sweep
 
 from heawood_udg import geom, solver, verify
 from heawood_udg.chain import (
@@ -26,7 +27,7 @@ from heawood_udg.chain import (
     dump_candidates,
     place_l4,
 )
-from heawood_udg.geom import Point2, bisect_sign_change, circle_circle_intersect, context
+from heawood_udg.geom import Point2, bisect_sign_change, circle_circle_intersect, context, illinois_estimate
 from heawood_udg.solver import (
     LostBracket,
     NoConvergence,
@@ -194,6 +195,28 @@ def _bracket_bits(brackets) -> list:
     return [(branch, float.hex(lo), float.hex(hi)) for branch, lo, hi in brackets]
 
 
+def _live_points(grid_points: int) -> np.ndarray:
+    """The grid points where P3, P6 and l2 exist, from the distances of
+    their centres: two unit circles meet where their centres are at most 2
+    apart, and the float test 1 - d²/4 >= 0 of ``_cci_grid`` holds exactly
+    when d² <= 4."""
+    thetas = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+    l4 = place_l4(np, thetas)
+    p4 = Point2((l4.x + 1) / 2, l4.y / 2)
+    live = np.ones(grid_points, dtype=bool)
+    for (cx, cy), q in (((0, 1), l4), ((1, 2), l4), ((0, 2), p4)):
+        dx, dy = q.x - cx, q.y - cy
+        live &= dx * dx + dy * dy <= 4
+    return live
+
+
+def _live_blocks(grid_points: int) -> int:
+    """The number of the sweep's blocks that hold two live points or more."""
+    live = _live_points(grid_points)
+    starts = range(0, grid_points, solver.SWEEP_BLOCK)
+    return sum(live[start : start + solver.SWEEP_BLOCK + 1].sum() >= 2 for start in starts)
+
+
 # grids on and around the edges of the sweep's blocks
 @pytest.mark.parametrize("grid_points", [1000, 2048, 2049, 4096, 5000, 20000])
 def test_sweep_equals_scalar_pair_scan(monkeypatch, grid_points):
@@ -208,19 +231,42 @@ def test_sweep_equals_scalar_pair_scan(monkeypatch, grid_points):
 
     monkeypatch.setattr(solver, "closure_grid", recorded)
     assert _bracket_bits(sweep(SolveConfig(grid_points=grid_points))) == _bracket_bits(expected)
+    # one walk per branch vector in each block that holds live points, and
     # every residual the sweep scanned, shared circle steps and all, is bit
     # for bit that of the same positions walked alone
-    assert len(walks) == 64 * math.ceil(grid_points / solver.SWEEP_BLOCK)
+    assert len(walks) == 64 * _live_blocks(grid_points)
     for l4, branch, res in walks:
         np.testing.assert_array_equal(res, closure_grid(l4, branch, {}), strict=True)
+
+
+def _seeded_grids() -> list:
+    # 200 grids from 1,000 to 200,000, the grids on and next to the first
+    # ten block edges, and the ends of the benchmark's grid bands.  The
+    # full sweep walks every block, so the seeded grids lean toward small
+    # ones (1,000 · 200^(u³) for u uniform) to keep the test near 10 s
+    rng = random.Random(27)
+    grids = [round(1000 * 200 ** (rng.random() ** 3)) for _ in range(200)]
+    grids += [solver.SWEEP_BLOCK * k + d for k in range(1, 11) for d in (-1, 0, 1, 2)]
+    return grids + [4000, 6000, 18000, 22000]
+
+
+def test_sweep_equals_the_full_grid_sweep():
+    # cutting each block to its live span and skipping blocks without one
+    # drops no cell and moves none
+    for grid_points in _seeded_grids():
+        expected = full_sweep(grid_points)
+        assert _bracket_bits(sweep(SolveConfig(grid_points=grid_points))) == _bracket_bits(expected), grid_points
 
 
 def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
     # a synthetic residual with sign changes in the last cell of a block,
     # NaN and infinite cells, drives the sweep's own scan and is checked
-    # against the pair loop
+    # against the pair loop on the cells whose two points are live, the
+    # only ones the sweep walks
     n = 5000
     edge = solver.SWEEP_BLOCK  # the point that ends the first block
+    live = _live_points(n)
+    assert live[edge - 1] and live[edge]
 
     def synthetic(thetas, branch):
         k = int(branch, 2)
@@ -237,8 +283,9 @@ def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
             res[i == edge - 1] = np.inf
         return res
 
-    expected = _scalar_sweep(n, synthetic)
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    index = {theta: i for i, theta in enumerate(thetas.tolist())}
+    expected = [cell for cell in _scalar_sweep(n, synthetic) if live[index[cell[1]]] and live[index[cell[2]]]]
     across = {int(branch, 2) for branch, lo, _ in expected if lo == thetas[edge - 1]}
     assert across and not across & {8, 12}
 
@@ -255,7 +302,9 @@ def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
 @pytest.mark.parametrize("grid_points, blocks", [(1000, 1), (2048, 1), (2049, 2), (5000, 3)])
 def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blocks):
     # P3, P6 and l2 depend on one branch bit each, l1 and l6 on two and P1
-    # on four: 2 + 2 + 2 + 4 + 4 + 16 circle steps serve all 64 branches
+    # on four: 2 + 2 + 2 + 4 + 4 + 16 circle steps serve all 64 branches in
+    # a block that holds live points, and a block without costs only the
+    # 2 + 2 + 2 steps that find it has none
     calls = []
 
     def counted(c1, c2, bit):
@@ -264,7 +313,8 @@ def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blo
 
     monkeypatch.setattr(solver, "_cci_grid", counted)
     sweep(SolveConfig(grid_points=grid_points))
-    assert len(calls) == 30 * blocks
+    live = _live_blocks(grid_points)
+    assert len(calls) == 30 * live + 6 * (blocks - live)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +408,19 @@ def test_refine_bracket_equals_plain_halving(monkeypatch, grid_points):
     plain = [_refine_outcome(b) for b in brackets]
     assert guided == plain
     assert sum(isinstance(o, str) for o in plain) == 2
+    monkeypatch.undo()
+
+    # a fixed walk that cannot decide a step leaves the estimate None, and
+    # halving decides
+    undecided = []
+
+    def refuse(c1, c2, bit):
+        undecided.append(bit)
+        raise geom.GeometryError("undecided")
+
+    monkeypatch.setattr(solver, "fixed_circle_intersect", refuse)
+    assert [_refine_outcome(b) for b in brackets] == plain
+    assert undecided
 
     # a wrong estimate must cost evaluations, never change the result
     def off_by_a_third(value, lo, hi, f_lo, f_hi, tol):
@@ -365,6 +428,27 @@ def test_refine_bracket_equals_plain_halving(monkeypatch, grid_points):
 
     monkeypatch.setattr(solver, "illinois_estimate", off_by_a_third)
     assert [_refine_outcome(b) for b in brackets] == plain
+
+
+def test_fixed_closure_matches_the_thirty_digit_walk():
+    # the estimate's fixed-point walk against build_chain at 30 digits on
+    # seeded angles in the arc where P3, P6 and l2 exist.  Within 0.01 of
+    # pi / 2, where l4 meets l7 and P6's circles are nearly concentric, the
+    # 30-digit walk itself loses digits, so the reference there is a
+    # 60-digit walk
+    ctx = context(30)
+    rng = random.Random(27)
+    branches = list(all_branch_vectors())
+    checked = 0
+    while checked < 300:
+        theta = ctx.mpf(rng.uniform(1.147, 2.617))
+        branch = rng.choice(branches)
+        try:
+            exact = build_chain(theta, branch, 60 if abs(theta - math.pi / 2) < 0.01 else 30).closure
+        except ChainBroken:
+            continue
+        assert abs(solver.fixed_closure(theta, branch) - exact) < 1e-25
+        checked += 1
 
 
 def test_bisection_estimate_is_confirmed_or_dropped():
@@ -718,14 +802,15 @@ def test_low_precision_stage_gives_same_solutions(low_precision_solutions, solut
 
 
 def test_default_solve_work(monkeypatch):
-    # the Illinois estimate and the chain step are what keep the default
-    # solve fast: few chain evaluations and no dense mpmath solve
-    counts = {"build_chain": 0, "brackets": 0, "lost": 0, "degenerate": 0}
+    # the fixed-point Illinois estimate and the chain step are what keep the
+    # default solve fast: a bracket that reaches the estimate walks the mpf
+    # chain five times (its two end points, the two that confirm the
+    # estimate's cell and the final midpoint), and no dense mpmath solve
+    counts = {"brackets": 0, "lost": 0, "degenerate": 0}
+    walks = []  # per refined bracket: [mpf chain walks, reached the estimate]
 
-    def counted(fn, key, after=None):
+    def counted(fn, after=None):
         def wrapper(*args, **kwargs):
-            if key == "build_chain":
-                counts[key] += 1
             try:
                 result = fn(*args, **kwargs)
             except LostBracket:
@@ -746,14 +831,27 @@ def test_default_solve_work(monkeypatch):
     def count_degenerate(result):
         counts["degenerate"] += result < SolveConfig.min_vertex_separation
 
+    def refine(*args):
+        walks.append([0, False])
+        return refine_bracket(*args)
+
+    def walk(*args):
+        walks[-1][0] += 1
+        return build_chain(*args)
+
+    def estimate(*args):
+        walks[-1][1] = True
+        return illinois_estimate(*args)
+
     monkeypatch.setattr(MPContext, "lu_solve", dense_solve)
-    monkeypatch.setattr(solver, "build_chain", counted(solver.build_chain, "build_chain"))
-    monkeypatch.setattr(solver, "sweep", counted(solver.sweep, "sweep", count_brackets))
-    monkeypatch.setattr(solver, "refine_bracket", counted(solver.refine_bracket, "refine"))
-    monkeypatch.setattr(
-        solver, "min_vertex_separation", counted(solver.min_vertex_separation, "separation", count_degenerate)
-    )
+    monkeypatch.setattr(solver, "build_chain", walk)
+    monkeypatch.setattr(solver, "illinois_estimate", estimate)
+    monkeypatch.setattr(solver, "sweep", counted(solver.sweep, count_brackets))
+    monkeypatch.setattr(solver, "refine_bracket", counted(refine))
+    monkeypatch.setattr(solver, "min_vertex_separation", counted(solver.min_vertex_separation, count_degenerate))
     found = solve_all(SolveConfig())
     assert len(found) == 11
     assert (counts["brackets"], counts["lost"], counts["degenerate"]) == (17, 2, 4)
-    assert counts["build_chain"] <= 250
+    estimated = [n for n, reached in walks if reached]
+    assert len(walks) == 17 and len(estimated) >= 11
+    assert max(estimated) <= 5

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from heawood_udg import chain, solver, verify
+from heawood_udg import chain, refdata, solver, verify
 from heawood_udg.chain import FIXED_POSITIONS, build_chain, candidate_from_coords, min_vertex_separation
 from heawood_udg.charpoly import isolate_real_roots
 from heawood_udg.geom import context, distance_squared
@@ -72,6 +72,16 @@ def test_reference_row_nine_is_rounded_refinement_of_printed_row(printed_row_nin
         )
         assert rounded == tables[8][name], name
     assert float(max_flag_residual(table_seeds[8])) < 1e-13
+
+
+def test_reference_rows_are_read_only():
+    # the tables are read once per process and shared by every caller, so
+    # no caller may change a row under the others
+    tables = refdata.reference_tables()
+    assert tables is refdata.reference_tables()
+    with pytest.raises(TypeError):
+        tables[0]["l4"] = ("0", "0")
+    assert all(type(xy) is tuple for row in tables for xy in row.values())
 
 
 def test_perturbed_p1_shows_in_residuals(table_seeds):
