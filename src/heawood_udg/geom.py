@@ -63,6 +63,14 @@ def _intersect_tol(dps: int):
     return context(dps).mpf(10) ** -(dps // 2)
 
 
+@functools.lru_cache(maxsize=32)
+def residual_tol(dps: int):
+    """10^(4 - dps): the residual tolerance at ``dps`` digits, computed once
+    per precision.  Newton's polish stops below it, and a certificate's
+    residuals and provenance must be within it."""
+    return context(dps).mpf(10) ** (4 - dps)
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point in the plane; both components are mpf of one :func:`context`,
@@ -148,8 +156,6 @@ class Fixed:
             return Fixed(self.man + (other << FIXED_BITS))
         return Fixed(self.man + other.man)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if type(other) is int:
             return Fixed(self.man - (other << FIXED_BITS))
@@ -169,9 +175,6 @@ class Fixed:
         if type(other) is int:
             return Fixed(self.man // other)
         return Fixed((self.man << FIXED_BITS) // other.man)
-
-    def __rtruediv__(self, other: int):
-        return Fixed((other << 2 * FIXED_BITS) // self.man)
 
     def __bool__(self) -> bool:
         return self.man != 0

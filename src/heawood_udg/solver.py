@@ -8,14 +8,14 @@ floats through its one float chain walk, :func:`closure_grid`, and reports
 each sign change as a (branch, theta_lo, theta_hi) grid cell.  Each chain
 vertex depends on only a few branch bits (``chain.STEP_BITS``), so the 64
 walks share their circle steps: 30 array steps per block of the grid serve
-all of them, where a walk per branch vector takes 384.  The walks cover
-only the arc where the chain can exist: the steps that depend on l4 alone
-come first and mark it, and no walk runs outside it.  The cells are then
-bisected at 30 digits and polished with Newton's method on the square
-16-equation system in the positions of the eight dependent vertices, at 30
-digits and then at the requested precision.  The Jacobian is the
-linearization of the chain, so each Newton step is solved by walking the
-chain, not by a general linear solver.
+all of them, where a walk per branch vector takes 384.  Only the span of
+the grid where the chain can exist is walked, found once from the centre
+distances of the steps of P3, P6 and l2.  The cells are then bisected at
+30 digits and polished with Newton's method on the square 16-equation
+system in the positions of the eight dependent vertices, at 30 digits and
+then at the requested precision.  The Jacobian is the linearization of the
+chain, so each Newton step is solved by walking the chain, not by a
+general linear solver.
 
 Degenerate zeros are real solutions of the equation set that are not graph
 embeddings: configurations where distinct vertices coincide (a constructed
@@ -45,7 +45,6 @@ from .chain import (
     CHAIN_STEPS,
     DEPENDENT_VERTICES,
     FIXED_POSITIONS,
-    STEP_BITS,
     ChainBroken,
     EmbeddingCandidate,
     all_branch_vectors,
@@ -56,7 +55,7 @@ from .chain import (
     min_vertex_separation,
     place_l4,
 )
-from .geom import FIXED_BITS, MAX_DIGITS, MIN_DIGITS, Fixed, Point2, context, distance_squared
+from .geom import FIXED_BITS, MAX_DIGITS, MIN_DIGITS, Fixed, Point2, context, distance_squared, residual_tol
 from .geom import bisect_sign_change, fixed_circle_intersect, illinois_estimate
 from .incidence import ALL_VERTICES
 
@@ -104,7 +103,8 @@ class SolveConfig:
     min_vertex_separation: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        # the sweep holds about 32 bytes per grid point
+        # the sweep holds about 25 bytes per grid point (a tracemalloc peak of
+        # 25.2 at 10^6 points): `solve` at the largest grid peaks near 270 MB
         if not 1000 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must be between 1000 and {MAX_GRID_POINTS}, got {self.grid_points}"
@@ -149,63 +149,36 @@ def closure_grid(l4: Point2, branch: str, memo: dict) -> np.ndarray:
     returns NaN where the circles miss instead of raising, so NaN marks
     positions where the chain breaks.  Walks of the same positions share
     their circle steps through ``memo``: :func:`sweep` passes one per block
-    of its grid, and a fresh ``{}`` walks one branch vector alone.  Tests
-    cross-check it pointwise against :func:`chain.build_chain`.
+    of its live span, and a fresh ``{}`` walks one branch vector alone.
+    Tests cross-check it pointwise against :func:`chain.build_chain`.
     """
     return construct(l4, branch, _FIXED_F, _cci_grid, memo)[1]
 
 
-# the circle steps whose vertex depends on l4 alone, so on no other step
-_L4_STEPS = tuple(k for k, bits in enumerate(STEP_BITS) if bits == (k,))
-
-
-def _live_steps(l4: Point2) -> tuple:
-    """The circle steps of ``_L4_STEPS`` for both bits at float64 arrays of
-    l4 positions, keyed as :func:`chain.construct` keys its memo, and the
-    mask of the positions where each of them has a finite vertex for one
-    bit at least.  Off that mask NaN reaches the closure of every branch
-    vector, so no sign change of the sweep can end there."""
-    import numpy as np
-
-    coords = dict(_FIXED_F, l4=l4, P4=Point2((l4.x + 1) / 2, l4.y / 2))
-    memo = {}
-    live = np.ones(len(l4.x), dtype=bool)
-    for k in _L4_STEPS:
-        _, ca, cb = CHAIN_STEPS[k]
-        found = np.zeros_like(live)
-        for bit in "01":
-            q = memo[k, bit] = _cci_grid(coords[ca], coords[cb], int(bit))
-            found |= np.isfinite(q.x) & np.isfinite(q.y)
-        live &= found
-    return memo, live
-
-
-def _sweep_block(l4: Point2, thetas: np.ndarray, found: dict) -> None:
-    """Add each branch vector's sign changes between neighbouring grid
-    angles ``thetas``, where l4 lies at ``l4``, to its list in ``found``.
-
-    Only the span from the first to the last point where P3, P6 and l2
-    exist (:func:`_live_steps`) is walked, and none when it holds fewer
-    than two points.  The 64 :func:`closure_grid` walks share one memo,
-    seeded with those steps.  Everything the block computes is released
-    on return, before the next block's steps are computed.
+def _live_cells(l4: Point2) -> range:
+    """The cells from the first to the last of the float64 array of l4
+    positions where P3, P6 and l2 all exist, as the range of their first
+    points.  Those steps' circles meet where their centres, pinned or l4
+    and P4, are at most 2 apart, and the test 1 - d²/4 >= 0 of
+    ``_cci_grid`` holds exactly when d² <= 4.  Every closure depends on
+    the three, so outside the span it is NaN for every branch vector.  The
+    test runs ``SWEEP_BLOCK`` positions at a time.
     """
     import numpy as np
 
-    steps, live = _live_steps(l4)
-    ends = np.flatnonzero(live)
-    if len(ends) < 2:
-        return
-    span = slice(ends[0], ends[-1] + 1)
-    l4 = Point2(l4.x[span], l4.y[span])
-    thetas = thetas[span]
-    memo = {key: Point2(q.x[span], q.y[span]) for key, q in steps.items()}
-    for branch, out in found.items():
-        res = closure_grid(l4, branch, memo)
-        lo, hi = res[:-1], res[1:]
-        with np.errstate(invalid="ignore"):
-            hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
-        out.extend((branch, float(thetas[i]), float(thetas[i + 1])) for i in np.flatnonzero(hits))
+    first = last = None
+    for start in range(0, len(l4.x), SWEEP_BLOCK):
+        x, y = l4.x[start : start + SWEEP_BLOCK], l4.y[start : start + SWEEP_BLOCK]
+        coords = dict(_FIXED_F, l4=Point2(x, y), P4=Point2((x + 1) / 2, y / 2))
+        live = np.ones(len(x), dtype=bool)
+        for _, ca, cb in CHAIN_STEPS:
+            if ca in coords and cb in coords:
+                live &= distance_squared(coords[cb], coords[ca]) <= 4
+        ends = np.flatnonzero(live)
+        if len(ends):
+            first = start + int(ends[0]) if first is None else first
+            last = start + int(ends[-1])
+    return range(0) if first is None else range(first, last)
 
 
 def sweep(config: SolveConfig) -> list:
@@ -214,19 +187,17 @@ def sweep(config: SolveConfig) -> list:
 
     Scans ``grid_points`` angles over [0, 2 pi) for each of the 64 branch
     vectors; grid cells where the chain breaks are skipped.  Cells come
-    branch by branch, each branch's in order of angle.  There is no
-    wrap-around cell from the last angle to 2 pi: P3's circles around l3
-    and l4 meet only for theta in [1.1468, 3.5656], so the closure is NaN
-    at both of its ends on every branch.
+    branch by branch, each branch's in order of angle.
 
-    l4 is placed once for the whole grid, which is then walked in blocks of
-    ``SWEEP_BLOCK`` cells (:func:`_sweep_block`).  In each block the steps
-    that depend on l4 alone (P3, P6 and l2) come first, for both bits; the
-    block is cut to the span from its first to its last point where each
-    of them has a vertex, and skipped when fewer than two such points
-    remain.  Within that span the 64 :func:`closure_grid` walks share one
-    memo, seeded with those steps, so each circle step is computed once per
-    value of the branch bits it depends on: 30 steps, not 384.
+    l4 is placed once for the whole grid.  Only the span from the first to
+    the last point where P3, P6 and l2 exist is walked (:func:`_live_cells`),
+    about theta in [1.147, 5 pi / 6] for every grid; it never reaches the
+    ends of the grid, so there is no wrap-around cell from the last angle
+    to 2 pi.  The span is walked in blocks of ``SWEEP_BLOCK`` cells from its
+    first point.  In each block the 64 :func:`closure_grid` walks share one
+    memo, so each circle step is computed once per value of the branch
+    bits it depends on: 30 steps, not 384.  A block's steps are released
+    before the next block's are computed.
     """
     import numpy as np
 
@@ -234,10 +205,18 @@ def sweep(config: SolveConfig) -> list:
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     l4 = place_l4(np, thetas)
     found: dict = {branch: [] for branch in all_branch_vectors()}
-    for start in range(0, n, SWEEP_BLOCK):
+    cells = _live_cells(l4)
+    for start in cells[::SWEEP_BLOCK]:
         # the block's cells and the point that ends its last cell
-        points = slice(start, min(start + SWEEP_BLOCK + 1, n))
-        _sweep_block(Point2(l4.x[points], l4.y[points]), thetas[points], found)
+        points = slice(start, min(start + SWEEP_BLOCK, cells.stop) + 1)
+        block = Point2(l4.x[points], l4.y[points])
+        memo: dict = {}
+        for branch, out in found.items():
+            res = closure_grid(block, branch, memo)
+            lo, hi = res[:-1], res[1:]
+            with np.errstate(invalid="ignore"):
+                hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
+            out.extend((branch, float(thetas[start + i]), float(thetas[start + i + 1])) for i in np.flatnonzero(hits))
     return [cell for out in found.values() for cell in out]
 
 
@@ -447,7 +426,7 @@ def newton_polish(
     pos = fixed_points(ctx)
     for v in DEPENDENT_VERTICES:
         pos[v] = Point2(ctx.mpf(candidate.coords[v].x), ctx.mpf(candidate.coords[v].y))
-    target = ctx.mpf(10) ** (4 - digits)
+    target = residual_tol(digits)
 
     for _ in range(NEWTON_MAX_ITER):
         residuals = system_residuals(pos)

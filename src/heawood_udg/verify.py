@@ -33,7 +33,7 @@ from mpmath.libmp import to_rational
 from .chain import FIXED_POSITIONS, SCREEN_SLACK, EmbeddingCandidate, candidate_from_coords, float_screen
 from .chain import min_vertex_separation, near_minimum
 from .charpoly import charpoly_xl4, root_bound, sign_at
-from .geom import MIN_DIGITS, Point2, context, distance_squared
+from .geom import MIN_DIGITS, Point2, context, distance_squared, residual_tol
 from .incidence import HEAWOOD_FLAGS
 from .refdata import TABLE_VERTICES, reference_tables
 
@@ -71,7 +71,7 @@ class Certificate:
         shows a sign change, the provenance agrees with the coordinates,
         the pinned vertices are exact, the margin is positive, and the
         precision is at least ``MIN_DIGITS``."""
-        bound = context(self.precision).mpf(10) ** (4 - self.precision)
+        bound = residual_tol(self.precision)
         return (
             self.precision >= MIN_DIGITS
             and self.max_flag_residual < bound
@@ -196,7 +196,8 @@ def charpoly_bracket(candidate: EmbeddingCandidate):
     """Exact rational bracket centered at the candidate's x_l4; returns
     (lo, hi, sign_change_ok) for :func:`~heawood_udg.charpoly.charpoly_xl4`.
 
-    The width is max(10^-20, 10^(4 - precision)): the tolerance of
+    The width is max(10^-20, 10^(4 - precision)), as an exact Fraction:
+    the residual tolerance :func:`~heawood_udg.geom.residual_tol` of
     Newton's polish and of :attr:`Certificate.passes`, so that it spans
     the last printed digits of x_l4 below 24 digits, and 10^-20 above.
     The center is x_l4 rounded to a multiple of width / 2^64 and clamped to
@@ -242,7 +243,7 @@ def certify(candidate: EmbeddingCandidate) -> Certificate:
     """
     lo, hi, bracket_ok = charpoly_bracket(candidate)
     derived = candidate_from_coords(candidate.coords, candidate.precision)
-    tol = candidate.context().mpf(10) ** (4 - candidate.precision)
+    tol = residual_tol(candidate.precision)
     return Certificate(
         max_flag_residual=max_flag_residual(candidate),
         collinearity_residual=collinearity_residual(candidate),

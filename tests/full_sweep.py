@@ -1,6 +1,6 @@
 """The sweep with no live-arc check: every block of the grid walked by all
 64 branch vectors.  ``heawood_udg.solver.sweep`` walks only the span of
-each block where P3, P6 and l2 exist; the tests check that it reports the
+the grid where P3, P6 and l2 exist; the tests check that it reports the
 same cells as this full scan.
 """
 

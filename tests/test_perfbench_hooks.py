@@ -38,11 +38,11 @@ def test_tracer_installs_on_the_package():
 def test_traced_solve_passes_the_benchmark_self_check(tmp_path, monkeypatch):
     # one traced request as the benchmark runs it: its bracket funnel must
     # add up, its spans must nest and cover the request, and the sweep's
-    # chain walks are seen: one per branch vector in each of the two blocks
-    # of grid 5,000 that hold the arc where the chain can exist; the third
-    # holds none of it and is skipped.  Every mpf chain walk's circle steps
-    # are counted, at most six a walk, so build_chain must look its step up
-    # at each call, where the tracer's counter replaces it
+    # chain walks are seen: one per branch vector, for the arc where the
+    # chain can exist spans fewer than 2,048 cells of grid 5,000.  Every
+    # mpf chain walk's circle steps are counted, at most six a walk, so
+    # build_chain must look its step up at each call, where the tracer's
+    # counter replaces it
     runner = _benchmark_runner(monkeypatch)
     spec = {
         "request_id": 1,
@@ -57,6 +57,6 @@ def test_traced_solve_passes_the_benchmark_self_check(tmp_path, monkeypatch):
     assert errors == []
     assert layers["solver.brackets_kept"] == 11
     assert layers["solver.brackets"] > layers["solver.brackets_kept"]
-    assert layers["solver.closure_grid_calls"] == 64 * 2
+    assert layers["solver.closure_grid_calls"] == 64
     assert layers["solver.closure_grid_s"] > 0
     assert 0 < layers["geom.circle_circle_intersect_calls"] <= 6 * layers["chain.build_chain_calls"]

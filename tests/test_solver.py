@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def _walk(thetas, branch: str) -> np.ndarray:
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(grid_points=999)
-    # the sweep needs about 32 bytes per grid point; building the config
+    # the sweep needs about 25 bytes per grid point; building the config
     # allocates nothing
     with pytest.raises(ValueError, match="between 1000 and 10000000"):
         SolveConfig(grid_points=solver.MAX_GRID_POINTS + 1)
@@ -210,11 +211,34 @@ def _live_points(grid_points: int) -> np.ndarray:
     return live
 
 
+def _live_span(grid_points: int) -> tuple:
+    """The first and the last live point of the grid."""
+    live = np.flatnonzero(_live_points(grid_points))
+    return int(live[0]), int(live[-1])
+
+
 def _live_blocks(grid_points: int) -> int:
-    """The number of the sweep's blocks that hold two live points or more."""
-    live = _live_points(grid_points)
-    starts = range(0, grid_points, solver.SWEEP_BLOCK)
-    return sum(live[start : start + solver.SWEEP_BLOCK + 1].sum() >= 2 for start in starts)
+    """The number of blocks the sweep walks: the cells from the first to
+    the last live point, ``SWEEP_BLOCK`` to a block."""
+    first, last = _live_span(grid_points)
+    return -(-(last - first) // solver.SWEEP_BLOCK)
+
+
+def _span_edge_grids() -> list:
+    """Grids whose live span holds k blocks of cells less one, exactly k
+    and k and one more cell, for k = 1..5: the span is about 0.234 of the
+    grid, so each is searched for among the grids next to that share."""
+    grids = []
+    for length in (solver.SWEEP_BLOCK * k + d for k in range(1, 6) for d in (-1, 0, 1)):
+        guess = round(length / 0.2341)
+        for grid_points in range(guess - 8, guess + 9):
+            first, last = _live_span(grid_points)
+            if last - first == length:
+                grids.append(grid_points)
+                break
+        else:
+            raise AssertionError(f"no grid near {guess} has a live span of {length} cells")
+    return grids
 
 
 # grids on and around the edges of the sweep's blocks
@@ -241,18 +265,20 @@ def test_sweep_equals_scalar_pair_scan(monkeypatch, grid_points):
 
 def _seeded_grids() -> list:
     # 200 grids from 1,000 to 200,000, the grids on and next to the first
-    # ten block edges, and the ends of the benchmark's grid bands.  The
-    # full sweep walks every block, so the seeded grids lean toward small
-    # ones (1,000 · 200^(u³) for u uniform) to keep the test near 10 s
+    # ten edges of blocks of the whole grid, the grids whose live span ends
+    # on and next to the edges of its first five blocks, and the ends of
+    # the benchmark's grid bands.  The full sweep walks every block, so the
+    # seeded grids lean toward small ones (1,000 · 200^(u³) for u uniform)
+    # to keep the test near 10 s
     rng = random.Random(27)
     grids = [round(1000 * 200 ** (rng.random() ** 3)) for _ in range(200)]
     grids += [solver.SWEEP_BLOCK * k + d for k in range(1, 11) for d in (-1, 0, 1, 2)]
-    return grids + [4000, 6000, 18000, 22000]
+    return grids + _span_edge_grids() + [4000, 6000, 18000, 22000]
 
 
 def test_sweep_equals_the_full_grid_sweep():
-    # cutting each block to its live span and skipping blocks without one
-    # drops no cell and moves none
+    # walking only the live span, in blocks from its first point, drops no
+    # cell and moves none
     for grid_points in _seeded_grids():
         expected = full_sweep(grid_points)
         assert _bracket_bits(sweep(SolveConfig(grid_points=grid_points))) == _bracket_bits(expected), grid_points
@@ -261,12 +287,12 @@ def test_sweep_equals_the_full_grid_sweep():
 def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
     # a synthetic residual with sign changes in the last cell of a block,
     # NaN and infinite cells, drives the sweep's own scan and is checked
-    # against the pair loop on the cells whose two points are live, the
-    # only ones the sweep walks
-    n = 5000
-    edge = solver.SWEEP_BLOCK  # the point that ends the first block
-    live = _live_points(n)
-    assert live[edge - 1] and live[edge]
+    # against the pair loop on the cells of the live span, the only ones
+    # the sweep walks.  Grid 10,000 has a span of two blocks
+    n = 10000
+    first, last = _live_span(n)
+    edge = first + solver.SWEEP_BLOCK  # the point that ends the first block
+    assert edge < last
 
     def synthetic(thetas, branch):
         k = int(branch, 2)
@@ -285,7 +311,7 @@ def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
 
     thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
     index = {theta: i for i, theta in enumerate(thetas.tolist())}
-    expected = [cell for cell in _scalar_sweep(n, synthetic) if live[index[cell[1]]] and live[index[cell[2]]]]
+    expected = [cell for cell in _scalar_sweep(n, synthetic) if first <= index[cell[1]] < last]
     across = {int(branch, 2) for branch, lo, _ in expected if lo == thetas[edge - 1]}
     assert across and not across & {8, 12}
 
@@ -299,12 +325,15 @@ def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
     assert _bracket_bits(sweep(SolveConfig(grid_points=n))) == _bracket_bits(expected)
 
 
-@pytest.mark.parametrize("grid_points, blocks", [(1000, 1), (2048, 1), (2049, 2), (5000, 3)])
+# grids of 1 to 22 blocks, whose live spans take 1 to 6: the grid's own
+# blocks no longer set the work
+@pytest.mark.parametrize(
+    "grid_points, blocks", [(1000, 1), (2048, 1), (2049, 2), (5000, 3), (10000, 5), (20000, 10), (44000, 22)]
+)
 def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blocks):
     # P3, P6 and l2 depend on one branch bit each, l1 and l6 on two and P1
     # on four: 2 + 2 + 2 + 4 + 4 + 16 circle steps serve all 64 branches in
-    # a block that holds live points, and a block without costs only the
-    # 2 + 2 + 2 steps that find it has none
+    # each block of the live span, and the grid's other blocks cost none
     calls = []
 
     def counted(c1, c2, bit):
@@ -313,8 +342,23 @@ def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blo
 
     monkeypatch.setattr(solver, "_cci_grid", counted)
     sweep(SolveConfig(grid_points=grid_points))
-    live = _live_blocks(grid_points)
-    assert len(calls) == 30 * live + 6 * (blocks - live)
+    assert -(-grid_points // solver.SWEEP_BLOCK) == blocks
+    assert len(calls) == 30 * _live_blocks(grid_points)
+
+
+def test_sweep_holds_few_bytes_per_grid_point():
+    # the grid's angles and l4 positions take 24 bytes a point and a
+    # block's circle steps a fixed amount; one more float array over the
+    # whole grid, such as the squared distances a whole-grid mask of the
+    # live points is built from, would pass 28
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        sweep(SolveConfig(grid_points=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * n
 
 
 # ---------------------------------------------------------------------------
