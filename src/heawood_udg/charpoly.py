@@ -10,8 +10,9 @@ them.  Bisection of a small power-of-two interval, tested by Descartes'
 rule of signs (Collins and Akritas, 1976), finds each root; the interval
 printed for it is the largest node of a bisection of the Cauchy interval
 that holds it alone.  :func:`refine_root` narrows it to any number of
-digits: an Illinois estimate of the root, evaluated in fixed point, names
-the interval that exact bisection would reach, and exact signs confirm it.
+digits: an Illinois estimate of the root at 30 digits, finished by Newton's
+method at doubling precision with ``p`` evaluated in fixed point, names the
+interval that exact bisection would reach, and exact signs confirm it.
 Isolation requires a squarefree polynomial, as this one is: a gcd modulo a
 prime proves it, the exact Sturm chain decides when the prime cannot, and
 :class:`NotSquarefree` is raised otherwise.
@@ -32,7 +33,7 @@ from typing import Iterator, Sequence
 
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
-from .geom import bisect_sign_change, context, illinois_estimate
+from .geom import MAX_DIGITS, bisect_sign_change, context, illinois_estimate
 
 
 class NotSquarefree(Exception):
@@ -136,8 +137,9 @@ _SQUAREFREE_PRIME = 2 ** 61 - 1
 # ones (10 were too few to land in the final cell: evaluating the degree-79
 # polynomial near its roots cancels up to 26 digits)
 _ESTIMATE_GUARD_DIGITS = 40
-# the precision of refine_root's first, whole-interval estimate, so that
-# only a narrow bracket is searched at the requested precision
+# the precision of refine_root's whole-interval Illinois estimate; Newton
+# steps at twice, four times ... this precision, and last at the requested
+# one, carry it on, so one step runs at the requested precision
 _ESTIMATE_STAGE_DIGITS = 30
 
 
@@ -495,17 +497,18 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     """The midpoint, at a matching working precision, of the interval that
     halving ``interval`` until its width is below 10^-digits reaches.
 
-    An Illinois estimate of the root names the final cell, which two exact
-    signs confirm; ``p`` is evaluated in fixed point with guard digits.
-    The estimate runs over the whole of ``interval`` at no more than
-    ``_ESTIMATE_STAGE_DIGITS`` digits, then at ``digits`` from
-    10^-``_ESTIMATE_STAGE_DIGITS`` either side of its result when that
-    bracket lies inside ``interval`` and shows the sign change.  An
+    An estimate of the root names the final cell, which two exact signs
+    confirm; ``p`` is evaluated in fixed point with guard digits.  An
+    Illinois estimate over the whole of ``interval`` at no more than
+    ``_ESTIMATE_STAGE_DIGITS`` digits is finished by Newton steps
+    x - p(x) / p'(x) at twice its precision, four times, and so on, the last
+    at ``digits`` (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    4.2); a step where p or p' is exactly zero keeps its estimate.  An
     unconfirmed cell falls back to bisection, so the result is always the
-    bisection's.
+    bisection's.  ``digits`` runs from 1 to ``MAX_DIGITS``.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be at least 1, got {digits}")
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must be between 1 and {MAX_DIGITS}, got {digits}")
     sign = partial(sign_at, p)
     lo, hi = interval.lo, interval.hi
     s_lo, s_hi = sign(lo), sign(hi)
@@ -514,22 +517,20 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     if s_lo == s_hi:
         raise ValueError("no sign change over the interval; not an isolating interval")
     width = Fraction(1, 10 ** digits)
-    x = None
-    for stage in sorted({min(digits, _ESTIMATE_STAGE_DIGITS), digits}):
+    stage = min(digits, _ESTIMATE_STAGE_DIGITS)
+    mp = context(stage + _ESTIMATE_GUARD_DIGITS)
+    coeffs, d_coeffs = p.coefficients[::-1], p.derivative().coefficients[::-1]
+    value = partial(_fixed_value, coeffs, mp)
+    a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, Fraction(1, 1000 * 10 ** stage)))
+    x = illinois_estimate(value, a, b, value(a), value(b), tol)
+    while x is not None and stage < digits:
+        stage = min(2 * stage, digits)
         mp = context(stage + _ESTIMATE_GUARD_DIGITS)
-        value = partial(_fixed_value, p.coefficients[::-1], mp)
-        a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, Fraction(1, 1000 * 10 ** stage)))
-        f_a = None
-        if x is not None:
-            r = mp.mpf(10) ** -_ESTIMATE_STAGE_DIGITS
-            c, d = mp.mpf(x) - r, mp.mpf(x) + r
-            if a < c and d < b:
-                f_c, f_d = value(c), value(d)
-                if f_c * f_d < 0:
-                    a, b, f_a, f_b = c, d, f_c, f_d
-        if f_a is None:
-            f_a, f_b = value(a), value(b)
-        x = illinois_estimate(value, a, b, f_a, f_b, tol)
+        x = mp.mpf(x)
+        f, df = _fixed_value(coeffs, mp, x), _fixed_value(d_coeffs, mp, x)
+        if not f or not df:
+            break  # at a root, or where Newton's step is undefined
+        x -= f / df
     # the exact value of x, sign included, which ``man_exp`` drops
     estimate = None if x is None else Fraction(*to_rational(x._mpf_))
     lo, hi = bisect_sign_change(sign, lo, hi, s_lo, width, estimate=estimate)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import charpoly, solver, verify
 from .chain import dump_candidates, load_candidates
-from .geom import MAX_DIGITS
 from .incidence import HEAWOOD_FLAGS, LINE_POINTS
 from .render import render_svg
 
@@ -65,8 +64,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    if not 1 <= args.digits <= MAX_DIGITS:
-        raise ValueError(f"digits must be between 1 and {MAX_DIGITS}, got {args.digits}")
     poly = charpoly.charpoly_xl4()
     intervals = charpoly.isolate_real_roots(poly)
     rows = []

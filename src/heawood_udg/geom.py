@@ -23,12 +23,13 @@ from mpmath.ctx_mp import MPContext
 # the smallest precision of a solve or a passing certificate: the 15 printed
 # digits of the reference tables
 MIN_DIGITS = 15
-# the largest precision a command accepts: at 10,000 digits `roots` already
-# takes about 60 s, and at 10^8 digits reading one number takes seconds
+# the largest precision a command or a refinement accepts: at 10,000 digits
+# `roots` already takes about 30-40 s, and at 10^8 digits reading one number
+# takes seconds
 MAX_DIGITS = 10_000
 # the step cap of :func:`illinois_estimate`: a solver bracket takes up to 9
 # steps; a root of the exact side up to 37 over its whole isolating interval
-# at 30 digits, and then up to 17 over a narrow bracket at 10,000 digits
+# at 30 digits
 ESTIMATE_MAX_STEPS = 64
 # the fraction bits of :class:`Fixed`.  The solver's bisection walks the
 # chain at BISECTION_DIGITS = 30 digits: mpf of 103 bits, which round a

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -19,7 +20,7 @@ from heawood_udg.charpoly import (
     root_bound,
     sign_at,
 )
-from heawood_udg.geom import bisect_sign_change, context
+from heawood_udg.geom import MAX_DIGITS, bisect_sign_change, context
 
 # independently recomputed from the stored coefficient strings during
 # development: the exact coefficient sum p(1) and alternating sum p(-1)
@@ -466,10 +467,10 @@ def test_refine_confirms_the_estimated_cell_for_every_root(poly, monkeypatch):
 
 @pytest.mark.parametrize("digits", [300, 1000])
 def test_refine_estimates_at_full_precision_from_a_narrow_bracket(poly, monkeypatch, digits):
-    # the whole-interval estimate runs at 30 digits and the full-precision
-    # one from 10^-30 around its result, so the costly evaluations stay few
-    # however wide the interval: a one-pass estimate takes up to 48 per root
-    # at 1,000 digits
+    # the whole-interval estimate runs at 30 digits and Newton's method
+    # doubles its precision up to the requested one, so only the last step,
+    # one value of p and one of p', runs at full precision: a one-pass
+    # estimate takes up to 48 such evaluations per root at 1,000 digits
     full = context(digits + charpoly._ESTIMATE_GUARD_DIGITS).prec
     fixed_value = charpoly._fixed_value
     precisions, signs = [], []
@@ -488,8 +489,35 @@ def test_refine_estimates_at_full_precision_from_a_narrow_bracket(poly, monkeypa
         precisions.clear()
         signs.clear()
         refine_root(poly, iv, digits)
-        assert precisions.count(full) <= 20, (iv, precisions.count(full))
+        assert precisions.count(full) <= 2, (iv, precisions.count(full))
         assert len(signs) == 4, (iv, len(signs))
+
+
+def test_refine_keeps_an_estimate_at_a_multiple_root():
+    # T^3 vanishes with its derivative at the Illinois estimate 0, where a
+    # Newton step would divide by zero; the estimate is kept, and 0 is the
+    # first midpoint the bisection meets
+    root = refine_root(BigPoly((0, 0, 0, 1)), IsolatingInterval(-1, 1), 60)
+    assert root == 0
+
+
+def test_refine_equals_exact_bisection_at_a_multiple_root():
+    # Newton's method converges only linearly to the triple root 1/3 of
+    # (3T - 1)^3, so the estimate may miss its cell; the result is still
+    # the bisection's
+    p = BigPoly((-1, 9, -27, 27))
+    iv = IsolatingInterval(0, 1)
+    lo, hi = bisect_sign_change(partial(sign_at, p), iv.lo, iv.hi, sign_at(p, iv.lo), Fraction(1, 10 ** 60))
+    mid = (lo + hi) / 2
+    ctx = context(65)
+    assert refine_root(p, iv, 60) == ctx.mpf(mid.numerator) / ctx.mpf(mid.denominator)
+
+
+def test_refine_rejects_digits_above_max_digits():
+    # past MAX_DIGITS a refinement runs for hours; the check comes first
+    p = BigPoly((-2, 0, 1))
+    with pytest.raises(ValueError, match=str(MAX_DIGITS)):
+        refine_root(p, IsolatingInterval(1, 2), MAX_DIGITS + 1)
 
 
 def test_isolating_interval_end_points_become_fractions():

@@ -20,8 +20,9 @@ from heawood_udg.render import render_svg
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_ROOTS = ROOT / "perfbench" / "data" / "roots60.json"
 BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
-# SHA-256 of the stdout of `roots --digits 300`
+# SHA-256 of the stdout of `roots --digits 300` and `roots --digits 1000`
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
+ROOTS1000_SHA256 = "4ad0c66d327b6014708330a4ffaa112c06aa14455225cd5709f9f8bbc38e15ea"
 # SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
 VERIFY60_SHA256 = "7bb0c245adbc9338e9195cc874a6cc0366a617df08ca5bc5394d4f7cd274e337"
 # SHA-256 of the stdout of `verify` on the JSON of `solve --digits 300 --grid
@@ -70,6 +71,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["verify", "--json", "/nonexistent/path.json"]) == 2
     assert run(["roots", "--digits", "-1"]) == 2
     assert run(["roots", "--digits", "0"]) == 2
+    assert run(["roots", "--digits", str(MAX_DIGITS + 1)]) == 2
     # malformed input files: a message and exit 2, not a traceback
     no_vertices = tmp_path / "no_vertices.json"
     no_vertices.write_text('[{"precision": 60}]')
@@ -152,11 +154,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 10 ** 8])
 def test_precision_above_max_digits_is_a_usage_error(command, digits, tmp_path, monkeypatch, capsys):
     # the bound is checked before any work at that precision: the stage
-    # that would run next fails the test instead of running for minutes
+    # that would run next fails the test instead of running for minutes.
+    # roots checks it in refine_root, after the isolation, which does not
+    # depend on the precision
     def past_the_check(*args, **kwargs):
         raise AssertionError("ran past the precision check")
 
-    monkeypatch.setattr(charpoly, "isolate_real_roots", past_the_check)
+    monkeypatch.setattr(charpoly, "_fixed_value", past_the_check)
     monkeypatch.setattr(solver, "sweep", past_the_check)
     monkeypatch.setattr(verify, "certify", past_the_check)
     monkeypatch.setattr(cli, "render_svg", past_the_check)
@@ -225,10 +229,12 @@ def test_roots_subcommand(capsys):
 
 
 def test_deep_roots_bytes_unchanged(capsys):
-    # nothing else pins the exact side's output above 60 digits
-    assert run(["roots", "--digits", "300"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == ROOTS300_SHA256
+    # nothing else pins the exact side's output above 60 digits; at 1,000
+    # digits the Newton finish of refine_root takes six steps
+    for digits, pin in (("300", ROOTS300_SHA256), ("1000", ROOTS1000_SHA256)):
+        assert run(["roots", "--digits", digits]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == pin, digits
 
 
 def test_verify_bytes_unchanged(capsys):

@@ -284,6 +284,20 @@ def test_sweep_equals_the_full_grid_sweep():
         assert _bracket_bits(sweep(SolveConfig(grid_points=grid_points))) == _bracket_bits(expected), grid_points
 
 
+def test_missed_embeddings_lie_past_the_last_live_point():
+    # below grid 3,000 the sweep can miss the two embeddings next to 5 pi / 6,
+    # where P6's circles are tangent and the live span ends: the grid point
+    # after its last live point lies past 5 pi / 6, so no cell brackets a
+    # root between the two.  Every embedding a solve misses lies there
+    rng = random.Random(29)
+    for grid_points in sorted(rng.sample(range(1000, 3001), 30)):
+        found = solve_all(SolveConfig(grid_points=grid_points, digits=15))
+        _, last = _live_span(grid_points)
+        for branch, theta in zip(DISCOVERED_BRANCHES, map(float, DISCOVERED_THETAS)):
+            if not any(c.branch == branch and abs(float(c.theta) - theta) < 1e-9 for c in found):
+                assert last * TWO_PI / grid_points < theta < 5 * math.pi / 6, (grid_points, branch)
+
+
 def test_sweep_scan_skips_non_finite_and_crosses_block_edges(monkeypatch):
     # a synthetic residual with sign changes in the last cell of a block,
     # NaN and infinite cells, drives the sweep's own scan and is checked
