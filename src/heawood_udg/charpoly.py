@@ -11,20 +11,23 @@ rule of signs (Collins and Akritas, 1976), finds each root; the interval
 printed for it is the largest node of a bisection of the Cauchy interval
 that holds it alone.  :func:`refine_root` narrows it to any number of
 digits: an Illinois estimate of the root at 30 digits, finished by Newton's
-method at doubling precision with ``p`` evaluated in fixed point, names the
-interval that exact bisection would reach, and exact signs confirm it.
+method at precisions that double up to the requested one with ``p``
+evaluated in fixed point, names the interval that exact bisection would
+reach, and exact signs confirm it.
 Isolation requires a squarefree polynomial, as this one is: a gcd modulo a
 prime proves it, the exact Sturm chain decides when the prime cannot, and
 :class:`NotSquarefree` is raised otherwise.
 
 Coefficients are stored as decimal strings in one table and parsed at load
 time; a checksum plus digit-count guard protects the transcription, which is
-the single likeliest source of error in this module.
+the single likeliest source of error in this module.  The checksum is
+SHA-256 from CPython's built-in digest module, as ``random`` takes its
+sha512: ``hashlib`` loads OpenSSL's libcrypto, about 3.6 MB of resident
+memory in every process, for this one digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -34,6 +37,15 @@ from typing import Iterator, Sequence
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
 from .geom import MAX_DIGITS, bisect_sign_change, context, illinois_estimate
+
+try:
+    # hashlib is heavy to load, so try the lean built-in digest first
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class NotSquarefree(Exception):
@@ -125,7 +137,9 @@ _XL4_COEFF_STRINGS = (
     "82521703002365615643033600000",  # T^79
 )
 
-# sha256 over ",".join of the signed decimal strings, plus total digit count.
+# sha256 over ",".join of the signed decimal strings, plus total digit count;
+# the digest comes from CPython's built-in module, not from hashlib, which
+# loads OpenSSL's libcrypto (3.6 MB of resident memory) for this one check.
 _XL4_SHA256 = "5f8dcac162215c806eeb69e6e7a928c6ff11960456371529b9c4ccfc86477251"
 _XL4_DIGIT_COUNT = 3271
 _XL4_DEGREE = 79
@@ -138,8 +152,8 @@ _SQUAREFREE_PRIME = 2 ** 61 - 1
 # polynomial near its roots cancels up to 26 digits)
 _ESTIMATE_GUARD_DIGITS = 40
 # the precision of refine_root's whole-interval Illinois estimate; Newton
-# steps at twice, four times ... this precision, and last at the requested
-# one, carry it on, so one step runs at the requested precision
+# steps at the requested precision halved while above this one, least
+# first, carry it on, so only the last step runs near the requested one
 _ESTIMATE_STAGE_DIGITS = 30
 
 
@@ -204,7 +218,7 @@ def charpoly_xl4() -> BigPoly:
     guard again.
     """
     joined = ",".join(_XL4_COEFF_STRINGS)
-    digest = hashlib.sha256(joined.encode("ascii")).hexdigest()
+    digest = sha256(joined.encode("ascii")).hexdigest()
     if digest != _XL4_SHA256:
         raise AssertionError("coefficient table corrupted: checksum mismatch")
     digits = sum(len(s.lstrip("-")) for s in _XL4_COEFF_STRINGS)
@@ -501,9 +515,10 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     confirm; ``p`` is evaluated in fixed point with guard digits.  An
     Illinois estimate over the whole of ``interval`` at no more than
     ``_ESTIMATE_STAGE_DIGITS`` digits is finished by Newton steps
-    x - p(x) / p'(x) at twice its precision, four times, and so on, the last
-    at ``digits`` (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
-    4.2); a step where p or p' is exactly zero keeps its estimate.  An
+    x - p(x) / p'(x) at ``digits`` halved while above that precision, least
+    first: 32, 63, 125, 250, 500 and 1,000 digits for 1,000 (Brent and
+    Zimmermann, Modern Computer Arithmetic, 2010, 4.2); a step where p or
+    p' is exactly zero keeps its estimate.  An
     unconfirmed cell falls back to bisection, so the result is always the
     bisection's.  ``digits`` runs from 1 to ``MAX_DIGITS``.
     """
@@ -523,8 +538,15 @@ def refine_root(p: BigPoly, interval: IsolatingInterval, digits: int):
     value = partial(_fixed_value, coeffs, mp)
     a, b, tol = (mp.mpf(t.numerator) / t.denominator for t in (lo, hi, Fraction(1, 1000 * 10 ** stage)))
     x = illinois_estimate(value, a, b, value(a), value(b), tol)
-    while x is not None and stage < digits:
-        stage = min(2 * stage, digits)
+    # Newton steps at digits / 2^k, rounded up, from the greatest k that
+    # leaves them above the estimate's precision down to k = 0: each step
+    # doubles the digits it carries, and only the last runs near ``digits``
+    k = 0
+    while digits > _ESTIMATE_STAGE_DIGITS << k:
+        k += 1
+    while x is not None and k:
+        k -= 1
+        stage = -(-digits >> k)
         mp = context(stage + _ESTIMATE_GUARD_DIGITS)
         x = mp.mpf(x)
         f, df = _fixed_value(coeffs, mp, x), _fixed_value(d_coeffs, mp, x)

@@ -64,9 +64,12 @@ if TYPE_CHECKING:
 
 TWO_PI = 2 * math.pi
 BISECTION_DIGITS = 30
+# the sweep's time grows with the grid and its memory does not: `solve
+# --digits 15` at this grid takes 5-6 s on a 2-core VM and peaks at 34 MB
 MAX_GRID_POINTS = 10 ** 7
-# grid cells per sweep block: only one block's shared circle steps are held
-# at a time, which keeps the sweep's peak memory at that of one chain walk
+# grid cells per sweep block: only one block's angles, l4 positions and
+# shared circle steps are held at a time, which keeps the sweep's peak
+# memory at that of one chain walk over a block, at any grid
 SWEEP_BLOCK = 2048
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
@@ -103,8 +106,9 @@ class SolveConfig:
     min_vertex_separation: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        # the sweep holds about 25 bytes per grid point (a tracemalloc peak of
-        # 25.2 at 10^6 points): `solve` at the largest grid peaks near 270 MB
+        # the sweep holds one block of the grid at a time, a tracemalloc
+        # peak of 1.3 MB at 10^5 and at 10^6 points, so the grid's bound
+        # is set by time (see MAX_GRID_POINTS), not memory
         if not 1000 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must be between 1000 and {MAX_GRID_POINTS}, got {self.grid_points}"
@@ -155,22 +159,32 @@ def closure_grid(l4: Point2, branch: str, memo: dict) -> np.ndarray:
     return construct(l4, branch, _FIXED_F, _cci_grid, memo)[1]
 
 
-def _live_cells(l4: Point2) -> range:
-    """The cells from the first to the last of the float64 array of l4
-    positions where P3, P6 and l2 all exist, as the range of their first
-    points.  Those steps' circles meet where their centres, pinned or l4
-    and P4, are at most 2 apart, and the test 1 - d²/4 >= 0 of
-    ``_cci_grid`` holds exactly when d² <= 4.  Every closure depends on
-    the three, so outside the span it is NaN for every branch vector.  The
-    test runs ``SWEEP_BLOCK`` positions at a time.
+def _angles(n: int, start: int, stop: int) -> np.ndarray:
+    """The angles of points ``start`` to ``stop`` - 1 of the ``n``-point
+    grid over [0, 2 pi): k · (2 pi / n), the product that
+    ``np.linspace(0, TWO_PI, n, endpoint=False)`` forms, so each equals its
+    value there bit for bit and no array need span the grid."""
+    import numpy as np
+
+    return np.arange(start, stop) * (TWO_PI / n)
+
+
+def _live_cells(n: int) -> range:
+    """The cells from the first to the last point of the ``n``-point grid
+    where P3, P6 and l2 all exist, as the range of their first points.
+    Those steps' circles meet where their centres, pinned or l4 and P4, are
+    at most 2 apart, and the test 1 - d²/4 >= 0 of ``_cci_grid`` holds
+    exactly when d² <= 4.  Every closure depends on the three, so outside
+    the span it is NaN for every branch vector.  The test places l4 and
+    runs ``SWEEP_BLOCK`` points at a time, so it holds one block's arrays.
     """
     import numpy as np
 
     first = last = None
-    for start in range(0, len(l4.x), SWEEP_BLOCK):
-        x, y = l4.x[start : start + SWEEP_BLOCK], l4.y[start : start + SWEEP_BLOCK]
-        coords = dict(_FIXED_F, l4=Point2(x, y), P4=Point2((x + 1) / 2, y / 2))
-        live = np.ones(len(x), dtype=bool)
+    for start in range(0, n, SWEEP_BLOCK):
+        l4 = place_l4(np, _angles(n, start, min(start + SWEEP_BLOCK, n)))
+        coords = dict(_FIXED_F, l4=l4, P4=Point2((l4.x + 1) / 2, l4.y / 2))
+        live = np.ones(len(l4.x), dtype=bool)
         for _, ca, cb in CHAIN_STEPS:
             if ca in coords and cb in coords:
                 live &= distance_squared(coords[cb], coords[ca]) <= 4
@@ -189,34 +203,33 @@ def sweep(config: SolveConfig) -> list:
     vectors; grid cells where the chain breaks are skipped.  Cells come
     branch by branch, each branch's in order of angle.
 
-    l4 is placed once for the whole grid.  Only the span from the first to
-    the last point where P3, P6 and l2 exist is walked (:func:`_live_cells`),
-    about theta in [1.147, 5 pi / 6] for every grid; it never reaches the
-    ends of the grid, so there is no wrap-around cell from the last angle
-    to 2 pi.  The span is walked in blocks of ``SWEEP_BLOCK`` cells from its
-    first point.  In each block the 64 :func:`closure_grid` walks share one
-    memo, so each circle step is computed once per value of the branch
-    bits it depends on: 30 steps, not 384.  A block's steps are released
-    before the next block's are computed.
+    Only the span from the first to the last point where P3, P6 and l2
+    exist is walked (:func:`_live_cells`), about theta in [1.147, 5 pi / 6]
+    for every grid; it never reaches the ends of the grid, so there is no
+    wrap-around cell from the last angle to 2 pi.  The span is walked in
+    blocks of ``SWEEP_BLOCK`` cells from its first point, and each block
+    places its own angles (:func:`_angles`) and l4 positions.  In each
+    block the 64 :func:`closure_grid` walks share one memo, so each circle
+    step is computed once per value of the branch bits it depends on: 30
+    steps, not 384.  A block's arrays are released before the next block's
+    are computed, so the sweep's memory does not grow with the grid.
     """
     import numpy as np
 
     n = config.grid_points
-    thetas = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    l4 = place_l4(np, thetas)
     found: dict = {branch: [] for branch in all_branch_vectors()}
-    cells = _live_cells(l4)
+    cells = _live_cells(n)
     for start in cells[::SWEEP_BLOCK]:
         # the block's cells and the point that ends its last cell
-        points = slice(start, min(start + SWEEP_BLOCK, cells.stop) + 1)
-        block = Point2(l4.x[points], l4.y[points])
+        thetas = _angles(n, start, min(start + SWEEP_BLOCK, cells.stop) + 1)
+        block = place_l4(np, thetas)
         memo: dict = {}
         for branch, out in found.items():
             res = closure_grid(block, branch, memo)
             lo, hi = res[:-1], res[1:]
             with np.errstate(invalid="ignore"):
                 hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
-            out.extend((branch, float(thetas[start + i]), float(thetas[start + i + 1])) for i in np.flatnonzero(hits))
+            out.extend((branch, float(thetas[i]), float(thetas[i + 1])) for i in np.flatnonzero(hits))
     return [cell for out in found.values() for cell in out]
 
 

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -21,6 +24,8 @@ from heawood_udg.charpoly import (
     sign_at,
 )
 from heawood_udg.geom import MAX_DIGITS, bisect_sign_change, context
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # independently recomputed from the stored coefficient strings during
 # development: the exact coefficient sum p(1) and alternating sum p(-1)
@@ -71,6 +76,33 @@ def test_checksum_guard_refuses_a_corrupted_table(monkeypatch):
     monkeypatch.setattr(charpoly, "_XL4_COEFF_STRINGS", tuple(digits))
     with pytest.raises(AssertionError, match="checksum mismatch"):
         charpoly_xl4.__wrapped__()
+
+
+def test_checksum_guard_falls_back_to_hashlib():
+    # without CPython's built-in digest modules the guard takes sha256 from
+    # hashlib, which loads OpenSSL; it still passes the table and refuses
+    # one with a digit changed
+    code = (
+        "import sys\n"
+        'sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import hashlib\n"
+        "from heawood_udg import charpoly\n"
+        "assert charpoly.sha256 is hashlib.sha256\n"
+        "assert charpoly.charpoly_xl4.__wrapped__() == charpoly.charpoly_xl4()\n"
+        'assert "_hashlib" in sys.modules\n'
+        "digits = list(charpoly._XL4_COEFF_STRINGS)\n"
+        "digits[40] = digits[40][:-1] + str((int(digits[40][-1]) + 1) % 10)\n"
+        "charpoly._XL4_COEFF_STRINGS = tuple(digits)\n"
+        "try:\n"
+        "    charpoly.charpoly_xl4.__wrapped__()\n"
+        "except AssertionError as exc:\n"
+        '    assert "checksum mismatch" in str(exc), exc\n'
+        "else:\n"
+        '    sys.exit("a corrupted table passed the guard")\n'
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_coefficient_sum_matches_independent_total(poly):
@@ -468,10 +500,12 @@ def test_refine_confirms_the_estimated_cell_for_every_root(poly, monkeypatch):
 @pytest.mark.parametrize("digits", [300, 1000])
 def test_refine_estimates_at_full_precision_from_a_narrow_bracket(poly, monkeypatch, digits):
     # the whole-interval estimate runs at 30 digits and Newton's method
-    # doubles its precision up to the requested one, so only the last step,
-    # one value of p and one of p', runs at full precision: a one-pass
-    # estimate takes up to 48 such evaluations per root at 1,000 digits
+    # steps up through the requested precision halved, so only the last
+    # step, one value of p and one of p', runs above half of it: a one-pass
+    # estimate takes up to 48 evaluations at full precision per root at
+    # 1,000 digits, and doubling from 30 digits took a second step at 960
     full = context(digits + charpoly._ESTIMATE_GUARD_DIGITS).prec
+    half = context(-(-digits // 2) + charpoly._ESTIMATE_GUARD_DIGITS).prec
     fixed_value = charpoly._fixed_value
     precisions, signs = [], []
 
@@ -489,7 +523,7 @@ def test_refine_estimates_at_full_precision_from_a_narrow_bracket(poly, monkeypa
         precisions.clear()
         signs.clear()
         refine_root(poly, iv, digits)
-        assert precisions.count(full) <= 2, (iv, precisions.count(full))
+        assert [prec for prec in precisions if prec > half] == [full, full], (iv, precisions)
         assert len(signs) == 4, (iv, len(signs))
 
 

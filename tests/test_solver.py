@@ -361,18 +361,30 @@ def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blo
 
 
 def test_sweep_holds_few_bytes_per_grid_point():
-    # the grid's angles and l4 positions take 24 bytes a point and a
-    # block's circle steps a fixed amount; one more float array over the
-    # whole grid, such as the squared distances a whole-grid mask of the
-    # live points is built from, would pass 28
-    n = 10 ** 6
-    tracemalloc.start()
-    try:
-        sweep(SolveConfig(grid_points=n))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 28 * n
+    # each block places its own angles and l4 positions, so the peak is one
+    # block's: its 30 circle steps hold 30 · 2 floats for each of its
+    # 2,049 points, about 1 MB, and with one step's temporaries the peak
+    # read 1.3 MB at both grids.  One float array over the whole grid
+    # takes 8 MB at 10^6 points, so the bound fails if any array spans it
+    for n in (10 ** 5, 10 ** 6):
+        tracemalloc.start()
+        try:
+            sweep(SolveConfig(grid_points=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 30 * 2 * 8 * (solver.SWEEP_BLOCK + 1), n
+
+
+def test_block_angles_equal_linspace():
+    # the angles each block places are the values of the whole-grid
+    # linspace the sweep once held, bit for bit, on every grid of both
+    # benchmark bands and at 10^6 points
+    for grid_points in [*range(4000, 6001), *range(18000, 22001), 10 ** 6]:
+        starts = range(0, grid_points, solver.SWEEP_BLOCK)
+        blocks = [solver._angles(grid_points, k, min(k + solver.SWEEP_BLOCK, grid_points)) for k in starts]
+        expected = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
+        assert np.array_equal(np.concatenate(blocks).view(np.int64), expected.view(np.int64)), grid_points
 
 
 # ---------------------------------------------------------------------------
