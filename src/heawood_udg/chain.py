@@ -56,6 +56,13 @@ def _step_bits() -> tuple:
 STEP_BITS = _step_bits()
 
 
+def step_keys(branch: str) -> tuple:
+    """The memo key of each of ``branch``'s circle steps, in ``CHAIN_STEPS``
+    order: the step's index and the values of its ``STEP_BITS``, so branch
+    vectors that agree on those bits share the step."""
+    return tuple((k, *(branch[i] for i in bits)) for k, bits in enumerate(STEP_BITS))
+
+
 class ChainBroken(GeometryError):
     """A construction step failed; ``step`` names the first failing vertex."""
 
@@ -165,7 +172,7 @@ def construct(
     float64 arrays.  A :class:`GeometryError` from a step is raised as
     :class:`ChainBroken` naming that step's vertex.  Walks of several
     branch vectors from the same ``l4`` may share a ``memo``: it keeps each
-    step's vertex under the values of the step's ``STEP_BITS``, so no
+    step's vertex under the step's key from :func:`step_keys`, so no
     circle step is computed twice.
     """
     if len(branch) != len(CHAIN_STEPS) or set(branch) - {"0", "1"}:
@@ -175,11 +182,10 @@ def construct(
     coords["l4"] = l4
     # exact halving: P4 is the midpoint of l4 and l5 by definition
     coords["P4"] = Point2((l4.x + 1) / 2, l4.y / 2)
-    for k, (vertex, ca, cb) in enumerate(CHAIN_STEPS):
-        key = (k, *(branch[i] for i in STEP_BITS[k]))
+    for (vertex, ca, cb), key, bit in zip(CHAIN_STEPS, step_keys(branch), branch):
         if key not in memo:
             try:
-                memo[key] = intersect(coords[ca], coords[cb], int(branch[k]))
+                memo[key] = intersect(coords[ca], coords[cb], int(bit))
             except GeometryError as exc:
                 raise ChainBroken(vertex, exc) from exc
         coords[vertex] = memo[key]

@@ -24,8 +24,8 @@ from mpmath.ctx_mp import MPContext
 # digits of the reference tables
 MIN_DIGITS = 15
 # the largest precision a command or a refinement accepts: at 10,000 digits
-# `roots` already takes about 30-40 s, and at 10^8 digits reading one number
-# takes seconds
+# `roots` takes about 1.5 s on a 2-core VM, and at 10^8 digits reading one
+# number takes seconds
 MAX_DIGITS = 10_000
 # the step cap of :func:`illinois_estimate`: a solver bracket takes up to 9
 # steps; a root of the exact side up to 37 over its whole isolating interval

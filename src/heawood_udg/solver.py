@@ -8,14 +8,15 @@ floats through its one float chain walk, :func:`closure_grid`, and reports
 each sign change as a (branch, theta_lo, theta_hi) grid cell.  Each chain
 vertex depends on only a few branch bits (``chain.STEP_BITS``), so the 64
 walks share their circle steps: 30 array steps per block of the grid serve
-all of them, where a walk per branch vector takes 384.  Only the span of
-the grid where the chain can exist is walked, found once from the centre
-distances of the steps of P3, P6 and l2.  The cells are then bisected at
-30 digits and polished with Newton's method on the square 16-equation
-system in the positions of the eight dependent vertices, at 30 digits and
-then at the requested precision.  The Jacobian is the linearization of the
-chain, so each Newton step is solved by walking the chain, not by a
-general linear solver.
+all of them, where a walk per branch vector takes 384, and walking them in
+an order that keeps the walks sharing a step together holds at most 11 at
+once.  Only the span of the grid where the chain can exist is walked,
+found once from the centre distances of the steps of P3, P6 and l2.  The
+cells are then bisected at 30 digits and polished with Newton's method on
+the square 16-equation system in the positions of the eight dependent
+vertices, at 30 digits and then at the requested precision.  The Jacobian
+is the linearization of the chain, so each Newton step is solved by
+walking the chain, not by a general linear solver.
 
 Degenerate zeros are real solutions of the equation set that are not graph
 embeddings: configurations where distinct vertices coincide (a constructed
@@ -47,6 +48,7 @@ from .chain import (
     FIXED_POSITIONS,
     ChainBroken,
     EmbeddingCandidate,
+    STEP_BITS,
     all_branch_vectors,
     build_chain,
     candidate_from_coords,
@@ -54,6 +56,7 @@ from .chain import (
     fixed_points,
     min_vertex_separation,
     place_l4,
+    step_keys,
 )
 from .geom import FIXED_BITS, MAX_DIGITS, MIN_DIGITS, Fixed, Point2, context, distance_squared, residual_tol
 from .geom import bisect_sign_change, fixed_circle_intersect, illinois_estimate
@@ -68,8 +71,9 @@ BISECTION_DIGITS = 30
 # --digits 15` at this grid takes 5-6 s on a 2-core VM and peaks at 34 MB
 MAX_GRID_POINTS = 10 ** 7
 # grid cells per sweep block: only one block's angles, l4 positions and
-# shared circle steps are held at a time, which keeps the sweep's peak
-# memory at that of one chain walk over a block, at any grid
+# shared circle steps are held at a time, at most 11 of its 30 steps, which
+# keeps the sweep's peak memory near that of one chain walk over a block,
+# at any grid
 SWEEP_BLOCK = 2048
 DEDUPE_TOL = "1e-20"
 NEWTON_MAX_ITER = 100
@@ -106,9 +110,10 @@ class SolveConfig:
     min_vertex_separation: ClassVar[float] = 1e-6
 
     def __post_init__(self):
-        # the sweep holds one block of the grid at a time, a tracemalloc
-        # peak of 1.3 MB at 10^5 and at 10^6 points, so the grid's bound
-        # is set by time (see MAX_GRID_POINTS), not memory
+        # the sweep holds one block of the grid at a time and at most 11
+        # of its circle steps, a tracemalloc peak of 0.72-0.76 MB at 10^5
+        # and at 10^6 points, so the grid's bound is set by time (see
+        # MAX_GRID_POINTS), not memory
         if not 1000 <= self.grid_points <= MAX_GRID_POINTS:
             raise ValueError(
                 f"grid_points must be between 1000 and {MAX_GRID_POINTS}, got {self.grid_points}"
@@ -152,11 +157,36 @@ def closure_grid(l4: Point2, branch: str, memo: dict) -> np.ndarray:
     It is the walk of :func:`chain.construct` with a circle step that
     returns NaN where the circles miss instead of raising, so NaN marks
     positions where the chain breaks.  Walks of the same positions share
-    their circle steps through ``memo``: :func:`sweep` passes one per block
-    of its live span, and a fresh ``{}`` walks one branch vector alone.
+    their circle steps through ``memo``, keyed by :func:`chain.step_keys`:
+    :func:`sweep` passes one per block of its live span and drops each
+    step after its last walk, and a fresh ``{}`` walks one branch vector
+    alone.
     Tests cross-check it pointwise against :func:`chain.build_chain`.
     """
     return construct(l4, branch, _FIXED_F, _cci_grid, memo)[1]
+
+
+def _walk_order() -> tuple:
+    """The 64 branch vectors in the order :func:`sweep` walks a block, each
+    with the keys of the circle steps that no later walk uses.
+
+    A bit that more steps' memo entries are keyed on varies more slowly
+    (``STEP_BITS``): bit 1 (P6, l6 and P1, 2 + 4 + 16 entries) slowest,
+    then 4 (l6 and P1), 2 and 5, and the bits of l1, 0 and 3, on which P1
+    does not depend, fastest.  The walks that share a step of P6, l6 or P1
+    are then consecutive, and with each step dropped after its last walk
+    at most 11 of a block's 30 steps are held at once, the least over all
+    720 orders of the bits; binary order holds 27.
+    """
+    entries = [sum(2 ** len(bits) for bits in STEP_BITS if bit in bits) for bit in range(len(STEP_BITS))]
+    slowest_first = sorted(range(len(STEP_BITS)), key=lambda bit: -entries[bit])
+    order = sorted(all_branch_vectors(), key=lambda branch: [branch[bit] for bit in slowest_first])
+    last = {key: i for i, branch in enumerate(order) for key in step_keys(branch)}
+    return tuple((branch, tuple(key for key in step_keys(branch) if last[key] == i)) for i, branch in enumerate(order))
+
+
+# the sweep's walks of a block and the steps each is the last to use
+SWEEP_WALKS = _walk_order()
 
 
 def _angles(n: int, start: int, stop: int) -> np.ndarray:
@@ -211,8 +241,11 @@ def sweep(config: SolveConfig) -> list:
     places its own angles (:func:`_angles`) and l4 positions.  In each
     block the 64 :func:`closure_grid` walks share one memo, so each circle
     step is computed once per value of the branch bits it depends on: 30
-    steps, not 384.  A block's arrays are released before the next block's
-    are computed, so the sweep's memory does not grow with the grid.
+    steps, not 384.  The walks run in the order of ``SWEEP_WALKS``, and
+    each step leaves the memo after the last walk that uses it, so at most
+    11 of the 30 are held at once.  A block's arrays are released before
+    the next block's are computed, so the sweep's memory does not grow
+    with the grid.
     """
     import numpy as np
 
@@ -224,12 +257,14 @@ def sweep(config: SolveConfig) -> list:
         thetas = _angles(n, start, min(start + SWEEP_BLOCK, cells.stop) + 1)
         block = place_l4(np, thetas)
         memo: dict = {}
-        for branch, out in found.items():
+        for branch, done in SWEEP_WALKS:
             res = closure_grid(block, branch, memo)
+            for key in done:
+                memo.pop(key, None)  # a walk that broke early set no later step
             lo, hi = res[:-1], res[1:]
             with np.errstate(invalid="ignore"):
                 hits = np.isfinite(lo) & np.isfinite(hi) & (lo * hi < 0)
-            out.extend((branch, float(thetas[i]), float(thetas[i + 1])) for i in np.flatnonzero(hits))
+            found[branch].extend((branch, float(thetas[i]), float(thetas[i + 1])) for i in np.flatnonzero(hits))
     return [cell for out in found.values() for cell in out]
 
 

@@ -377,25 +377,27 @@ def _sturm_bisection(p):
     return sorted(result)
 
 
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        (-2, 0, 1),
-        (0, 24, -10, -15, 0, 1),  # roots -3, -2, 0, 1, 4; 0 is the first split point
-        (720, -1764, 1624, -735, 175, -21, 1),  # roots 1, ..., 6
-        (1, -20001, 100010000),  # roots 1/10000 and 1/10001
-        (3, -7, 0, 5, -1, -2, 1),
-        (-5, 0, 0, 0, 0, 0, 0, 1),
-        # roots on the power-of-two Fujiwara bound F: Descartes' rule counts
-        # an open interval, so a tree started at (-F, F] loses the root 2 of
-        # T - 2 and -2 of T + 2 (F = 2), and 4 of T^2 - 2T - 8 (F = 4); T^2 - 4
-        # has F = 4 as well, with its roots inside
-        (-2, 1),
-        (2, 1),
-        (-4, 0, 1),
-        (-8, -2, 1),
-    ],
-)
+# the small polynomials whose isolation is compared with the Sturm route,
+# lowest coefficient first
+SMALL_POLYNOMIALS = [
+    (-2, 0, 1),
+    (0, 24, -10, -15, 0, 1),  # roots -3, -2, 0, 1, 4; 0 is the first split point
+    (720, -1764, 1624, -735, 175, -21, 1),  # roots 1, ..., 6
+    (1, -20001, 100010000),  # roots 1/10000 and 1/10001
+    (3, -7, 0, 5, -1, -2, 1),
+    (-5, 0, 0, 0, 0, 0, 0, 1),
+    # roots on the power-of-two Fujiwara bound F: Descartes' rule counts
+    # an open interval, so a tree started at (-F, F] loses the root 2 of
+    # T - 2 and -2 of T + 2 (F = 2), and 4 of T^2 - 2T - 8 (F = 4); T^2 - 4
+    # has F = 4 as well, with its roots inside
+    (-2, 1),
+    (2, 1),
+    (-4, 0, 1),
+    (-8, -2, 1),
+]
+
+
+@pytest.mark.parametrize("coeffs", SMALL_POLYNOMIALS)
 def test_isolation_matches_sturm_bisection(coeffs):
     p = BigPoly(coeffs)
     assert [(iv.lo, iv.hi) for iv in isolate_real_roots(p)] == _sturm_bisection(p)
@@ -586,3 +588,97 @@ def test_polyroots_oracle_agrees(poly):
     intervals = isolate_real_roots(poly)
     for r, iv in zip(reals, intervals):
         assert float(iv.lo) <= r <= float(iv.hi)
+
+
+# ---------------------------------------------------------------------------
+# exact signs behind the interval filter
+
+
+def _homogeneous_sign(p: BigPoly, t: Fraction) -> int:
+    """Sign of p(t) by the homogeneous integer evaluation alone, the
+    reference for the filtered ``sign_at``."""
+    acc, power = 0, 1
+    for c in reversed(p.coefficients):
+        acc = acc * t.numerator + c * power
+        power *= t.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _points_near_roots(p: BigPoly, bits: int, rng: random.Random, roots: int = 11) -> list:
+    """Points m/D with D a random integer of ``bits`` bits, m one unit
+    below, at and above the nearest to a real root of ``p`` times D, and a
+    random distance up to 10^6 units away, near at most ``roots`` real
+    roots of ``p`` drawn at random."""
+    intervals = isolate_real_roots(p)
+    intervals = rng.sample(intervals, min(roots, len(intervals)))
+    den = rng.getrandbits(bits) | 1 << (bits - 1)
+    points = []
+    for iv in intervals:
+        root = refine_root(p, iv, math.ceil(bits * math.log10(2)) + 5)
+        near = int(root.context.nint(root * den))
+        points += [Fraction(near + k, den) for k in (-1, 0, 1, rng.randint(-10 ** 6, 10 ** 6))]
+    return points
+
+
+def _recorded_filter(monkeypatch) -> list:
+    # every answer of the interval filter: a sign, or None when it holds 0
+    answers = []
+    interval_sign = charpoly._interval_sign
+
+    def recorded(*args):
+        answers.append(interval_sign(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(charpoly, "_interval_sign", recorded)
+    return answers
+
+
+# denominators from 60 to 3,000 digits, either side of the threshold; the
+# exact evaluation of p takes about 0.04 s at 1,000 digits and 0.3 s at
+# 3,000, so fewer of its roots are drawn there
+@pytest.mark.parametrize("bits, roots", [(200, 11), (599, 11), (600, 11), (1000, 11), (3322, 4), (9966, 1)])
+def test_filtered_sign_is_the_exact_sign_near_roots(poly, monkeypatch, bits, roots):
+    rng = random.Random(bits)
+    points = [(poly, t) for t in _points_near_roots(poly, bits, rng, roots)]
+    for coeffs in SMALL_POLYNOMIALS:
+        q = BigPoly(coeffs)
+        points += [(q, t) for t in _points_near_roots(q, bits, rng)]
+    answers = _recorded_filter(monkeypatch)
+    for p, t in points:
+        assert sign_at(p, t) == _homogeneous_sign(p, t), (bits, p.coefficients, t)
+    # only denominators of the threshold's bits or more in lowest terms meet
+    # the filter, and it decides at least half of them; a point it leaves
+    # undecided is not wrong
+    assert len(answers) == sum(t.denominator.bit_length() >= charpoly._FILTER_MIN_BITS for _, t in points)
+    assert sum(answer is not None for answer in answers) >= len(answers) / 2
+
+
+def test_filter_without_guard_bits_falls_back_to_the_exact_sign(poly, monkeypatch):
+    # at as many fraction bits as the denominator has, rounding a point
+    # within 2^-1000 of a root moves p by more than its value there, so the
+    # interval holds 0 at every root and the exact evaluation decides
+    den = 2 ** 1000 + 1
+    points = []
+    for iv in isolate_real_roots(poly):
+        root = refine_root(poly, iv, 310)
+        points.append(Fraction(int(root.context.nint(root * den)), den))
+    monkeypatch.setattr(charpoly, "_FILTER_GUARD_BITS", 0)
+    answers = _recorded_filter(monkeypatch)
+    for t in points:
+        assert sign_at(poly, t) == _homogeneous_sign(poly, t) != 0, t
+    assert answers == [None] * len(points)
+
+
+def test_filter_leaves_an_exact_rational_root_to_the_exact_sign(poly, monkeypatch):
+    # (3^700 T - n) p vanishes at n / 3^700, 1,110 bits of denominator: the
+    # interval holds the value 0, so the exact evaluation gives the 0
+    answers = _recorded_filter(monkeypatch)
+    den = 3 ** 700
+    num = 2 * den // 3 + 1
+    linear = (-num, den)
+    product = [0] * (poly.degree + 2)
+    for i, c in enumerate(poly.coefficients):
+        for j, d in enumerate(linear):
+            product[i + j] += c * d
+    assert sign_at(BigPoly(product), Fraction(num, den)) == 0
+    assert answers == [None]

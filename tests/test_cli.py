@@ -20,9 +20,11 @@ from heawood_udg.render import render_svg
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_ROOTS = ROOT / "perfbench" / "data" / "roots60.json"
 BENCHMARK_EMBEDDINGS = ROOT / "perfbench" / "data" / "embeddings60.json"
-# SHA-256 of the stdout of `roots --digits 300` and `roots --digits 1000`
+# SHA-256 of the stdout of `roots --digits 300`, `--digits 1000` and
+# `--digits 3000`
 ROOTS300_SHA256 = "59ee571ea4803dcd17fc1750e59c18dbec9b66c289074ec389a1c09add3a7324"
 ROOTS1000_SHA256 = "4ad0c66d327b6014708330a4ffaa112c06aa14455225cd5709f9f8bbc38e15ea"
+ROOTS3000_SHA256 = "475622f3a8e72ce117eaf87976f6298af5dbaf86898f2dd9b4abb7db7ebf13a7"
 # SHA-256 of the stdout of `verify --json perfbench/data/embeddings60.json`
 VERIFY60_SHA256 = "7bb0c245adbc9338e9195cc874a6cc0366a617df08ca5bc5394d4f7cd274e337"
 # SHA-256 of the stdout of `verify` on the JSON of `solve --digits 300 --grid
@@ -230,8 +232,10 @@ def test_roots_subcommand(capsys):
 
 def test_deep_roots_bytes_unchanged(capsys):
     # nothing else pins the exact side's output above 60 digits; at 1,000
-    # digits the Newton finish of refine_root takes six steps
-    for digits, pin in (("300", ROOTS300_SHA256), ("1000", ROOTS1000_SHA256)):
+    # digits the Newton finish of refine_root takes six steps, and from
+    # 300 digits the interval filter decides the confirming exact signs
+    pins = (("300", ROOTS300_SHA256), ("1000", ROOTS1000_SHA256), ("3000", ROOTS3000_SHA256))
+    for digits, pin in pins:
         assert run(["roots", "--digits", digits]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == pin, digits

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -27,6 +28,7 @@ from heawood_udg.chain import (
     candidate_from_coords,
     dump_candidates,
     place_l4,
+    step_keys,
 )
 from heawood_udg.geom import Point2, bisect_sign_change, circle_circle_intersect, context, illinois_estimate
 from heawood_udg.solver import (
@@ -360,12 +362,78 @@ def test_sweep_walks_thirty_circle_steps_per_block(monkeypatch, grid_points, blo
     assert len(calls) == 30 * _live_blocks(grid_points)
 
 
+def _live_steps(walks) -> int:
+    """The most circle steps a block walked by the branch vectors
+    ``walks`` in turn holds at once, when each step is dropped after the
+    last walk that uses it."""
+    keys = [step_keys(branch) for branch in walks]
+    last = {key: i for i, walk in enumerate(keys) for key in walk}
+    live: set = set()
+    most = 0
+    for i, walk in enumerate(keys):
+        live.update(walk)
+        most = max(most, len(live))
+        live -= {key for key in walk if last[key] == i}
+    return most
+
+
+def _sweep_order() -> list:
+    return [branch for branch, _ in solver.SWEEP_WALKS]
+
+
+def test_walk_order_drops_each_step_after_its_last_walk():
+    # every branch vector is walked once per block, and each of the 30
+    # steps is dropped once, after the last walk whose key holds it
+    walks = _sweep_order()
+    assert sorted(walks) == list(all_branch_vectors())
+    last = {key: branch for branch in walks for key in step_keys(branch)}
+    dropped = [(key, branch) for branch, done in solver.SWEEP_WALKS for key in done]
+    assert sorted(dropped) == sorted(last.items())
+    assert len(dropped) == 30
+
+
+def test_walk_order_holds_the_fewest_steps():
+    # of the 720 orders of the six bits, slowest first, the sweep's holds
+    # the fewest steps at once; binary order holds 27 of the 30
+    held = {}
+    for bits in itertools.permutations(range(6)):
+        walks = []
+        for values in itertools.product("01", repeat=6):
+            branch = dict(zip(bits, values))
+            walks.append("".join(branch[bit] for bit in range(6)))
+        held[bits] = _live_steps(walks)
+    assert _live_steps(_sweep_order()) == min(held.values()) == 11
+    assert held[tuple(range(6))] == _live_steps(list(all_branch_vectors())) == 27
+
+
+@pytest.mark.parametrize("grid_points", [5000, 20000])
+def test_sweep_memo_never_holds_more_than_eleven_steps(monkeypatch, grid_points):
+    # a walk adds its steps to the block's memo, and the sweep drops those
+    # no later walk uses before the next, so the memo is largest right
+    # after a walk; it holds all 30 steps at the end of a block unless they
+    # are dropped
+    sizes = []
+
+    def recorded(l4, branch, memo):
+        res = closure_grid(l4, branch, memo)
+        sizes.append(len(memo))
+        return res
+
+    monkeypatch.setattr(solver, "closure_grid", recorded)
+    sweep(SolveConfig(grid_points=grid_points))
+    assert len(sizes) == 64 * _live_blocks(grid_points)
+    assert max(sizes) <= 11
+
+
 def test_sweep_holds_few_bytes_per_grid_point():
     # each block places its own angles and l4 positions, so the peak is one
-    # block's: its 30 circle steps hold 30 · 2 floats for each of its
-    # 2,049 points, about 1 MB, and with one step's temporaries the peak
-    # read 1.3 MB at both grids.  One float array over the whole grid
+    # block's.  Its live circle steps hold 2 floats for each of its 2,049
+    # points, 11 steps in the sweep's order, and 32 more float arrays of the
+    # block cover its angles, l4 and P4 and one step's temporaries: a bound
+    # of 0.89 MB, where the peak read 0.72-0.76 MB at both grids and 1.29 MB
+    # when all 30 steps were held.  One float array over the whole grid
     # takes 8 MB at 10^6 points, so the bound fails if any array spans it
+    arrays = 2 * _live_steps(_sweep_order()) + 32
     for n in (10 ** 5, 10 ** 6):
         tracemalloc.start()
         try:
@@ -373,7 +441,7 @@ def test_sweep_holds_few_bytes_per_grid_point():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 30 * 2 * 8 * (solver.SWEEP_BLOCK + 1), n
+        assert peak <= arrays * 8 * (solver.SWEEP_BLOCK + 1), n
 
 
 def test_block_angles_equal_linspace():
