@@ -7,15 +7,17 @@ coordinates: worst flag residual, the collinearity restriction, an exact
 sign change of the degree-79 polynomial inside a width-1e-20 rational
 bracket around x_l4, whether the branch vector is the coordinates' own,
 whether the six pinned vertices sit exactly on the 1 x 2 rectangle, and the
-regularity margin: the least distance from a vertex to a non-incident edge,
-that is the least of the vertex separation and the distances to an edge's
-line whose perpendicular foot falls inside the edge.  Every margin below is
-such a foot, under the least distance between two vertices.  Matching
-against the bundled reference tables uses 1e-13, and each embedding
-matches its own row.  Row 9 as printed was only ~1e-11 accurate;
-the bundled row is its Newton refinement, with the printed digits kept as
-an erratum in the data file.  The eleven brackets are pairwise disjoint,
-so the eleven embeddings lie on eleven distinct roots.
+regularity margin: a lower bound on the least distance from a vertex to a
+non-incident edge, that is the least of the vertex separation and the
+distances to an edge's line whose perpendicular foot falls inside the edge.
+It is computed in hardware floats, each term less its own bound on
+rounding, and here lies within 5e-12 relative of the exact margin.  Every
+margin below is such a foot, under the least distance between two
+vertices.  Matching against the bundled reference tables uses 1e-13, and
+each embedding matches its own row.  Row 9 as printed was only ~1e-11
+accurate; the bundled row is its Newton refinement, with the printed
+digits kept as an erratum in the data file.  The eleven brackets are
+pairwise disjoint, so the eleven embeddings lie on eleven distinct roots.
 """
 
 from heawood_udg import SolveConfig, certify, solve_all

@@ -15,11 +15,12 @@ choosing the intersection point of the k-th entry of ``CHAIN_STEPS``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import combinations
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 from mpmath.libmp import from_int, from_rational, ften, mpf_mul, mpf_pow_int
 
@@ -98,54 +99,60 @@ class EmbeddingCandidate:
         return context(self.precision)
 
 
-# The float screen of the separation and regularity scans.  With at least
-# the 53 bits of a float and every coordinate within SCREEN_BOUND = 8, a
-# float coordinate is within 8u of the mpf one (u = 2^-53).  A squared
-# distance, or the dot product, squared length, cross product or foot
-# distance of a vertex against an edge whose float squared length lies in
-# [1/4, 4], then differs between floats and mpf, each rounding by at most u
-# per operation, by less than 2^-36 (1 + v) for a term of value v.  So the
-# term of least mpf value is within 2^-35 (1 + m) < SCREEN_SLACK (1 + m) of
-# the least float value m, and an end of the test 0 < dot < length^2 that
-# the float dot misses by more than SCREEN_SLACK is missed in mpf too.
-SCREEN_BOUND = 8
-SCREEN_SLACK = 1e-9
+# The separation and the regularity margin are lower bounds computed in
+# hardware floats: each term less its own bound on rounding error (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
+# Let u = 2^-53 and B = max(1, |coordinate|) over the floats of the 14
+# vertices, with B < 2^32: no product overflows, underflow errs by far less
+# than uB, and uB < 2^-21, so the constants below, rounded up, cover the
+# terms of order u^2 B^2 that the sums leave out.  A coordinate rounds to
+# its float within uB, and the float vector between two vertices, each
+# component rounded within u of its size, is within 2.83uB + u|r| of the
+# exact vector r.  Every later float operation rounds within u of its size.
+# - A pair's float distance d, two rounded squares summed and rooted, is
+#   within 2ud of its float vector's length.  So the exact distance is at
+#   least d - u(3d + 2.83B), and d - u(5d + 3B) covers the rounding of this
+#   subtraction and of its bound as well.
+# - A vertex's float distance h = |w x v| / L to the line of an edge, for w
+#   the float vector from the edge's first end to the vertex, of float
+#   length W, and v the edge's float vector, of float length L >= 1/2: the
+#   cross product rounds within 2uWL, the errors of w and v move it by
+#   (2.83uB + uW) L + W (2.83uB + uL), and L is within 2.83uB + 3uL of the
+#   exact length.  With the quotient's rounding and h <= W, the exact
+#   distance is at least h - u(8W + 2.83B + 5.66BW/L), and
+#   h - u(10W + 3B + 6BW/L) covers the rounding of the subtraction as well.
+# - The float dot product of v with the vector from either end of the edge
+#   to the vertex, both at most 2.83B long, is within 2u 8B^2 + 2 (5.66uB)
+#   2.83B < 64uB^2 of the exact one.  A dot beyond that places the foot of
+#   the perpendicular outside the edge.
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def float_screen(candidate: EmbeddingCandidate) -> dict | None:
-    """The vertex positions as pairs of floats, keyed by vertex name, or
-    None when the float screen does not apply: a precision below 53 bits,
-    or a coordinate that is not finite or exceeds ``SCREEN_BOUND`` in size."""
-    if candidate.context().prec < 53:
+def float_points(candidate: EmbeddingCandidate) -> tuple | None:
+    """The vertex positions as float :class:`Point2`, keyed by vertex name,
+    and the scale B of the bounds above; None when a coordinate's float is
+    not finite or is 2^32 or more in size.  The Heawood graph has diameter
+    3, so such a row has an edge longer than 2^30 or a pinned vertex off
+    the rectangle, and fails its certificate anyway."""
+    points = {v: Point2(float(p.x), float(p.y)) for v, p in candidate.coords.items()}
+    sizes = [abs(c) for p in points.values() for c in p]
+    if not all(size < 2.0 ** 32 for size in sizes):
         return None
-    flt = {v: Point2(float(p.x), float(p.y)) for v, p in candidate.coords.items()}
-    if all(abs(p.x) <= SCREEN_BOUND and abs(p.y) <= SCREEN_BOUND for p in flt.values()):
-        return flt
-    return None
+    return points, max(1.0, *sizes)
 
 
-def near_minimum(terms: Sequence, values: Sequence, least: float) -> list:
-    """The ``terms`` whose float ``values`` are at most ``SCREEN_SLACK``
-    (1 + least) above ``least``, the float value of a term whose mpf value
-    counts: by the bound above, the term of least mpf value is among them."""
-    cut = (1 + SCREEN_SLACK) * least + SCREEN_SLACK
-    return [term for term, value in zip(terms, values) if value <= cut]
-
-
-def min_vertex_separation(candidate: EmbeddingCandidate):
-    """Smallest pairwise distance between the 14 vertex positions.
-
-    Floats screen the 91 pairs (:func:`float_screen`): only those near the
-    least float distance are evaluated in mpf.  The pair of least mpf
-    distance is among them, so the value is that of the full mpf scan,
-    which runs when the screen does not apply."""
-    coords = candidate.coords
-    pairs = list(combinations(coords, 2))
-    flt = float_screen(candidate)
-    if flt is not None:
-        d2 = [distance_squared(flt[a], flt[b]) for a, b in pairs]
-        pairs = near_minimum(pairs, d2, min(d2))
-    return candidate.context().sqrt(min(distance_squared(coords[a], coords[b]) for a, b in pairs))
+def min_vertex_separation(candidate: EmbeddingCandidate) -> float:
+    """A lower bound on the smallest distance between two of the 14 vertex
+    positions, in floats: the least float distance less its rounding bound
+    (see above), clamped at 0.  It is 0 when :func:`float_points` gives
+    None.  Solve's filter of degenerate zeros and verify's regularity
+    margin share this one scan."""
+    found = float_points(candidate)
+    if found is None:
+        return 0.0
+    points, scale = found
+    least = math.sqrt(min(distance_squared(p, q) for p, q in combinations(points.values(), 2)))
+    return max(0.0, least - UNIT_ROUNDOFF * (5 * least + 3 * scale))
 
 
 def fixed_points(ctx: MPContext) -> dict:

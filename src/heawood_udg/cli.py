@@ -30,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="find all embeddings")
-    p_solve.add_argument("--grid", type=int, default=20000, help="sweep grid points")
-    p_solve.add_argument("--digits", type=int, default=60, help="final working precision")
+    p_solve.add_argument("--grid", type=int, default=solver.SolveConfig.grid_points, help="sweep grid points")
+    p_solve.add_argument("--digits", type=int, default=solver.SolveConfig.digits, help="final working precision")
     p_solve.add_argument("--json", type=Path, default=None, help="write embeddings JSON here")
     p_solve.add_argument("--svg", type=Path, default=None, help="write one SVG per embedding here")
 

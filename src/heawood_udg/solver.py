@@ -98,9 +98,10 @@ class NoConvergence(Exception):
 class SolveConfig:
     """Sweep grid and output precision of :func:`solve_all`.
 
-    Bisection, the separation filter and a first Newton pass always run at
-    ``BISECTION_DIGITS``; ``digits``, from ``MIN_DIGITS`` (the precision of
-    the reference tables) to ``MAX_DIGITS``, is the precision of the last
+    Bisection and a first Newton pass always run at ``BISECTION_DIGITS``,
+    and the separation filter, a float lower bound, reads the bisected
+    candidate; ``digits``, from ``MIN_DIGITS`` (the precision of the
+    reference tables) to ``MAX_DIGITS``, is the precision of the last
     Newton pass and of the output.
     """
 

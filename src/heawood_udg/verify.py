@@ -10,15 +10,14 @@ at most 10^-20 wide from 24 digits up), whether the stated branch vector,
 angle and closure are those the coordinates give, whether the six pinned
 vertices sit exactly on the rectangle of ``chain.FIXED_POSITIONS``, the
 regularity margin (no vertex may lie on a non-incident edge), and which
-reference table the candidate reproduces.  The margin is the least of the
-vertex separation and the distances from each vertex to the line of each
-non-incident edge whose perpendicular foot lies strictly inside the edge;
-see :func:`regularity_check` for why that is the least distance to the
-edges.  Hardware floats choose which terms of those two scans are
-evaluated in mpf: the ones near the float minimum, and the ones whose
-inside test floats cannot decide.  The term of least mpf value is always
-among them, so the margin is the mpf number that the scan over every term
-gives, and each printed byte is the same.
+reference table the candidate reproduces.  The margin is a lower bound on
+the least distance from a vertex to an edge it is not an end of, computed
+in one pass in hardware floats: the least of the vertex separation and the
+distances from each vertex to the line of each non-incident edge whose
+perpendicular foot floats cannot place outside the edge, each term less
+its own bound on rounding; see :func:`regularity_check` for why that
+bounds the least distance to the edges.  On every solved row it lies
+within 1e-10 relative of the exact margin.
 """
 
 from __future__ import annotations
@@ -28,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_float, to_rational, to_str
 
-from .chain import FIXED_POSITIONS, SCREEN_SLACK, EmbeddingCandidate, candidate_from_coords, float_screen
-from .chain import min_vertex_separation, near_minimum
+from .chain import FIXED_POSITIONS, UNIT_ROUNDOFF, EmbeddingCandidate, candidate_from_coords, float_points
+from .chain import min_vertex_separation
 from .charpoly import charpoly_xl4, root_bound, sign_at
-from .geom import MIN_DIGITS, Point2, context, distance_squared, residual_tol
+from .geom import MIN_DIGITS, context, distance_squared, residual_tol
 from .incidence import HEAWOOD_FLAGS
 from .refdata import TABLE_VERTICES, reference_tables
 
@@ -49,9 +48,11 @@ class Certificate:
     holds when the row's branch vector is the one its coordinates lie on,
     and its angle and closure are within 10^(4 - precision) of those
     :func:`~heawood_udg.chain.candidate_from_coords` derives from them.
-    ``matched_table`` is the 1-based index of the reference table the
-    candidate reproduces coordinate-wise within the matching tolerance, or
-    None.
+    ``regularity_margin`` is the float lower bound of
+    :func:`regularity_check`, printed to 8 digits from the float's exact
+    binary value.  ``matched_table`` is the 1-based index of the reference
+    table the candidate reproduces coordinate-wise within the matching
+    tolerance, or None.
     """
 
     max_flag_residual: Any
@@ -60,7 +61,7 @@ class Certificate:
     charpoly_bracket_ok: bool
     provenance_ok: bool
     pinned_ok: bool
-    regularity_margin: Any
+    regularity_margin: float
     precision: int
     matched_table: int | None = None
 
@@ -91,7 +92,7 @@ class Certificate:
             "charpoly_bracket_ok": self.charpoly_bracket_ok,
             "provenance_ok": self.provenance_ok,
             "pinned_ok": self.pinned_ok,
-            "regularity_margin": ctx.nstr(self.regularity_margin, 8),
+            "regularity_margin": to_str(from_float(self.regularity_margin), 8),
             "precision": self.precision,
             "matched_table": self.matched_table,
         }
@@ -124,72 +125,42 @@ def collinearity_residual(candidate: EmbeddingCandidate):
     return max(abs(cross), abs(spacing), abs(mid_x), abs(mid_y))
 
 
-def _foot(p: Point2, a: Point2, b: Point2) -> tuple:
-    """(dot, length^2, cross) of the vertex ``p`` against the edge from
-    ``a`` to ``b``: the foot of the perpendicular lies strictly inside the
-    edge when 0 < dot < length^2, at distance^2 cross^2 / length^2."""
-    vx, vy = b.x - a.x, b.y - a.y
-    wx, wy = p.x - a.x, p.y - a.y
-    return wx * vx + wy * vy, vx * vx + vy * vy, wx * vy - wy * vx
-
-
-def _screened_feet(candidate: EmbeddingCandidate) -> list:
-    """The (vertex, edge end, edge end) terms of :func:`regularity_check`
-    that may hold its least foot distance, chosen in floats.
-
-    This applies under :func:`~heawood_udg.chain.float_screen`, when every
-    edge's float squared length lies in [1/4, 4]; otherwise every term is
-    kept.  A term whose float dot misses (0, length^2) by more than
-    ``SCREEN_SLACK`` goes.  One inside by more than that is inside in mpf
-    too, and the least float foot distance among those sets the cut of
-    :func:`~heawood_udg.chain.near_minimum`, which every other term is held
-    to: a term left undecided by its float dot has an accurate float foot
-    distance all the same.  When no term is clearly inside, the cut is
-    infinite and every undecided term is kept.
-    """
-    coords = candidate.coords
-    flt = float_screen(candidate)
-    if flt is None or not all(0.25 <= distance_squared(flt[a], flt[b]) <= 4 for a, b in HEAWOOD_FLAGS):
-        return [(v, a, b) for a, b in HEAWOOD_FLAGS for v in coords if v not in (a, b)]
-    terms, feet, least = [], [], math.inf
-    for a, b in HEAWOOD_FLAGS:
-        for v in coords:
-            if v in (a, b):
-                continue
-            dot, length2, cross = _foot(flt[v], flt[a], flt[b])
-            if -SCREEN_SLACK < dot < length2 + SCREEN_SLACK:
-                foot = cross * cross / length2
-                terms.append((v, a, b))
-                feet.append(foot)
-                if SCREEN_SLACK < dot < length2 - SCREEN_SLACK:
-                    least = min(least, foot)
-    return near_minimum(terms, feet, least)
-
-
-def regularity_check(candidate: EmbeddingCandidate):
-    """Minimum distance from any vertex to any edge it is not an endpoint
-    of; a positive margin certifies the embedding is regular.
+def regularity_check(candidate: EmbeddingCandidate) -> float:
+    """A lower bound, in floats, on the minimum distance from any vertex to
+    any edge it is not an endpoint of; a positive margin certifies the
+    embedding is regular.
 
     That distance is to the edge's line where the foot of the perpendicular
     lies strictly inside the edge, and to its nearer end otherwise.  Each
     vertex has degree 3, so any two vertices v, w have an edge at w without
-    v: the ends add exactly the vertex separation, which also gives an edge
-    with coincident ends the margin 0.  Squared foot distances are compared
-    and only the least is rooted, mpmath's square root being monotone.
-
-    Floats choose which of the 252 (vertex, edge) terms are evaluated in
-    mpf (:func:`_screened_feet`), as they choose the vertex pairs of
-    :func:`~heawood_udg.chain.min_vertex_separation`: the term of least
-    mpf foot distance is always among them, so the margin is the same mpf
-    number as that of the scan over every term."""
-    coords = candidate.coords
-    feet = []
-    for v, a, b in _screened_feet(candidate):
-        dot, length2, cross = _foot(coords[v], coords[a], coords[b])
-        if 0 < dot < length2:
-            feet.append(cross ** 2 / length2)
-    separation = min_vertex_separation(candidate)
-    return min(separation, candidate.context().sqrt(min(feet))) if feet else separation
+    v: the ends add exactly the vertex separation.  A vertex's distance to
+    an edge is at least its distance to the edge's line, so every term
+    whose foot the float dot product does not place provably outside the
+    edge adds its line distance, and the separation adds the ends.  Each
+    term is its float value less the rounding bound derived above
+    :func:`~heawood_udg.chain.float_points`, and the least is clamped at 0.
+    The margin is 0 when the separation is, as it is when
+    :func:`~heawood_udg.chain.float_points` gives None, and when an edge's
+    float length is below 1/2: that edge fails its flag residual anyway."""
+    least = min_vertex_separation(candidate)
+    if least == 0:
+        return 0.0
+    points, scale = float_points(candidate)
+    u, outside = UNIT_ROUNDOFF, 64 * UNIT_ROUNDOFF * scale * scale
+    for a, b in HEAWOOD_FLAGS:
+        pa, pb = points[a], points[b]
+        vx, vy = pb.x - pa.x, pb.y - pa.y
+        length = math.sqrt(vx * vx + vy * vy)
+        if length < 0.5:
+            return 0.0
+        for v, p in points.items():
+            wx, wy = p.x - pa.x, p.y - pa.y
+            if v in (a, b) or wx * vx + wy * vy < -outside or (p.x - pb.x) * vx + (p.y - pb.y) * vy > outside:
+                continue
+            w = math.sqrt(wx * wx + wy * wy)
+            line = abs(wx * vy - wy * vx) / length
+            least = min(least, line - u * (10 * w + 3 * scale + 6 * scale * w / length))
+    return max(0.0, least)
 
 
 def charpoly_bracket(candidate: EmbeddingCandidate):

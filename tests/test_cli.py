@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,40 @@ def test_verify_fails_an_edge_whose_ends_coincide(tmp_path, capsys):
     assert cert["pass"] is False
     assert cert["max_flag_residual"] == "1.0"
     assert cert["regularity_margin"] == "0.0"
+
+
+@pytest.mark.parametrize("case", ["coordinate 1e400", "edge shorter than 1/2", "3 digits", "14 digits"])
+def test_verify_fails_a_row_the_float_bounds_cannot_pass(case, tmp_path, capsys):
+    # a coordinate whose float is not finite gives separation and margin 0,
+    # and an edge shorter than 1/2 gives margin 0; a row below 15 digits gets
+    # a float bound like any other and fails on its precision.  Each such
+    # row gets a failing certificate, and verify exits 1 with no traceback
+    data = json.loads(BENCHMARK_EMBEDDINGS.read_text())
+    vertices = data[0]["vertices"]
+    if case == "coordinate 1e400":
+        vertices["P1"][0] = "1e400"
+    elif case == "edge shorter than 1/2":
+        vertices["l1"] = [str(Decimal(vertices["P1"][0]) + Decimal("0.3")), vertices["P1"][1]]
+    else:
+        data[0]["precision"] = int(case.split()[0])
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert all(line.startswith("verify: ") for line in captured.err.splitlines())
+    cert, *others = json.loads(captured.out)
+    assert cert["pass"] is False and all(c["pass"] for c in others)
+    row = load_candidates(path.read_text())[0]
+    if case.endswith("digits"):
+        assert float(cert["regularity_margin"]) > 0.04 and verify.min_vertex_separation(row) > 0.04
+    else:
+        assert cert["regularity_margin"] == "0.0"
+        assert (verify.min_vertex_separation(row) == 0) == (case == "coordinate 1e400")
+
+
+def test_solve_defaults_are_solve_configs():
+    args = cli._build_parser().parse_args(["solve"])
+    assert (args.grid, args.digits) == (solver.SolveConfig().grid_points, solver.SolveConfig().digits)
 
 
 @pytest.mark.parametrize("case", ["row 1 eleven times", "one row", "twelve rows", "flipped branch"])

@@ -138,21 +138,42 @@ def test_degenerate_candidate_has_zero_margin(solutions):
     # drop P1 onto the midpoint of the non-incident edge (P5, l5)
     coords = {v: (p.x, p.y) for v, p in solutions[0].coords.items()}
     coords["P1"] = (0.5, 0.0)
-    ctx = context(60)
     degenerate = candidate_from_coords(_dependent_only(coords), 60)
-    assert regularity_check(degenerate) < ctx.mpf(10) ** -50
-    assert _agrees_with_clamped(degenerate) == 0
+    assert regularity_check(degenerate) == 0
+    assert _bounds_hold(degenerate) == 0
 
 
-def _agrees_with_clamped(cand):
-    # the margin equals the clamped point-segment minimum to within ten
-    # units of the candidate's last digit, and the float-screened scans
-    # return the very mpf numbers of the scans over every term
-    margin = regularity_check(cand)
-    assert abs(margin - clamped_margin(cand)) <= cand.context().mpf(10) ** (1 - cand.precision)
-    assert margin == full_regularity(cand)
-    assert min_vertex_separation(cand) == full_separation(cand)
+def _bounds_hold(cand):
+    # Both scans are lower bounds on the exact scans over every term, run on
+    # the row's coordinates lifted exactly to at least 100 digits, and lie no
+    # further below them than chain's derivation allows.  A pair's float
+    # distance d is within u(3d + 2.83B) of the exact one, and its bound
+    # subtracts u(5d + 3B).  With W <= 2.83B and L >= 1/2, a line term's
+    # bound, u(10W + 3B + 6BW/L), is at most 66uB^2, and its float value lies
+    # within that of the exact one.  A term whose float dot does not place
+    # the foot outside the edge has an exact dot within 64uB^2 + 48uB^2 of
+    # it, so its line distance lies within 224uB^2 of its nearer end's
+    # distance.  An edge of float length below 1/2 gives margin 0.
+    # Returns the exact margin
+    u = chain.UNIT_ROUNDOFF
+    _, scale = chain.float_points(cand)
+    lifted = candidate_from_coords({v: tuple(p) for v, p in cand.coords.items()}, max(100, cand.precision))
+    separation, margin, bound = full_separation(lifted), full_regularity(lifted), regularity_check(cand)
+    # the split into the separation and the inside feet is the clamped formula
+    assert abs(margin - clamped_margin(lifted)) <= scale ** 2 * lifted.context().mpf(10) ** (1 - lifted.precision)
+    assert 0 <= separation - min_vertex_separation(cand) <= u * (9 * separation + 6 * scale)
+    assert 0 <= margin - bound
+    if _short_edge(cand):
+        assert bound == 0
+    else:
+        assert margin - bound <= 360 * u * scale ** 2
     return margin
+
+
+def _short_edge(cand):
+    # an edge of float length below 1/2
+    points, _ = chain.float_points(cand)
+    return any(math.sqrt(distance_squared(points[a], points[b])) < 0.5 for a, b in HEAWOOD_FLAGS)
 
 
 def test_one_separation_scan():
@@ -162,34 +183,41 @@ def test_one_separation_scan():
     assert verify.min_vertex_separation is chain.min_vertex_separation
 
 
-def test_regularity_matches_clamped_formula_on_solutions(solutions, low_precision_solutions):
-    deep = [newton_polish(c, 300) for c in solutions]
-    for found in (low_precision_solutions[15], solutions, deep):
+def test_regularity_matches_clamped_formula_on_solutions(solutions, low_precision_solutions, deep_solutions):
+    # the eleven embeddings at 15, 60 and 300 digits, where the bound lies
+    # within 1e-10 relative of the exact margin, and rounded to 3 to 14
+    # digits, where a coordinate's float is exact
+    for found in (low_precision_solutions[15], solutions, deep_solutions):
         assert len(found) == 11
         for cand in found:
-            _agrees_with_clamped(cand)
+            margin = _bounds_hold(cand)
+            assert margin - regularity_check(cand) < 1e-10 * margin
+    for digits in range(3, 15):
+        for cand in solutions:
+            assert _bounds_hold(candidate_from_coords(cand.coords, digits)) > 0
 
 
 def test_regularity_minimum_at_a_foot_and_at_a_vertex_pair(solutions):
     # every embedding's margin is a perpendicular foot inside an edge
     foot = solutions[0]
-    assert _agrees_with_clamped(foot) < min_vertex_separation(foot)
-    # l1 just off P1, on the side away from every other edge at either of
-    # them: the margin is the distance of the pair
+    assert _bounds_hold(foot) < full_separation(foot)
+    # in the third embedding, P1 just right of l3, which is not on it: each
+    # edge at either of them points away from the other, so the margin is
+    # the distance of the pair
     ctx = context(60)
-    coords = {v: (p.x, p.y) for v, p in foot.coords.items()}
-    x, y = coords["P1"]
-    coords["l1"] = (x + ctx.mpf("0.001"), y - ctx.mpf("0.001"))
-    pair = candidate_from_coords(coords, 60)
-    margin = _agrees_with_clamped(pair)
-    assert margin == min_vertex_separation(pair)
-    assert abs(margin - ctx.sqrt(2) / 1000) < ctx.mpf(10) ** -55
+    pair = _moved(solutions[2], P1=(ctx.mpf("0.001"), 1))
+    margin = _bounds_hold(pair)
+    assert margin == full_separation(pair)
+    assert abs(margin - ctx.mpf("0.001")) < ctx.mpf(10) ** -55
+    assert regularity_check(pair) > 0
 
 
-@pytest.mark.parametrize("kind", ["moved", "coincident", "on an edge"])
+@pytest.mark.parametrize("kind", ["moved", "coincident", "on an edge", "large"])
 def test_regularity_matches_clamped_formula_on_perturbations(kind, solutions):
     # seeded moves of every vertex by up to 0.05; then two vertices made to
-    # coincide, or a vertex put inside an edge it is not an end of
+    # coincide, or a vertex put inside an edge it is not an end of, or the
+    # whole row scaled by up to 300 and shifted by up to 100, so that
+    # coordinates reach 1e3 in size
     rng = random.Random(f"regularity {kind}")
     for _ in range(50):
         digits = rng.choice((15, 60, 300))
@@ -207,9 +235,14 @@ def test_regularity_matches_clamped_formula_on_perturbations(kind, solutions):
             t = ctx.mpf(rng.uniform(0.1, 0.9))
             (ax, ay), (bx, by) = coords[a], coords[b]
             coords[v] = (ax + t * (bx - ax), ay + t * (by - ay))
-        margin = _agrees_with_clamped(candidate_from_coords(coords, digits))
-        if kind != "moved":
+        elif kind == "large":
+            s, dx, dy = rng.uniform(1, 300), rng.uniform(-100, 100), rng.uniform(-100, 100)
+            coords = {v: (s * x + dx, s * y + dy) for v, (x, y) in coords.items()}
+        margin = _bounds_hold(candidate_from_coords(coords, digits))
+        if kind in ("coincident", "on an edge"):
             assert margin < ctx.mpf(10) ** (1 - digits)
+        else:
+            assert margin > 0
 
 
 def _moved(solution, digits=60, **moves):
@@ -218,35 +251,38 @@ def _moved(solution, digits=60, **moves):
     return candidate_from_coords(coords, digits)
 
 
-def test_screen_falls_back_beyond_its_bounds(solutions):
-    # a coordinate beyond SCREEN_BOUND, or an edge whose float squared
-    # length leaves [1/4, 4], puts every term into mpf
+def test_bound_is_zero_only_past_its_special_cases(solutions):
+    # a coordinate far from the rectangle, or a row below 15 digits, is
+    # bounded as any other; an edge of float length below 1/2, or a
+    # coordinate whose float is not finite or is 2^32 or more in size, gives
+    # margin 0
     ctx = context(60)
     x, y = solutions[0].coords["P1"]
-    far = _moved(solutions[0], P1=(x + 9, y))
-    assert chain.float_screen(far) is None
-    assert len(verify._screened_feet(far)) == 252
+    for cand in (_moved(solutions[0], P1=(x + 9, y)), _moved(solutions[0], digits=14)):
+        assert _bounds_hold(cand) > 0 and regularity_check(cand) > 0
     short = _moved(solutions[0], l1=(x + ctx.mpf("0.3"), y))
-    assert chain.float_screen(short) is not None
-    assert len(verify._screened_feet(short)) == 252
-    assert chain.float_screen(_moved(solutions[0], digits=14)) is None
-    for cand in (far, short):
-        _agrees_with_clamped(cand)
+    assert regularity_check(short) == 0 < full_regularity(short)
+    _bounds_hold(short)
+    assert chain.float_points(_moved(solutions[0], P1=(ctx.mpf(2) ** 32 - 1, y))) is not None
+    for far in ("1e400", "-1e200", "4294967296", "-4294967295.9999999999", "nan", "-inf"):
+        cand = _moved(solutions[0], P1=(ctx.mpf(far), y))
+        assert chain.float_points(cand) is None
+        assert min_vertex_separation(cand) == regularity_check(cand) == 0
 
 
-def test_screen_keeps_a_foot_next_to_an_edge_end(solutions):
+def test_bound_keeps_a_foot_next_to_an_edge_end(solutions):
     # l1 on the edge (P2, l2), 1e-12 of its length from P2: the float dot
-    # cannot tell whether the foot is inside, so the term goes to mpf, and
-    # its foot distance, not the separation of l1 and P2, is the margin
+    # cannot place the foot outside the edge, so the term's line distance,
+    # not the separation of l1 and P2, bounds the margin
     ctx = context(60)
     (ax, ay), (bx, by) = solutions[0].coords["P2"], solutions[0].coords["l2"]
     t = ctx.mpf("1e-12")
     cand = _moved(solutions[0], l1=(ax + t * (bx - ax), ay + t * (by - ay)))
-    selected = verify._screened_feet(cand)
-    assert ("l1", "P2", "l2") in selected and len(selected) < 252
-    margin = _agrees_with_clamped(cand)
+    margin = _bounds_hold(cand)
     assert margin < ctx.mpf(10) ** -50
-    assert abs(min_vertex_separation(cand) - t) < ctx.mpf(10) ** -13
+    assert regularity_check(cand) == 0
+    assert abs(full_separation(cand) - t) < ctx.mpf(10) ** -13
+    assert min_vertex_separation(cand) > 0.9e-12
 
 
 def _place(coords, edge, distance, ctx):
@@ -256,46 +292,39 @@ def _place(coords, edge, distance, ctx):
     return ((ax + bx) / 2 - distance * (by - ay) / length, (ay + by) / 2 + distance * (bx - ax) / length)
 
 
-def _foot2(points, term):
-    # the squared foot distance of a (vertex, edge end, edge end) term
-    _, length2, cross = verify._foot(*(points[u] for u in term))
-    return cross ** 2 / length2
-
-
-def test_screen_keeps_near_tied_minima(solutions):
+def test_bound_holds_on_near_tied_minima(solutions):
     # two vertex pairs, and two feet, whose distances differ by 1e-23, far
-    # below float resolution: the float order is reversed about half the
-    # time, and the mpf value of the least must still come back
+    # below float resolution: both scans stay below the least exact value.
+    # Draws that leave an edge shorter than 1/2, whose margin is 0, are
+    # drawn again
     ctx = context(60)
     dependent = ["P1", "P3", "P4", "P6", "l1", "l2", "l4", "l6"]
     rng = random.Random("near-tied minima")
-    reversed_pairs = reversed_feet = 0
-    for _ in range(40):
+    pairs = feet = 0
+    while pairs < 40 or feet < 40:
         solution = rng.choice(solutions)
         coords = {v: (p.x, p.y) for v, p in solution.coords.items()}
-        v, w, x, y = rng.sample(dependent, 4)
-        r = ctx.mpf("1e-3")
-        phi, psi = (ctx.mpf(rng.uniform(0, 2 * math.pi)) for _ in range(2))
-        coords[w] = (coords[v][0] + r * ctx.cos(phi), coords[v][1] + r * ctx.sin(phi))
-        r = r * (1 - ctx.mpf("1e-20"))
-        coords[y] = (coords[x][0] + r * ctx.cos(psi), coords[x][1] + r * ctx.sin(psi))
+        if pairs <= feet:
+            v, w, x, y = rng.sample(dependent, 4)
+            r = ctx.mpf("1e-3")
+            phi, psi = (ctx.mpf(rng.uniform(0, 2 * math.pi)) for _ in range(2))
+            coords[w] = (coords[v][0] + r * ctx.cos(phi), coords[v][1] + r * ctx.sin(phi))
+            r = r * (1 - ctx.mpf("1e-20"))
+            coords[y] = (coords[x][0] + r * ctx.cos(psi), coords[x][1] + r * ctx.sin(psi))
+        else:
+            first, second = rng.sample(HEAWOOD_FLAGS, 2)
+            v, w = rng.sample(sorted(set(dependent) - set(first) - set(second)), 2)
+            coords[v] = _place(coords, first, ctx.mpf("1e-3"), ctx)
+            coords[w] = _place(coords, second, ctx.mpf("1e-3") * (1 - ctx.mpf("1e-20")), ctx)
         cand = candidate_from_coords(coords, 60)
-        flt = chain.float_screen(cand)
-        assert full_separation(cand) == ctx.sqrt(distance_squared(cand.coords[x], cand.coords[y]))
-        assert min_vertex_separation(cand) == full_separation(cand)
-        reversed_pairs += distance_squared(flt[x], flt[y]) > distance_squared(flt[v], flt[w])
-
-        coords = {v: (p.x, p.y) for v, p in solution.coords.items()}
-        first, second = rng.sample(HEAWOOD_FLAGS, 2)
-        v, w = rng.sample(sorted(set(dependent) - set(first) - set(second)), 2)
-        coords[v] = _place(coords, first, ctx.mpf("1e-3"), ctx)
-        coords[w] = _place(coords, second, ctx.mpf("1e-3") * (1 - ctx.mpf("1e-20")), ctx)
-        cand = candidate_from_coords(coords, 60)
-        assert regularity_check(cand) == full_regularity(cand)
-        least, near, flt = (w, *second), (v, *first), chain.float_screen(cand)
-        if len(verify._screened_feet(cand)) < 252 and regularity_check(cand) == ctx.sqrt(_foot2(cand.coords, least)):
-            reversed_feet += _foot2(flt, least) > _foot2(flt, near)
-    assert reversed_pairs >= 10 and reversed_feet >= 3
+        if _short_edge(cand):
+            continue
+        if pairs <= feet:
+            assert full_separation(cand) == ctx.sqrt(distance_squared(cand.coords[x], cand.coords[y]))
+            pairs += 1
+        else:
+            feet += 1
+        assert _bounds_hold(cand) > 0 and regularity_check(cand) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The separation and regularity scans with no float screen: every vertex
-pair and every (vertex, non-incident edge) term evaluated in mpf.
+"""The separation and regularity scans over every term in mpf, with no
+float in them: every vertex pair and every (vertex, non-incident edge)
+term evaluated at the candidate's precision.  The tests run them on a
+row's coordinates lifted exactly to at least 100 digits, as the oracle for
 ``heawood_udg.chain.min_vertex_separation`` and
-``heawood_udg.verify.regularity_check`` evaluate only the terms that floats
-place near the least; the tests check that they return the same mpf number
-as these full scans.
+``heawood_udg.verify.regularity_check``: each float lower bound may not
+exceed the oracle's value, and may lie below it by no more than the
+rounding bound derived in ``heawood_udg.chain``.
 """
 
 from __future__ import annotations
